@@ -14,12 +14,25 @@ arithmetic they cause.  Each unfolding step of a loop, loop2 or compr
 recursion adds one unit of control overhead, which guarantees diverging
 iterations exhaust the budget.  Producing a value with magnitude above
 the value bound aborts the run instead.
+
+A program is compiled once into nested closures, one per operator node,
+each called as run(x, y, budget).  A closure checks the value bound
+before it charges, raises division by zero before it charges, and a
+timeout leaves the budget at 0, so the outcome of a run, its cost
+included, does not depend on how the program is executed.  The compiled
+closures are cached per program object, held weakly so that they go
+with the program, and per (value bound, big-value threshold), so that
+configurations differing only in their per-call limit share them.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from typing import Callable
 
 from .lang import Op, Program
 
@@ -86,104 +99,322 @@ class EvalFailure(Exception):
         self.index = index
 
 
-_COSTLY = (Op.DIV, Op.MOD)
-_QUADRATIC = (Op.MUL, Op.DIV, Op.MOD)
+# Digit counts.
+
+_LOG10_2 = math.log10(2)
+_TEXT_DIGITS_BELOW = 2**64
 
 
-def _produce(op: Op, value: int, budget: Budget, cfg: EvalConfig) -> int:
-    """Charge for one first-order application returning value."""
+@cache
+def _pow10(k: int) -> int:
+    return 10**k
+
+
+def _digit_count(m: int) -> int:
+    """Number of decimal digits of m >= 0, without converting big m to text.
+
+    m has b = m.bit_length() bits, so 2^(b-1) <= m < 2^b, and with
+    k = floor((b-1) * log10 2) it has k+1 or k+2 digits: k+2 exactly when
+    m >= 10^(k+1).  The product is computed in floating point; its error
+    stays far below the distance of (b-1) * log10 2 from the nearest
+    integer for every b a value bound can reach.
+    """
+    if m < _TEXT_DIGITS_BELOW:
+        return len(str(m))
+    k = int((m.bit_length() - 1) * _LOG10_2)
+    return k + 1 + (m >= _pow10(k + 1))
+
+
+# Compilation to closures.
+
+_Run = Callable[[int, int, Budget], int]
+
+
+def _timeout(budget: Budget) -> None:
+    budget.remaining = 0
+    raise _Fail(ErrorKind.TIMEOUT)
+
+
+def _charge_big(value: int, quadratic: bool, budget: Budget, value_bound: int) -> None:
+    """Check and charge a value outside the small range of its closure.
+
+    The small range is |value| <= min(value bound, threshold), so a value
+    outside it either overflows or exceeds the threshold.
+    """
     magnitude = abs(value)
-    if magnitude > cfg.value_bound:
+    if magnitude > value_bound:
         raise _Fail(ErrorKind.OVERFLOW)
-    if magnitude > cfg.big_value_threshold:
-        digits = len(str(magnitude))
-        cost = digits * digits if op in _QUADRATIC else digits
-    else:
-        cost = 5 if op in _COSTLY else 1
-    budget.charge(cost)
-    return value
+    digits = _digit_count(magnitude)
+    budget.charge(digits * digits if quadratic else digits)
 
 
-def _eval(p: Program, x: int, y: int, budget: Budget, cfg: EvalConfig) -> int:
-    op = p.op
-    if op == Op.ZERO:
-        return _produce(op, 0, budget, cfg)
-    if op == Op.ONE:
-        return _produce(op, 1, budget, cfg)
-    if op == Op.TWO:
-        return _produce(op, 2, budget, cfg)
-    if op == Op.X:
-        return _produce(op, x, budget, cfg)
-    if op == Op.Y:
-        return _produce(op, y, budget, cfg)
+# The closures below repeat one inline charge of a small value,
+#     r = budget.remaining - cost; if r < 0: _timeout(budget)
+#     budget.remaining = r
+# rather than calling Budget.charge: it runs once per operator node.
 
-    if op in (Op.ADD, Op.SUB, Op.MUL):
-        a = _eval(p.args[0], x, y, budget, cfg)
-        b = _eval(p.args[1], x, y, budget, cfg)
-        if op == Op.ADD:
-            v = a + b
-        elif op == Op.SUB:
-            v = a - b
+
+@cache
+def _leaves(value_bound: int, threshold: int) -> dict[Op, _Run]:
+    """Closures for the five leaves, shared by every program compiled
+    for this value bound and threshold."""
+    small = min(value_bound, threshold)
+    neg = -small
+
+    def read_x(x: int, y: int, budget: Budget) -> int:
+        if neg <= x <= small:
+            r = budget.remaining - 1
+            if r < 0:
+                _timeout(budget)
+            budget.remaining = r
         else:
-            v = a * b
-        return _produce(op, v, budget, cfg)
+            _charge_big(x, False, budget, value_bound)
+        return x
 
-    if op in (Op.DIV, Op.MOD):
-        a = _eval(p.args[0], x, y, budget, cfg)
-        b = _eval(p.args[1], x, y, budget, cfg)
-        if b == 0:
-            raise _Fail(ErrorKind.DIV_BY_ZERO)
-        v = a // b if op == Op.DIV else a % b
-        return _produce(op, v, budget, cfg)
+    def read_y(x: int, y: int, budget: Budget) -> int:
+        if neg <= y <= small:
+            r = budget.remaining - 1
+            if r < 0:
+                _timeout(budget)
+            budget.remaining = r
+        else:
+            _charge_big(y, False, budget, value_bound)
+        return y
 
-    if op == Op.COND:
-        guard = _eval(p.args[0], x, y, budget, cfg)
-        taken = p.args[1] if guard <= 0 else p.args[2]
-        v = _eval(taken, x, y, budget, cfg)
-        return _produce(op, v, budget, cfg)
+    def constant(c: int) -> _Run:
+        if neg <= c <= small:
 
-    if op == Op.LOOP:
-        f, a, b = p.args
-        n = _eval(a, x, y, budget, cfg)
-        acc = _eval(b, x, y, budget, cfg)
-        for i in range(1, n + 1):
-            budget.charge(1)
-            acc = _eval(f, acc, i, budget, cfg)
-        return acc
+            def run(x: int, y: int, budget: Budget) -> int:
+                r = budget.remaining - 1
+                if r < 0:
+                    _timeout(budget)
+                budget.remaining = r
+                return c
 
-    if op == Op.LOOP2:
-        f, g, a, b, c = p.args
-        n = _eval(a, x, y, budget, cfg)
-        u = _eval(b, x, y, budget, cfg)
-        v = _eval(c, x, y, budget, cfg)
-        if n <= 0:
-            return u
-        for _ in range(n - 1):
-            budget.charge(1)
-            u, v = _eval(f, u, v, budget, cfg), _eval(g, u, v, budget, cfg)
-        # The final step only needs the first component.
-        budget.charge(1)
-        return _eval(f, u, v, budget, cfg)
+        else:
 
-    if op == Op.COMPR:
-        f, a = p.args
-        n = _eval(a, x, y, budget, cfg)
+            def run(x: int, y: int, budget: Budget) -> int:
+                _charge_big(c, False, budget, value_bound)
+                return c
 
-        def search(start: int) -> int:
-            c = start
-            while True:
-                budget.charge(1)
-                if _eval(f, c, 0, budget, cfg) <= 0:
-                    return c
-                c += 1
+        return run
 
-        cur = search(0)
-        for _ in range(1, n + 1):
-            budget.charge(1)
-            cur = search(cur + 1)
-        return cur
+    return {
+        Op.ZERO: constant(0),
+        Op.ONE: constant(1),
+        Op.TWO: constant(2),
+        Op.X: read_x,
+        Op.Y: read_y,
+    }
 
-    raise AssertionError(f"unhandled operator {op}")
+
+def _compile(p: Program, value_bound: int, threshold: int) -> _Run:
+    """Closure computing p with the exact charges of the cost model.
+
+    Operands run left to right, each node checks and charges its own
+    result after its operands, and loop steps charge one unit before
+    their body runs.
+    """
+    leaves = _leaves(value_bound, threshold)
+    small = min(value_bound, threshold)
+    neg = -small
+
+    def build(q: Program) -> _Run:
+        op = q.op
+        leaf = leaves.get(op)
+        if leaf is not None:
+            return leaf
+        args = [build(a) for a in q.args]
+
+        if op == Op.ADD:
+            fa, fb = args
+
+            def run(x: int, y: int, budget: Budget) -> int:
+                v = fa(x, y, budget) + fb(x, y, budget)
+                if neg <= v <= small:
+                    r = budget.remaining - 1
+                    if r < 0:
+                        _timeout(budget)
+                    budget.remaining = r
+                else:
+                    _charge_big(v, False, budget, value_bound)
+                return v
+
+        elif op == Op.SUB:
+            fa, fb = args
+
+            def run(x: int, y: int, budget: Budget) -> int:
+                v = fa(x, y, budget) - fb(x, y, budget)
+                if neg <= v <= small:
+                    r = budget.remaining - 1
+                    if r < 0:
+                        _timeout(budget)
+                    budget.remaining = r
+                else:
+                    _charge_big(v, False, budget, value_bound)
+                return v
+
+        elif op == Op.MUL:
+            fa, fb = args
+
+            def run(x: int, y: int, budget: Budget) -> int:
+                v = fa(x, y, budget) * fb(x, y, budget)
+                if neg <= v <= small:
+                    r = budget.remaining - 1
+                    if r < 0:
+                        _timeout(budget)
+                    budget.remaining = r
+                else:
+                    _charge_big(v, True, budget, value_bound)
+                return v
+
+        elif op == Op.DIV:
+            fa, fb = args
+
+            def run(x: int, y: int, budget: Budget) -> int:
+                a = fa(x, y, budget)
+                b = fb(x, y, budget)
+                if b == 0:
+                    raise _Fail(ErrorKind.DIV_BY_ZERO)
+                v = a // b
+                if neg <= v <= small:
+                    r = budget.remaining - 5
+                    if r < 0:
+                        _timeout(budget)
+                    budget.remaining = r
+                else:
+                    _charge_big(v, True, budget, value_bound)
+                return v
+
+        elif op == Op.MOD:
+            fa, fb = args
+
+            def run(x: int, y: int, budget: Budget) -> int:
+                a = fa(x, y, budget)
+                b = fb(x, y, budget)
+                if b == 0:
+                    raise _Fail(ErrorKind.DIV_BY_ZERO)
+                v = a % b
+                if neg <= v <= small:
+                    r = budget.remaining - 5
+                    if r < 0:
+                        _timeout(budget)
+                    budget.remaining = r
+                else:
+                    _charge_big(v, True, budget, value_bound)
+                return v
+
+        elif op == Op.COND:
+            fa, fb, fc = args
+
+            def run(x: int, y: int, budget: Budget) -> int:
+                if fa(x, y, budget) <= 0:
+                    v = fb(x, y, budget)
+                else:
+                    v = fc(x, y, budget)
+                if neg <= v <= small:
+                    r = budget.remaining - 1
+                    if r < 0:
+                        _timeout(budget)
+                    budget.remaining = r
+                else:
+                    _charge_big(v, False, budget, value_bound)
+                return v
+
+        elif op == Op.LOOP:
+            ff, fa, fb = args
+
+            def run(x: int, y: int, budget: Budget) -> int:
+                n = fa(x, y, budget)
+                acc = fb(x, y, budget)
+                for i in range(1, n + 1):
+                    r = budget.remaining - 1
+                    if r < 0:
+                        _timeout(budget)
+                    budget.remaining = r
+                    acc = ff(acc, i, budget)
+                return acc
+
+        elif op == Op.LOOP2:
+            ff, fg, fa, fb, fc = args
+
+            def run(x: int, y: int, budget: Budget) -> int:
+                n = fa(x, y, budget)
+                u = fb(x, y, budget)
+                v = fc(x, y, budget)
+                if n <= 0:
+                    return u
+                for _ in range(n - 1):
+                    r = budget.remaining - 1
+                    if r < 0:
+                        _timeout(budget)
+                    budget.remaining = r
+                    u, v = ff(u, v, budget), fg(u, v, budget)
+                # The final step only needs the first component.
+                r = budget.remaining - 1
+                if r < 0:
+                    _timeout(budget)
+                budget.remaining = r
+                return ff(u, v, budget)
+
+        elif op == Op.COMPR:
+            ff, fa = args
+
+            def run(x: int, y: int, budget: Budget) -> int:
+                # The n-th candidate c (from 0) with f(c, 0) <= 0.  Every
+                # candidate tried costs one unit, and so does each hit
+                # after which the search goes on.
+                more = fa(x, y, budget)
+                c = 0
+                while True:
+                    r = budget.remaining - 1
+                    if r < 0:
+                        _timeout(budget)
+                    budget.remaining = r
+                    if ff(c, 0, budget) <= 0:
+                        if more <= 0:
+                            return c
+                        more -= 1
+                        r = budget.remaining - 1
+                        if r < 0:
+                            _timeout(budget)
+                        budget.remaining = r
+                    c += 1
+
+        else:
+            raise AssertionError(f"unhandled operator {op}")
+        return run
+
+    return build(p)
+
+
+class _Compiled(weakref.ref):
+    """A program's closure for one (value bound, threshold), held in
+    _compiled under its key for as long as the program lives."""
+
+    __slots__ = ("key", "run")
+
+
+# (id(p), value bound, threshold) -> compiled closure of p.  Keyed by
+# identity, since hashing a program walks all of it.
+_compiled: dict[tuple[int, int, int], _Compiled] = {}
+
+
+def _forget(entry: _Compiled) -> None:
+    if _compiled.get(entry.key) is entry:
+        del _compiled[entry.key]
+
+
+def _compiled_for(p: Program, cfg: EvalConfig) -> _Run:
+    """p's closure for cfg, compiled on first use."""
+    key = (id(p), cfg.value_bound, cfg.big_value_threshold)
+    entry = _compiled.get(key)
+    if entry is None or entry() is not p:
+        entry = _Compiled(p, _forget)
+        entry.key = key
+        entry.run = _compile(p, cfg.value_bound, cfg.big_value_threshold)
+        _compiled[key] = entry
+    return entry.run
 
 
 def evaluate(
@@ -196,9 +427,10 @@ def evaluate(
     """Evaluate p at (x, y) against a budget (a fresh one if not given)."""
     if budget is None:
         budget = Budget(cfg.per_call_limit)
+    run = _compiled_for(p, cfg)
     start = budget.remaining
     try:
-        value = _eval(p, x, y, budget, cfg)
+        value = run(x, y, budget)
     except _Fail as failure:
         return EvalOutcome(None, start - budget.remaining, failure.kind)
     return EvalOutcome(value, start - budget.remaining)
@@ -223,19 +455,20 @@ def generate_seq(p: Program, n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> list[E
     return outcomes
 
 
-def seq_values(p: Program, n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> list[int]:
-    """Values of the first n calls; raises EvalFailure if any call fails."""
+def _successful_seq(p: Program, n: int, cfg: EvalConfig) -> list[EvalOutcome]:
+    """generate_seq's outcomes; raises EvalFailure if any call fails."""
     outcomes = generate_seq(p, n, cfg)
     bad = [o for o in outcomes if not o.ok]
     if bad:
         raise EvalFailure(bad[0].error, len(outcomes) - 1)
-    return [o.value for o in outcomes]
+    return outcomes
+
+
+def seq_values(p: Program, n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> list[int]:
+    """Values of the first n calls; raises EvalFailure if any call fails."""
+    return [o.value for o in _successful_seq(p, n, cfg)]
 
 
 def speed(p: Program, n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> int:
     """Total abstract time to generate the first n values of p."""
-    outcomes = generate_seq(p, n, cfg)
-    bad = [o for o in outcomes if not o.ok]
-    if bad:
-        raise EvalFailure(bad[0].error, len(outcomes) - 1)
-    return sum(o.cost for o in outcomes)
+    return sum(o.cost for o in _successful_seq(p, n, cfg))

@@ -178,6 +178,12 @@ def looping_subprograms(p: Program) -> list[tuple[Program, tuple[int, ...]]]:
 
 # Parsing.
 
+# Deepest nesting parse accepts, counting both the syntax tree's depth (a
+# leaf is depth 1) and open parentheses, calls and if-expressions in the
+# text.  It keeps every recursive routine over parsed programs well
+# inside Python's recursion limit.
+MAX_DEPTH = 100
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, pos: int):
@@ -231,6 +237,9 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0
+        # Depth of each compound node built so far; leaves have depth 1.
+        self.depths: dict[int, int] = {}
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -251,13 +260,36 @@ class _Parser:
         tok = self.peek()
         return tok[0] == "word" and tok[1] == word
 
+    def enter(self, pos: int) -> None:
+        """Open one level of nesting at pos; leave() closes it."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
+
+    def leave(self) -> None:
+        self.nesting -= 1
+
+    def node(self, op: Op, args: tuple[Program, ...], pos: int) -> Program:
+        depths = self.depths
+        deepest = 0
+        for a in args:
+            d = depths.get(id(a), 1)
+            if d > deepest:
+                deepest = d
+        if deepest >= MAX_DEPTH:
+            raise ParseError(f"program deeper than {MAX_DEPTH} levels", pos)
+        p = Program(op, args)
+        depths[id(p)] = deepest + 1
+        return p
+
     def parse_expr(self) -> Program:
         if self.at_word("if"):
             return self.parse_if()
         return self.parse_sum()
 
     def parse_if(self) -> Program:
-        self.next()  # 'if'
+        pos = self.next()[2]  # 'if'
+        self.enter(pos)
         guard = self.parse_sum()
         self.expect("<=")
         zero = self.expect("int")
@@ -271,14 +303,15 @@ class _Parser:
         if tok[0] != "word" or tok[1] != "else":
             raise ParseError(f"expected 'else', found {tok[1]!r}", tok[2])
         else_branch = self.parse_expr()
-        return cond(guard, then_branch, else_branch)
+        self.leave()
+        return self.node(Op.COND, (guard, then_branch, else_branch), pos)
 
     def parse_sum(self) -> Program:
         left = self.parse_term()
         while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
+            op, _, pos = self.next()
             right = self.parse_term()
-            left = Program(Op.ADD if op == "+" else Op.SUB, (left, right))
+            left = self.node(Op.ADD if op == "+" else Op.SUB, (left, right), pos)
         return left
 
     def parse_term(self) -> Program:
@@ -287,11 +320,11 @@ class _Parser:
             tok = self.peek()
             if tok[0] == "*":
                 self.next()
-                left = mul(left, self.parse_atom())
+                left = self.node(Op.MUL, (left, self.parse_atom()), tok[2])
             elif tok[0] == "word" and tok[1] in ("div", "mod"):
                 self.next()
                 right = self.parse_atom()
-                left = Program(Op.DIV if tok[1] == "div" else Op.MOD, (left, right))
+                left = self.node(Op.DIV if tok[1] == "div" else Op.MOD, (left, right), tok[2])
             else:
                 return left
 
@@ -307,8 +340,10 @@ class _Parser:
                 return TWO
             raise ParseError(f"integer literal {text} is not one of 0, 1, 2", pos)
         if kind == "(":
+            self.enter(pos)
             inner = self.parse_expr()
             self.expect(")")
+            self.leave()
             return inner
         if kind == "word":
             if text == "x":
@@ -318,7 +353,7 @@ class _Parser:
             if text in ("loop", "loop2", "compr", "cond"):
                 op = {"loop": Op.LOOP, "loop2": Op.LOOP2, "compr": Op.COMPR, "cond": Op.COND}[text]
                 args = self.parse_call_args(text, ARITY[op], pos)
-                return Program(op, tuple(args))
+                return self.node(op, tuple(args), pos)
             if text == "if":
                 # An if-expression is allowed anywhere an atom is.
                 self.i -= 1
@@ -328,18 +363,21 @@ class _Parser:
 
     def parse_call_args(self, name: str, arity: int, pos: int) -> list[Program]:
         self.expect("(")
+        self.enter(pos)
         args = [self.parse_expr()]
         while self.peek()[0] == ",":
             self.next()
             args.append(self.parse_expr())
         self.expect(")")
+        self.leave()
         if len(args) != arity:
             raise ParseError(f"{name} takes {arity} arguments, got {len(args)}", pos)
         return args
 
 
 def parse(text: str) -> Program:
-    """Parse program text.  Raises ParseError with a position on bad input."""
+    """Parse program text.  Raises ParseError with a position on bad input,
+    which includes nesting deeper than MAX_DEPTH."""
     parser = _Parser(text)
     prog = parser.parse_expr()
     tok = parser.peek()

@@ -3,7 +3,9 @@
 Everything here is deliberately written from the definitions rather than
 imported from the package under test: a naive recursive interpreter, a
 free-variable computation, a slicing-based cycle detector, a random
-program generator, and a standalone SMT-LIB surface checker.
+program generator, and a standalone SMT-LIB surface checker.  The one
+exception is the cost oracle, a tree-walking evaluator that charges the
+cost model node by node against the package's Budget.
 """
 
 from __future__ import annotations
@@ -13,6 +15,14 @@ import string
 
 from hypothesis import strategies as st
 
+from loopbench.interp import (
+    DEFAULT_CONFIG,
+    Budget,
+    ErrorKind,
+    EvalConfig,
+    EvalOutcome,
+    _Fail,
+)
 from loopbench.lang import BODY_SLOTS, Op, Program
 
 
@@ -103,6 +113,126 @@ def ref_eval(p: Program, x: int, y: int, cap: int = 500_000) -> int:
         raise AssertionError(f"unhandled operator {op}")
 
     return go(p, x, y)
+
+
+# Cost oracle: the evaluator as a direct walk over the syntax tree.
+
+_COSTLY = (Op.DIV, Op.MOD)
+_QUADRATIC = (Op.MUL, Op.DIV, Op.MOD)
+
+
+def _produce(op: Op, value: int, budget: Budget, cfg: EvalConfig) -> int:
+    """Charge for one first-order application returning value."""
+    magnitude = abs(value)
+    if magnitude > cfg.value_bound:
+        raise _Fail(ErrorKind.OVERFLOW)
+    if magnitude > cfg.big_value_threshold:
+        digits = len(str(magnitude))
+        cost = digits * digits if op in _QUADRATIC else digits
+    else:
+        cost = 5 if op in _COSTLY else 1
+    budget.charge(cost)
+    return value
+
+
+def _eval(p: Program, x: int, y: int, budget: Budget, cfg: EvalConfig) -> int:
+    op = p.op
+    if op == Op.ZERO:
+        return _produce(op, 0, budget, cfg)
+    if op == Op.ONE:
+        return _produce(op, 1, budget, cfg)
+    if op == Op.TWO:
+        return _produce(op, 2, budget, cfg)
+    if op == Op.X:
+        return _produce(op, x, budget, cfg)
+    if op == Op.Y:
+        return _produce(op, y, budget, cfg)
+
+    if op in (Op.ADD, Op.SUB, Op.MUL):
+        a = _eval(p.args[0], x, y, budget, cfg)
+        b = _eval(p.args[1], x, y, budget, cfg)
+        if op == Op.ADD:
+            v = a + b
+        elif op == Op.SUB:
+            v = a - b
+        else:
+            v = a * b
+        return _produce(op, v, budget, cfg)
+
+    if op in (Op.DIV, Op.MOD):
+        a = _eval(p.args[0], x, y, budget, cfg)
+        b = _eval(p.args[1], x, y, budget, cfg)
+        if b == 0:
+            raise _Fail(ErrorKind.DIV_BY_ZERO)
+        v = a // b if op == Op.DIV else a % b
+        return _produce(op, v, budget, cfg)
+
+    if op == Op.COND:
+        guard = _eval(p.args[0], x, y, budget, cfg)
+        taken = p.args[1] if guard <= 0 else p.args[2]
+        v = _eval(taken, x, y, budget, cfg)
+        return _produce(op, v, budget, cfg)
+
+    if op == Op.LOOP:
+        f, a, b = p.args
+        n = _eval(a, x, y, budget, cfg)
+        acc = _eval(b, x, y, budget, cfg)
+        for i in range(1, n + 1):
+            budget.charge(1)
+            acc = _eval(f, acc, i, budget, cfg)
+        return acc
+
+    if op == Op.LOOP2:
+        f, g, a, b, c = p.args
+        n = _eval(a, x, y, budget, cfg)
+        u = _eval(b, x, y, budget, cfg)
+        v = _eval(c, x, y, budget, cfg)
+        if n <= 0:
+            return u
+        for _ in range(n - 1):
+            budget.charge(1)
+            u, v = _eval(f, u, v, budget, cfg), _eval(g, u, v, budget, cfg)
+        # The final step only needs the first component.
+        budget.charge(1)
+        return _eval(f, u, v, budget, cfg)
+
+    if op == Op.COMPR:
+        f, a = p.args
+        n = _eval(a, x, y, budget, cfg)
+
+        def search(start: int) -> int:
+            c = start
+            while True:
+                budget.charge(1)
+                if _eval(f, c, 0, budget, cfg) <= 0:
+                    return c
+                c += 1
+
+        cur = search(0)
+        for _ in range(1, n + 1):
+            budget.charge(1)
+            cur = search(cur + 1)
+        return cur
+
+    raise AssertionError(f"unhandled operator {op}")
+
+
+def cost_eval(
+    p: Program,
+    x: int,
+    y: int = 0,
+    budget: Budget | None = None,
+    cfg: EvalConfig = DEFAULT_CONFIG,
+) -> EvalOutcome:
+    """evaluate() by walking p: same value, cost and error kind."""
+    if budget is None:
+        budget = Budget(cfg.per_call_limit)
+    start = budget.remaining
+    try:
+        value = _eval(p, x, y, budget, cfg)
+    except _Fail as failure:
+        return EvalOutcome(None, start - budget.remaining, failure.kind)
+    return EvalOutcome(value, start - budget.remaining)
 
 
 def free_vars(p: Program) -> set[Op]:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import FIXTURES
 from loopbench.cli import main
+from loopbench.lang import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -90,6 +91,19 @@ def test_fmt_parse_error(capsys):
     code, _, err = run(capsys, "fmt", "loop(")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "program",
+    ["(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1), "x" + " + 1" * MAX_DEPTH],
+)
+@pytest.mark.parametrize("command", [["fmt"], ["eval"]])
+def test_too_deep_programs_are_errors(capsys, command, program):
+    argv = command + [program] + (["1", "0"] if command == ["eval"] else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and f"deeper than {MAX_DEPTH} levels" in err
 
 
 def test_cover(capsys, corpus):

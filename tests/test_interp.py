@@ -1,11 +1,18 @@
+import gc
+import random
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopbench import interp
 from loopbench.interp import (
     BIG_VALUE_THRESHOLD,
     CHECK_LIMIT,
+    DEFAULT_CONFIG,
     VALUE_BOUND,
+    VERIFY_CONFIG,
     VERIFY_LIMIT,
     Budget,
     ErrorKind,
@@ -17,7 +24,7 @@ from loopbench.interp import (
     speed,
 )
 from loopbench.lang import parse
-from oracles import RefDivZero, RefLimit, programs, ref_eval
+from oracles import RefDivZero, RefLimit, cost_eval, programs, random_program, ref_eval
 
 TRIANGLE = parse("loop(x + y, x, 0)")
 FIB = parse("loop2(x + y, x, x, 0, 1)")
@@ -136,6 +143,22 @@ def test_big_products_cost_digits_squared():
     assert c8 - c7 == 1 + 2 * read + product * product
 
 
+def test_values_past_the_text_conversion_limit_cost_their_digits():
+    # 4401 digits is past Python's default int-to-text limit of 4300.
+    out = evaluate(parse("x"), 10**4400, cfg=EvalConfig(value_bound=10**5000))
+    assert out.ok
+    assert out.cost == 4401
+
+
+def test_big_value_digit_counts_at_powers_of_ten():
+    read = parse("x")
+    cfg = EvalConfig(value_bound=10**401)
+    for k in range(20, 401):
+        for m in (10**k - 1, 10**k, 10**k + 1):
+            assert evaluate(read, m, cfg=cfg).cost == len(str(m)), m
+            assert evaluate(read, -m, cfg=cfg).cost == len(str(m)), -m
+
+
 def test_busy_loop_times_out_at_check_limit_only():
     assert evaluate(BUSY, 1).error == ErrorKind.TIMEOUT
     verify_cfg = EvalConfig(per_call_limit=VERIFY_LIMIT)
@@ -207,3 +230,67 @@ def test_interpreter_matches_reference(p, x, y):
         # The interpreter hit a resource limit the reference does not
         # model; a plain div-by-zero would have been seen by both.
         assert out.error in (ErrorKind.TIMEOUT, ErrorKind.OVERFLOW)
+
+
+def test_compiled_code_goes_with_the_program():
+    p = parse("loop(x + y, x, 0)")
+    assert evaluate(p, 4).value == 10
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None
+
+
+def test_limits_share_one_compilation():
+    p = parse("loop(x + y, x, 0)")
+    assert interp._compiled_for(p, VERIFY_CONFIG) is interp._compiled_for(p, DEFAULT_CONFIG)
+    other = EvalConfig(value_bound=5, big_value_threshold=3)
+    assert interp._compiled_for(p, other) is not interp._compiled_for(p, DEFAULT_CONFIG)
+
+
+# Differential test against the tree-walking cost oracle: evaluate must
+# agree on value, cost, error kind and the budget left over.  The small
+# configurations put values beyond the threshold and the bound within
+# reach of tiny programs: the value bound above and below the threshold,
+# and a threshold of 9 so that small values already cost several digits.
+# The small budgets make timeouts land inside loops.  The per-call limit
+# is cut to keep the walker's timeouts quick.
+
+ORACLE_CONFIGS = [
+    EvalConfig(per_call_limit=2_000),
+    EvalConfig(per_call_limit=2_000, value_bound=5, big_value_threshold=3),
+    EvalConfig(per_call_limit=2_000, value_bound=3, big_value_threshold=5),
+    EvalConfig(per_call_limit=2_000, value_bound=10**6, big_value_threshold=9),
+]
+ORACLE_BUDGETS = [None, 7, 50]
+
+
+def _agree(p, x, y, cfg, limit):
+    budgets = [None, None] if limit is None else [Budget(limit), Budget(limit)]
+    got = evaluate(p, x, y, budgets[0], cfg)
+    want = cost_eval(p, x, y, budgets[1], cfg)
+    assert got == want, (p, x, y, cfg, limit)
+    if limit is not None:
+        assert budgets[0].remaining == budgets[1].remaining
+
+
+def test_evaluate_matches_cost_oracle_on_random_programs():
+    rng = random.Random(2304)
+    for _ in range(1500):
+        p = random_program(rng, depth=4)
+        x, y = rng.randint(-6, 6), rng.randint(-6, 6)
+        for cfg in ORACLE_CONFIGS:
+            for limit in ORACLE_BUDGETS:
+                _agree(p, x, y, cfg, limit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    programs(max_leaves=10),
+    st.integers(-6, 6),
+    st.integers(-6, 6),
+    st.sampled_from(ORACLE_CONFIGS),
+    st.sampled_from(ORACLE_BUDGETS),
+)
+def test_evaluate_matches_cost_oracle(p, x, y, cfg, limit):
+    _agree(p, x, y, cfg, limit)

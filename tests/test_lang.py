@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopbench.interp import evaluate
 from loopbench.lang import (
     ARITY,
     BODY_SLOTS,
+    MAX_DEPTH,
     Op,
     ParseError,
     Program,
@@ -228,3 +230,33 @@ def test_body_slots_are_bound(p):
     assert not depends_on(wrapped, Op.X)
     assert not depends_on(wrapped, Op.Y)
     assert BODY_SLOTS[Op.LOOP2] == (0, 1)
+
+
+def _depth(p: Program) -> int:
+    return 1 + max((_depth(a) for a in p.args), default=0)
+
+
+def _nested_texts(levels: int) -> list[str]:
+    """Texts whose syntax tree depth or nesting is `levels`."""
+    return [
+        "x" + " + 1" * (levels - 1),
+        "1 * " * (levels - 1) + "x",
+        "(" * levels + "x" + ")" * levels,
+        "loop(" * (levels - 1) + "x" + ", x, 0)" * (levels - 1),
+        "if x <= 0 then 1 else " * (levels - 1) + "2",
+    ]
+
+
+@pytest.mark.parametrize("text", _nested_texts(MAX_DEPTH))
+def test_programs_at_the_nesting_bound_parse_evaluate_and_print(text):
+    p = parse(text)
+    assert _depth(p) <= MAX_DEPTH
+    assert evaluate(p, 2).ok
+    assert parse(to_text(p)) == p
+    assert parse(to_text(p, if_style=True)) == p
+
+
+@pytest.mark.parametrize("text", _nested_texts(MAX_DEPTH + 1) + ["x" + " + 1" * 600, "(" * 3000])
+def test_nesting_past_the_bound_is_a_parse_error(text):
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse(text)
