@@ -102,7 +102,6 @@ class EvalFailure(Exception):
 # Digit counts.
 
 _LOG10_2 = math.log10(2)
-_TEXT_DIGITS_BELOW = 2**64
 
 
 @cache
@@ -111,16 +110,15 @@ def _pow10(k: int) -> int:
 
 
 def _digit_count(m: int) -> int:
-    """Number of decimal digits of m >= 0, without converting big m to text.
+    """Number of decimal digits of m >= 0, without converting m to text.
 
     m has b = m.bit_length() bits, so 2^(b-1) <= m < 2^b, and with
     k = floor((b-1) * log10 2) it has k+1 or k+2 digits: k+2 exactly when
     m >= 10^(k+1).  The product is computed in floating point; its error
     stays far below the distance of (b-1) * log10 2 from the nearest
-    integer for every b a value bound can reach.
+    integer for every b a value bound can reach.  For m = 0, int() rounds
+    -log10 2 toward zero, so k = 0 and the count is 1.
     """
-    if m < _TEXT_DIGITS_BELOW:
-        return len(str(m))
     k = int((m.bit_length() - 1) * _LOG10_2)
     return k + 1 + (m >= _pow10(k + 1))
 

@@ -159,6 +159,17 @@ def test_big_value_digit_counts_at_powers_of_ten():
             assert evaluate(read, -m, cfg=cfg).cost == len(str(m)), -m
 
 
+def test_small_value_digit_counts_below_a_zero_threshold():
+    # With threshold 0 every nonzero value is big, so the digit count
+    # also runs on values below 2^64.
+    read = parse("x")
+    cfg = EvalConfig(big_value_threshold=0)
+    small = [*range(1, 1001), *(10**k + d for k in range(1, 21) for d in (-1, 0, 1))]
+    for m in small + [2**63 - 1, 2**63, 2**64 - 1, 2**64]:
+        assert evaluate(read, m, cfg=cfg).cost == len(str(m)), m
+    assert evaluate(read, 0, cfg=cfg).cost == 1
+
+
 def test_busy_loop_times_out_at_check_limit_only():
     assert evaluate(BUSY, 1).error == ErrorKind.TIMEOUT
     verify_cfg = EvalConfig(per_call_limit=VERIFY_LIMIT)
