@@ -219,8 +219,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     problems = oeis.load_problems(args.problems)
-    cfg = EvalConfig(per_call_limit=args.verify_limit, value_bound=args.value_bound)
-    reports = verify_mod.verify_all(problems, cfg)
+    reports = verify_mod.verify_all(problems, _cfg(args, "verify_limit"))
     oeis.save_problems(problems, args.problems)
     if args.reports:
         verify_mod.save_reports(reports, args.reports)
@@ -278,15 +277,14 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    variant = smt.parse_variant(args.variant, appendix_twox=args.c2x_appendix)
     sequences = oeis.load_stripped(args.stripped)
     solutions = oeis.load_solutions(args.solutions)
     problems = oeis.build_problems(solutions, sequences)
 
-    verify_cfg = EvalConfig(per_call_limit=args.verify_limit, value_bound=args.value_bound)
-    reports = verify_mod.verify_all(problems, verify_cfg)
+    reports = verify_mod.verify_all(problems, _cfg(args, "verify_limit"))
 
-    check_cfg = EvalConfig(per_call_limit=args.limit, value_bound=args.value_bound)
-    syn_ids, sem_ids = induction.classify_all(problems, check_cfg, args.filter_mode)
+    syn_ids, sem_ids = induction.classify_all(problems, _cfg(args), args.filter_mode)
 
     exported = [p for p in problems if p.status != "refuted"]
     counts = [
@@ -311,7 +309,6 @@ def _cmd_pipeline(args) -> int:
     verify_mod.emit_nonverified(reports, outdir / "all_nonverified100")
     induction.write_manifest(syn_ids, outdir / "aind_syn")
     induction.write_manifest(sem_ids, outdir / "aind_sem")
-    variant = smt.parse_variant(args.variant, appendix_twox=args.c2x_appendix)
     smt.export_all(problems, outdir / variant.label(), variant)
     print(f"pipeline outputs -> {outdir}")
     return 0

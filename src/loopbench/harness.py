@@ -99,11 +99,26 @@ def result_from_json(line: str) -> RunResult:
     return RunResult(d["id"], d["solver"], d["variant"], Verdict(d["verdict"]), d["wall_time"])
 
 
+def _read_log(path: Path) -> tuple[list[RunResult], str]:
+    """The results in a log, and its text without a torn last line.
+
+    A crash during a write can leave a last line with no newline that
+    does not parse; it is skipped with a warning.  A bad line anywhere
+    else raises.
+    """
+    text = path.read_bytes().decode() if path.exists() else ""
+    tail = text.rpartition("\n")[2]
+    if tail.strip():
+        try:
+            json.loads(tail)
+        except json.JSONDecodeError:
+            log.warning("%s: skipping a partial last line: %s", path, tail)
+            text = text[: len(text) - len(tail)]
+    return [result_from_json(line) for line in text.splitlines() if line.strip()], text
+
+
 def load_results(path: str | Path) -> list[RunResult]:
-    p = Path(path)
-    if not p.exists():
-        return []
-    return [result_from_json(line) for line in p.read_text().splitlines() if line.strip()]
+    return _read_log(Path(path))[0]
 
 
 def run_solver(spec: SolverSpec, file: Path) -> tuple[Verdict, float]:
@@ -143,7 +158,8 @@ def run_campaign(
     append.
     """
     log_path = Path(log_path)
-    done = {(r.problem_id, r.solver, r.variant) for r in load_results(log_path)}
+    logged, intact = _read_log(log_path)
+    done = {(r.problem_id, r.solver, r.variant) for r in logged}
     tasks = [
         (spec, pid, path)
         for spec in solvers
@@ -152,6 +168,11 @@ def run_campaign(
     ]
     results: list[RunResult] = []
     with log_path.open("a") as sink, ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
+        # Drop a torn last line and end the last record, so that the next
+        # result starts a line of its own.
+        sink.truncate(len(intact.encode()))
+        if intact and not intact.endswith("\n"):
+            sink.write("\n")
         futures = {
             pool.submit(run_solver, spec, path): (spec, pid)
             for spec, pid, path in tasks

@@ -1,14 +1,25 @@
 """Lowering problems to SMT-LIB scripts over UFNIA.
 
-Each looping subprogram becomes a family of uninterpreted functions:
-its pieces (body, bound, initial values), the recursive helpers that
-unfold it, and a wrapper applying the helpers to the pieces.  First-order
-context is expanded inline.  Function arities are minimized: a symbol
-takes an x (resp. y) parameter exactly when its source subprogram
-depends on that variable, while the recursive helpers always carry the
-full loop state.  The two sides become unary functions small and fast,
-and the script asserts the negation of their equality on non-negative
-inputs, in one of several conjecture shapes.
+Each looping subprogram becomes a family of uninterpreted functions,
+all suffixed with the loop's index i:
+
+- one piece per argument, named by position: f, g, h for loop; f, g, h,
+  i, j for loop2; f, g for compr;
+- the recursive helpers that unfold it: u for loop, u and v for loop2,
+  t and u for compr;
+- a wrapper, v (w for loop2), applying u to the pieces that follow the
+  body slots.
+
+Indices count loops in preorder over the small side, then the fast
+side.  A nested loop's group is emitted before its parent's, so every
+symbol is defined before use.  First-order context is expanded inline.
+
+Function arities are minimized: a symbol takes an x (resp. y) parameter
+exactly when its source subprogram depends on that variable, while the
+recursive helpers always carry the full loop state.  The two sides
+become unary functions small and fast, and the script asserts the
+negation of their equality on non-negative inputs, in one of several
+conjecture shapes.
 
 div and mod in the emitted scripts are SMT-LIB's Euclidean operations,
 which differ from the interpreter's floor semantics when a negative
@@ -22,13 +33,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from .lang import LOOPING_OPS, Op, Program, depends_on, looping_subprograms, to_text
+from .lang import BODY_SLOTS, Op, Program, depends_on, to_text
 from .oeis import ProblemRecord
 
 Sexp = Union[str, tuple]
 
 _BIN_TOKENS = {Op.ADD: "+", Op.SUB: "-", Op.MUL: "*", Op.DIV: "div", Op.MOD: "mod"}
 _LEAF_TOKENS = {Op.ZERO: "0", Op.ONE: "1", Op.TWO: "2", Op.X: "x", Op.Y: "y"}
+_PIECE_LETTERS = {Op.LOOP: "fgh", Op.LOOP2: "fghij", Op.COMPR: "fg"}
+_SAME = {"x": "x", "y": "y"}
 
 HEADER_TERMS = 20
 
@@ -95,156 +108,109 @@ def _apply(name: str, params: tuple[str, ...], argmap: dict[str, Sexp]) -> Sexp:
 
 
 class _Lowerer:
-    def __init__(self, index_of: dict[tuple[int, ...], int]):
-        self.index_of = index_of
+    def __init__(self, next_index: int):
+        self.next_index = next_index
         self.defs: list[LoweredDef] = []
 
-    def expr(self, q: Program, path: tuple[int, ...]) -> Sexp:
+    def expr(self, q: Program) -> Sexp:
         """Inline expansion of first-order context; loops become wrappers."""
         if q.op in _LEAF_TOKENS:
             return _LEAF_TOKENS[q.op]
         if q.op in _BIN_TOKENS:
             return (
                 _BIN_TOKENS[q.op],
-                self.expr(q.args[0], path + (0,)),
-                self.expr(q.args[1], path + (1,)),
+                self.expr(q.args[0]),
+                self.expr(q.args[1]),
             )
         if q.op == Op.COND:
-            guard = self.expr(q.args[0], path + (0,))
+            guard = self.expr(q.args[0])
             return (
                 "ite",
                 ("<=", guard, "0"),
-                self.expr(q.args[1], path + (1,)),
-                self.expr(q.args[2], path + (2,)),
+                self.expr(q.args[1]),
+                self.expr(q.args[2]),
             )
-        wrapper, params = self.group(q, path)
-        return _apply(wrapper, params, {"x": "x", "y": "y"})
+        wrapper, params = self.group(q)
+        return _apply(wrapper, params, _SAME)
 
-    def group(self, sub: Program, path: tuple[int, ...]) -> tuple[str, tuple[str, ...]]:
+    def group(self, sub: Program) -> tuple[str, tuple[str, ...]]:
         """Emit the definition family for one looping occurrence.
 
-        Nested loops are lowered first, so their groups precede this one
-        in the output.  Returns the wrapper symbol and its parameters.
+        Returns the wrapper symbol and its parameters.
         """
-        i = self.index_of[path]
+        i = self.next_index
+        self.next_index += 1
+        pieces = [
+            LoweredDef(f"{letter}{i}", _params_of(q), self.expr(q))
+            for letter, q in zip(_PIECE_LETTERS[sub.op], sub.args)
+        ]
+
+        def body(slot: int, argmap: dict[str, Sexp]) -> Sexp:
+            return _apply(pieces[slot].name, pieces[slot].params, argmap)
+
+        down = ("-", "x", "1")
         if sub.op == Op.LOOP:
-            return self._loop_group(sub, path, i)
-        if sub.op == Op.LOOP2:
-            return self._loop2_group(sub, path, i)
-        return self._compr_group(sub, path, i)
-
-    def _piece(self, name: str, q: Program, path: tuple[int, ...]) -> LoweredDef:
-        return LoweredDef(name, _params_of(q), self.expr(q, path))
-
-    def _loop_group(self, sub: Program, path: tuple[int, ...], i: int):
-        f, a, b = sub.args
-        pieces = [
-            self._piece(f"f{i}", f, path + (0,)),
-            self._piece(f"g{i}", a, path + (1,)),
-            self._piece(f"h{i}", b, path + (2,)),
-        ]
-        f_params = pieces[0].params
-        # u unfolds the loop: state is (remaining count x, accumulator y);
-        # the body sees the accumulator as x and the iteration count as y.
-        step = _apply(f"f{i}", f_params, {"x": (f"u{i}", ("-", "x", "1"), "y"), "y": "x"})
-        u = LoweredDef(f"u{i}", ("x", "y"), ("ite", ("<=", "x", "0"), "y", step))
-        wrapper_params = _params_of(sub)
-        argmap = {"x": "x", "y": "y"}
-        v_body = (
-            f"u{i}",
-            _apply(f"g{i}", pieces[1].params, argmap),
-            _apply(f"h{i}", pieces[2].params, argmap),
-        )
-        v = LoweredDef(f"v{i}", wrapper_params, v_body)
-        self.defs += pieces + [u, v]
-        return f"v{i}", wrapper_params
-
-    def _loop2_group(self, sub: Program, path: tuple[int, ...], i: int):
-        f, g, a, b, c = sub.args
-        pieces = [
-            self._piece(f"f{i}", f, path + (0,)),
-            self._piece(f"g{i}", g, path + (1,)),
-            self._piece(f"h{i}", a, path + (2,)),
-            self._piece(f"i{i}", b, path + (3,)),
-            self._piece(f"j{i}", c, path + (4,)),
-        ]
-        rec = {
-            "x": (f"u{i}", ("-", "x", "1"), "y", "z"),
-            "y": (f"v{i}", ("-", "x", "1"), "y", "z"),
-        }
-        u = LoweredDef(
-            f"u{i}",
-            ("x", "y", "z"),
-            ("ite", ("<=", "x", "0"), "y", _apply(f"f{i}", pieces[0].params, rec)),
-        )
-        v = LoweredDef(
-            f"v{i}",
-            ("x", "y", "z"),
-            ("ite", ("<=", "x", "0"), "z", _apply(f"g{i}", pieces[1].params, rec)),
-        )
-        wrapper_params = _params_of(sub)
-        argmap = {"x": "x", "y": "y"}
-        w_body = (
-            f"u{i}",
-            _apply(f"h{i}", pieces[2].params, argmap),
-            _apply(f"i{i}", pieces[3].params, argmap),
-            _apply(f"j{i}", pieces[4].params, argmap),
-        )
-        w = LoweredDef(f"w{i}", wrapper_params, w_body)
-        self.defs += pieces + [u, v, w]
-        return f"w{i}", wrapper_params
-
-    def _compr_group(self, sub: Program, path: tuple[int, ...], i: int):
-        f, a = sub.args
-        pieces = [
-            self._piece(f"f{i}", f, path + (0,)),
-            self._piece(f"g{i}", a, path + (1,)),
-        ]
-        # t searches upward from its argument for a body value <= 0.
-        test = _apply(f"f{i}", pieces[0].params, {"x": "x", "y": "0"})
-        t = LoweredDef(
-            f"t{i}",
-            ("x",),
-            ("ite", ("<=", test, "0"), "x", (f"t{i}", ("+", "x", "1"))),
-        )
-        u = LoweredDef(
-            f"u{i}",
-            ("x",),
-            (
-                "ite",
-                ("<=", "x", "0"),
-                (f"t{i}", "0"),
-                (f"t{i}", ("+", (f"u{i}", ("-", "x", "1")), "1")),
-            ),
-        )
-        wrapper_params = _params_of(sub)
-        v_body = (f"u{i}", _apply(f"g{i}", pieces[1].params, {"x": "x", "y": "y"}))
-        v = LoweredDef(f"v{i}", wrapper_params, v_body)
-        self.defs += pieces + [t, u, v]
-        return f"v{i}", wrapper_params
+            # u unfolds the loop: state is (remaining count x, accumulator y);
+            # the body sees the accumulator as x and the iteration count as y.
+            step = body(0, {"x": (f"u{i}", down, "y"), "y": "x"})
+            helpers = [LoweredDef(f"u{i}", ("x", "y"), ("ite", ("<=", "x", "0"), "y", step))]
+        elif sub.op == Op.LOOP2:
+            rec = {"x": (f"u{i}", down, "y", "z"), "y": (f"v{i}", down, "y", "z")}
+            helpers = [
+                LoweredDef(
+                    f"u{i}",
+                    ("x", "y", "z"),
+                    ("ite", ("<=", "x", "0"), "y", body(0, rec)),
+                ),
+                LoweredDef(
+                    f"v{i}",
+                    ("x", "y", "z"),
+                    ("ite", ("<=", "x", "0"), "z", body(1, rec)),
+                ),
+            ]
+        else:
+            # t searches upward from its argument for a body value <= 0.
+            test = body(0, {"x": "x", "y": "0"})
+            helpers = [
+                LoweredDef(
+                    f"t{i}",
+                    ("x",),
+                    ("ite", ("<=", test, "0"), "x", (f"t{i}", ("+", "x", "1"))),
+                ),
+                LoweredDef(
+                    f"u{i}",
+                    ("x",),
+                    (
+                        "ite",
+                        ("<=", "x", "0"),
+                        (f"t{i}", "0"),
+                        (f"t{i}", ("+", (f"u{i}", down), "1")),
+                    ),
+                ),
+            ]
+        wrapper = f"w{i}" if sub.op == Op.LOOP2 else f"v{i}"
+        params = _params_of(sub)
+        # The wrapper runs u from the pieces after the body slots.
+        inputs = [body(slot, _SAME) for slot in range(len(BODY_SLOTS[sub.op]), len(pieces))]
+        self.defs += pieces + helpers + [LoweredDef(wrapper, params, (f"u{i}", *inputs))]
+        return wrapper, params
 
 
 def lower(small: Program, fast: Program) -> tuple[list[LoweredDef], list[LoweredDef]]:
     """Definition lists for the two sides, in emission order.
 
-    Loop indices are assigned in discovery (preorder) order, small side
-    first; each side's definition groups are emitted innermost-first so
-    every symbol is defined before use, ending with the side's top-level
-    unary function.
+    Each side's list ends with its top-level unary function.
     """
     sides = []
     next_index = 0
     for name, prog in (("small", small), ("fast", fast)):
         if depends_on(prog, Op.Y):
             raise ValueError(f"{name} program depends on y at top level")
-        index_of = {}
-        for _, loop_path in looping_subprograms(prog):
-            index_of[loop_path] = next_index
-            next_index += 1
-        lowerer = _Lowerer(index_of)
-        body = lowerer.expr(prog, ())
+        lowerer = _Lowerer(next_index)
+        body = lowerer.expr(prog)
         lowerer.defs.append(LoweredDef(name, ("x",), body))
         sides.append(lowerer.defs)
+        next_index = lowerer.next_index
     return sides[0], sides[1]
 
 

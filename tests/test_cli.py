@@ -190,6 +190,24 @@ def test_export_rejects_unknown_variant(capsys, corpus):
     assert "unknown conjecture variant" in err
 
 
+@pytest.mark.parametrize("mode", [[], ["--dry-run"]], ids=["write", "dry-run"])
+def test_pipeline_rejects_unknown_variant_before_any_work(capsys, corpus, mode):
+    outdir = corpus / "out"
+    code, out, err = run(
+        capsys,
+        "pipeline",
+        "--stripped", str(corpus / "stripped"),
+        "--solutions", str(corpus / "solutions.tsv"),
+        "--outdir", str(outdir),
+        "--variant", "c99",
+        *mode,
+    )
+    assert code == 1
+    assert "error: unknown conjecture variant 'c99'" in err
+    assert out == ""
+    assert not outdir.exists()
+
+
 def test_pipeline_dry_run_writes_nothing(capsys, corpus):
     outdir = corpus / "out"
     code, out, _ = run(

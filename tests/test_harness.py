@@ -1,4 +1,5 @@
 import json
+import logging
 import stat
 import time
 
@@ -163,6 +164,49 @@ def test_run_campaign_and_resume(tmp_path):
 
 def _result(pid, solver, verdict, variant="base"):
     return RunResult(pid, solver, variant, verdict, 0.1)
+
+
+def test_load_results_skips_only_a_partial_last_line(tmp_path, caplog):
+    log = tmp_path / "results.jsonl"
+    whole = [_result("A1", "yes", Verdict.PROVED), _result("A2", "yes", Verdict.UNKNOWN)]
+    text = "".join(r.to_json() + "\n" for r in whole)
+    torn = '{"id": "A3", "solver'
+
+    log.write_text(text + torn)
+    with caplog.at_level(logging.WARNING, logger="loopbench.harness"):
+        assert load_results(log) == whole
+    assert "partial last line" in caplog.text
+
+    # A complete last line that lost only its newline still counts.
+    log.write_text(text.rstrip("\n"))
+    assert load_results(log) == whole
+
+    # A bad line that is not the unterminated last one is not a torn write.
+    for bad in (torn + "\n" + text, text + torn + "\n"):
+        log.write_text(bad)
+        with pytest.raises(json.JSONDecodeError):
+            load_results(log)
+
+
+def test_resume_over_a_partial_last_line_reruns_the_lost_task(tmp_path):
+    unsat = _script(tmp_path, "unsat.sh", "echo unsat\n")
+    solvers = [SolverSpec("yes", f"{unsat} {{file}}")]
+    files = _mk_files(tmp_path, ["A1", "A2"])
+    log = tmp_path / "results.jsonl"
+    run_campaign(solvers, files, "base", log)
+    kept, lost = log.read_text().splitlines(keepends=True)
+    log.write_text(kept + lost[:15])  # a crash in the middle of the second write
+
+    rerun = run_campaign(solvers, files, "base", log)
+    assert [r.problem_id for r in rerun] == [json.loads(lost)["id"]]
+    assert log.read_text().startswith(kept)
+    assert sorted(r.problem_id for r in load_results(log)) == ["A1", "A2"]
+
+    # A last record without its newline is kept, and the next one starts a new line.
+    log.write_text(log.read_text().rstrip("\n"))
+    assert len(run_campaign(solvers, files + _mk_files(tmp_path, ["A3"]), "base", log)) == 1
+    assert sorted(r.problem_id for r in load_results(log)) == ["A1", "A2", "A3"]
+    assert log.read_text().endswith("\n")
 
 
 def test_aggregate_counts_and_union():

@@ -4,6 +4,7 @@ import pytest
 
 from loopbench.interp import VERIFY_CONFIG, Budget, evaluate
 from loopbench.lang import Op, parse, looping_subprograms
+from loopbench.oeis import ProblemRecord
 from loopbench.smt import (
     BASE,
     Variant,
@@ -94,6 +95,17 @@ PARITY_TWOX_CONJECTURE = (
     "(assert (exists ((c Int)) (and (>= c 0)"
     " (or (not (= (small (* c 2)) (fast (* c 2))))"
     " (not (= (small (* 2 (+ c 1))) (fast (* 2 (+ c 1)))))))))"
+)
+
+# Sibling loops in first-order context, a nested loop, and loops on both
+# sides: pins the preorder numbering, small side first.  Both sides are
+# x(x+1)(x+2)/6 + 2x.
+NUMBERING_PROBLEM = ProblemRecord(
+    "NUMBERING",
+    [],
+    [],
+    parse("loop(x + loop(x + y, y, 0), x, 0) + compr(x mod 2, x)"),
+    parse("x * (x + 1) * (x + 2) div loop(x * y, 2 + 1, 1) + loop2(x + 2, y, x, 0, 0)"),
 )
 
 
@@ -197,7 +209,7 @@ def test_declared_arities_match_variable_dependence(problems):
         Op.COMPR: {"t": 1, "u": 1, "v": None},
     }
     piece_letters = {Op.LOOP: "fgh", Op.LOOP2: "fghij", Op.COMPR: "fg"}
-    for problem in problems:
+    for problem in problems + [NUMBERING_PROBLEM]:
         if problem.id == "A999999":
             continue
         text = emit(problem, BASE).text()
@@ -256,7 +268,7 @@ def _interp_value(program, x):
 
 
 def test_lowered_definitions_compute_the_programs(problems):
-    for problem in problems:
+    for problem in problems + [NUMBERING_PROBLEM]:
         if problem.id == "A999999":
             continue
         small_defs, fast_defs = lower(problem.small, problem.fast)
