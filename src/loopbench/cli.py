@@ -4,7 +4,8 @@ Subcommands cover the whole flow: fmt/eval/seq for single programs,
 cover/build/verify/filter/export for benchmark construction, run/report
 for the solver harness, and pipeline to compose build through export.
 Every limit flag can also be set through a LOOPBENCH_* environment
-variable (the flag wins when both are present).
+variable (the flag wins when both are present); a variable that is not
+an integer is an error of the subcommands that take its flag.
 """
 
 from __future__ import annotations
@@ -27,13 +28,42 @@ from .interp import (
 from .lang import parse, to_text
 
 
+# Integer flags whose default comes from LOOPBENCH_<FLAG>, if set.  They
+# parse to None when not given and are filled in by _fill_env_defaults,
+# inside main's error handling.
+_ENV_INT_DEFAULTS = {
+    "limit": CHECK_LIMIT,
+    "verify_limit": VERIFY_LIMIT,
+    "value_bound": VALUE_BOUND,
+    "jobs": 1,
+}
+_FILTER_MODES = ("per-loop", "per-test")
+
+
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _env_str(name: str, default: str) -> str:
     return os.environ.get(name) or default
+
+
+def _fill_env_defaults(args: argparse.Namespace) -> None:
+    """Set the subcommand's flags left unset from their LOOPBENCH_*
+    variables; raises ValueError naming a variable that is malformed."""
+    for flag, default in _ENV_INT_DEFAULTS.items():
+        if hasattr(args, flag) and getattr(args, flag) is None:
+            setattr(args, flag, _env_int("LOOPBENCH_" + flag.upper(), default))
+    # argparse checks choices on the command line only, not defaults.
+    mode = getattr(args, "filter_mode", _FILTER_MODES[0])
+    if mode not in _FILTER_MODES:
+        raise ValueError(f"LOOPBENCH_FILTER_MODE must be one of {_FILTER_MODES}, got {mode!r}")
 
 
 def _cfg(args: argparse.Namespace, limit_attr: str = "limit") -> EvalConfig:
@@ -47,20 +77,17 @@ def _add_limit_flags(sub: argparse.ArgumentParser, verify_limit: bool = False) -
     sub.add_argument(
         "--limit",
         type=int,
-        default=_env_int("LOOPBENCH_LIMIT", CHECK_LIMIT),
         help="abstract time budget per call (LOOPBENCH_LIMIT)",
     )
     if verify_limit:
         sub.add_argument(
             "--verify-limit",
             type=int,
-            default=_env_int("LOOPBENCH_VERIFY_LIMIT", VERIFY_LIMIT),
             help="abstract time budget per call during verification (LOOPBENCH_VERIFY_LIMIT)",
         )
     sub.add_argument(
         "--value-bound",
         type=int,
-        default=_env_int("LOOPBENCH_VALUE_BOUND", VALUE_BOUND),
         help="largest value magnitude before overflow (LOOPBENCH_VALUE_BOUND)",
     )
 
@@ -111,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sem", required=True, type=Path, help="aind_sem manifest output")
     p.add_argument(
         "--filter-mode",
-        choices=("per-loop", "per-test"),
+        choices=_FILTER_MODES,
         default=_env_str("LOOPBENCH_FILTER_MODE", "per-loop"),
     )
     _add_limit_flags(p)
@@ -131,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True, type=Path)
     p.add_argument("--variant", default="base")
     p.add_argument("--log", required=True, type=Path)
-    p.add_argument("--jobs", type=int, default=_env_int("LOOPBENCH_JOBS", 1))
+    p.add_argument("--jobs", type=int, help="solver runs at a time (LOOPBENCH_JOBS)")
 
     p = subs.add_parser("report", help="aggregate solver results into a table")
     p.add_argument("--results", required=True, type=Path)
@@ -150,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2x-appendix", action="store_true")
     p.add_argument(
         "--filter-mode",
-        choices=("per-loop", "per-test"),
+        choices=_FILTER_MODES,
         default=_env_str("LOOPBENCH_FILTER_MODE", "per-loop"),
     )
     p.add_argument(
@@ -332,6 +359,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _fill_env_defaults(args)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,21 +54,44 @@ class SolverSpec:
 
 
 def load_solver_config(path: str | Path) -> list[SolverSpec]:
-    """Solver specs from a JSON config: {"solvers": [{name, cmd, ...}]}."""
+    """Solver specs from a JSON config: {"solvers": [{name, cmd, ...}]}.
+
+    A solver needs a string name and cmd; timeout (seconds) and tokens (a
+    map from stdout line to verdict) are optional.  Raises ValueError
+    naming the solver's position and the field that is missing or
+    ill-typed.
+    """
     data = json.loads(Path(path).read_text())
-    entries = data["solvers"] if isinstance(data, dict) else data
+    entries = data.get("solvers") if isinstance(data, dict) else data
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: expected a list of solvers or {{\"solvers\": [...]}}")
     specs = []
-    for entry in entries:
-        tokens = {
-            token: Verdict(verdict)
-            for token, verdict in entry.get("tokens", {}).items()
-        } or dict(DEFAULT_TOKENS)
+    for i, entry in enumerate(entries):
+        where = f"{path}: solver {i}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: expected an object, got {type(entry).__name__}")
+        for key in ("name", "cmd"):
+            if key not in entry:
+                raise ValueError(f"{where}: missing field {key!r}")
+            if not isinstance(entry[key], str):
+                raise ValueError(f"{where}: field {key!r} must be a string")
+        try:
+            timeout = float(entry.get("timeout", DEFAULT_TIMEOUT))
+        except (TypeError, ValueError):
+            raise ValueError(f"{where}: field 'timeout' must be a number") from None
+        raw_tokens = entry.get("tokens", {})
+        if not isinstance(raw_tokens, dict):
+            raise ValueError(f"{where}: field 'tokens' must map lines to verdicts")
+        try:
+            tokens = {token: Verdict(verdict) for token, verdict in raw_tokens.items()}
+        except ValueError as exc:
+            raise ValueError(f"{where}: field 'tokens': {exc}") from None
         specs.append(
             SolverSpec(
                 name=entry["name"],
                 command=entry["cmd"],
-                timeout=float(entry.get("timeout", DEFAULT_TIMEOUT)),
-                tokens=tokens,
+                timeout=timeout,
+                tokens=tokens or dict(DEFAULT_TOKENS),
             )
         )
     return specs

@@ -23,6 +23,20 @@ included, does not depend on how the program is executed.  The compiled
 closures are cached per program object, held weakly so that they go
 with the program, and per (value bound, big-value threshold), so that
 configurations differing only in their per-call limit share them.
+
+Each loop, loop2 and compr closure remembers its last successful run:
+its initial values, the number of steps (for compr, the index of the hit
+it returned), the state they reached and their cost.  A later run with
+equal initial values that needs at least as many steps or hits charges
+the recorded cost in one step and goes on from the recorded state, so a
+sweep over x = 0, 1, 2, ... does not recompute every prefix.  The replay
+is exact for three reasons: a loop body sees only its own state and step
+index, so a prefix's values and cost depend only on the initial values;
+a successful prefix neither overflows nor divides by zero, so under a
+smaller budget it can only time out; and a timeout leaves the budget at
+0 whether its cost is charged step by step or at once.  Each record is
+published as one tuple, so threads sharing a program never see half of
+one.
 """
 
 from __future__ import annotations
@@ -321,33 +335,62 @@ def _compile(p: Program, value_bound: int, threshold: int) -> _Run:
 
         elif op == Op.LOOP:
             ff, fa, fb = args
+            # (init, steps, acc, cost) of the last successful run.
+            memo = None
 
             def run(x: int, y: int, budget: Budget) -> int:
+                nonlocal memo
                 n = fa(x, y, budget)
-                acc = fb(x, y, budget)
-                for i in range(1, n + 1):
+                init = fb(x, y, budget)
+                mark = budget.remaining
+                acc, done = init, 0
+                m = memo
+                if m is not None and m[1] <= n and m[0] == init:
+                    _, done, acc, cost = m
+                    r = budget.remaining - cost
+                    if r < 0:
+                        _timeout(budget)
+                    budget.remaining = r
+                for i in range(done + 1, n + 1):
                     r = budget.remaining - 1
                     if r < 0:
                         _timeout(budget)
                     budget.remaining = r
                     acc = ff(acc, i, budget)
+                if n > done:
+                    memo = (init, n, acc, mark - budget.remaining)
                 return acc
 
         elif op == Op.LOOP2:
             ff, fg, fa, fb, fc = args
+            # (u0, v0, full_steps, u, v, cost) of the last successful run
+            # of full steps, those that update both components.
+            memo = None
 
             def run(x: int, y: int, budget: Budget) -> int:
+                nonlocal memo
                 n = fa(x, y, budget)
-                u = fb(x, y, budget)
-                v = fc(x, y, budget)
+                u0 = fb(x, y, budget)
+                v0 = fc(x, y, budget)
                 if n <= 0:
-                    return u
-                for _ in range(n - 1):
+                    return u0
+                mark = budget.remaining
+                u, v, done = u0, v0, 0
+                m = memo
+                if m is not None and m[2] < n and m[0] == u0 and m[1] == v0:
+                    _, _, done, u, v, cost = m
+                    r = budget.remaining - cost
+                    if r < 0:
+                        _timeout(budget)
+                    budget.remaining = r
+                for _ in range(done, n - 1):
                     r = budget.remaining - 1
                     if r < 0:
                         _timeout(budget)
                     budget.remaining = r
                     u, v = ff(u, v, budget), fg(u, v, budget)
+                if n - 1 > done:
+                    memo = (u0, v0, n - 1, u, v, mark - budget.remaining)
                 # The final step only needs the first component.
                 r = budget.remaining - 1
                 if r < 0:
@@ -357,22 +400,43 @@ def _compile(p: Program, value_bound: int, threshold: int) -> _Run:
 
         elif op == Op.COMPR:
             ff, fa = args
+            # (hit_index, candidate, cost) of the last successful run.
+            memo = None
 
             def run(x: int, y: int, budget: Budget) -> int:
                 # The n-th candidate c (from 0) with f(c, 0) <= 0.  Every
                 # candidate tried costs one unit, and so does each hit
                 # after which the search goes on.
+                nonlocal memo
                 more = fa(x, y, budget)
-                c = 0
+                target = more if more > 0 else 0
+                mark = budget.remaining
+                hits = c = 0
+                m = memo
+                if m is not None and m[0] <= target:
+                    hits, c, cost = m
+                    r = budget.remaining - cost
+                    if r < 0:
+                        _timeout(budget)
+                    budget.remaining = r
+                    if hits == target:
+                        return c
+                    r = budget.remaining - 1
+                    if r < 0:
+                        _timeout(budget)
+                    budget.remaining = r
+                    hits += 1
+                    c += 1
                 while True:
                     r = budget.remaining - 1
                     if r < 0:
                         _timeout(budget)
                     budget.remaining = r
                     if ff(c, 0, budget) <= 0:
-                        if more <= 0:
+                        if hits == target:
+                            memo = (hits, c, mark - budget.remaining)
                             return c
-                        more -= 1
+                        hits += 1
                         r = budget.remaining - 1
                         if r < 0:
                             _timeout(budget)

@@ -78,6 +78,37 @@ def test_limit_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+def test_malformed_env_value_is_an_error_of_the_subcommands_taking_it(capsys, monkeypatch):
+    monkeypatch.setenv("LOOPBENCH_LIMIT", "abc")
+    code, out, err = run(capsys, "eval", "x", "1", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: LOOPBENCH_LIMIT must be an integer, got 'abc'\n"
+    # An explicit flag does not read the variable.
+    assert run(capsys, "eval", "--limit", "9", "x", "1", "0")[:2] == (0, "1 (cost 1)\n")
+    monkeypatch.setenv("LOOPBENCH_JOBS", "1.5")
+    assert run(capsys, "fmt", "x") == (0, "x\n", "")
+    code, _, err = run(capsys, "run", "--config", "c.json", "--dir", ".", "--log", "l.jsonl")
+    assert code == 1
+    assert err == "error: LOOPBENCH_JOBS must be an integer, got '1.5'\n"
+    monkeypatch.delenv("LOOPBENCH_LIMIT")
+    monkeypatch.setenv("LOOPBENCH_FILTER_MODE", "bogus")
+    code, _, err = run(capsys, "filter", "--problems", "p.jsonl", "--syn", "s", "--sem", "t")
+    assert code == 1
+    assert err.startswith("error: LOOPBENCH_FILTER_MODE must be one of")
+
+
+def test_run_rejects_a_malformed_solver_config(capsys, tmp_path):
+    config = tmp_path / "solvers.json"
+    config.write_text('{"solvers": [{"name": "z3"}]}')
+    code, _, err = run(
+        capsys, "run", "--config", str(config), "--dir", str(tmp_path), "--log", str(tmp_path / "l")
+    )
+    assert code == 1
+    assert err == f"error: {config}: solver 0: missing field 'cmd'\n"
+    assert not (tmp_path / "l").exists()
+
+
 def test_fmt(capsys):
     code, out, _ = run(capsys, "fmt", "loop2(x+y,x,x,0,1)")
     assert out == "loop2(x + y, x, x, 0, 1)\n"

@@ -120,6 +120,27 @@ def test_load_solver_config(tmp_path):
     assert load_solver_config(config)[0].name == "c"
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"solvers": [{"name": "z3"}]}, "solver 0: missing field 'cmd'"),
+        ([{"name": "a", "cmd": "a {file}"}, {"cmd": "b {file}"}], "solver 1: missing field 'name'"),
+        ([1], "solver 0: expected an object, got int"),
+        ([{"name": 3, "cmd": "a {file}"}], "solver 0: field 'name' must be a string"),
+        ([{"name": "a", "cmd": ["a", "{file}"]}], "solver 0: field 'cmd' must be a string"),
+        ([{"name": "a", "cmd": "a {file}", "timeout": "soon"}], "field 'timeout' must be a number"),
+        ([{"name": "a", "cmd": "a {file}", "tokens": ["unsat"]}], "field 'tokens' must map"),
+        ([{"name": "a", "cmd": "a {file}", "tokens": {"ok": "yes"}}], "field 'tokens': 'yes'"),
+        ({"provers": []}, "expected a list of solvers"),
+    ],
+)
+def test_malformed_solver_config_names_the_entry_and_field(tmp_path, data, message):
+    config = tmp_path / "solvers.json"
+    config.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=message):
+        load_solver_config(config)
+
+
 def test_result_json_round_trip():
     result = RunResult("A1", "s", "base", Verdict.PROVED, 1.23456)
     again = result_from_json(result.to_json())

@@ -1,5 +1,7 @@
 import gc
 import random
+import sys
+import threading
 import weakref
 
 import pytest
@@ -18,12 +20,13 @@ from loopbench.interp import (
     ErrorKind,
     EvalConfig,
     EvalFailure,
+    EvalOutcome,
     evaluate,
     generate_seq,
     seq_values,
     speed,
 )
-from loopbench.lang import parse
+from loopbench.lang import LOOPING_OPS, parse, subprograms
 from oracles import RefDivZero, RefLimit, cost_eval, programs, random_program, ref_eval
 
 TRIANGLE = parse("loop(x + y, x, 0)")
@@ -305,3 +308,134 @@ def test_evaluate_matches_cost_oracle_on_random_programs():
 )
 def test_evaluate_matches_cost_oracle(p, x, y, cfg, limit):
     _agree(p, x, y, cfg, limit)
+
+
+# Loops resume from their last successful run.  A sweep over the points
+# in ascending order resumes every loop from the previous point's run,
+# descending order restarts them, and shuffled order mixes both; the
+# budgets make replays land on timeouts.
+
+SWEEP_POINTS = [(x, y) for x in range(-3, 12) for y in (0, 1, 5)]
+SWEEP_BUDGETS = [None, 7, 50, 300]
+
+
+def test_sweeps_in_any_order_match_cost_oracle():
+    rng = random.Random(2305)
+    checked = 0
+    while checked < 60:
+        p = random_program(rng, depth=4)
+        if not any(q.op in LOOPING_OPS for q in subprograms(p)):
+            continue
+        checked += 1
+        shuffled = SWEEP_POINTS[:]
+        rng.shuffle(shuffled)
+        for cfg in ORACLE_CONFIGS:
+            for order in (SWEEP_POINTS, SWEEP_POINTS[::-1], shuffled):
+                for x, y in order:
+                    _agree(p, x, y, cfg, rng.choice(SWEEP_BUDGETS))
+
+
+def _memo(p, cfg=DEFAULT_CONFIG):
+    """The memo entry of p's top-level loop, loop2 or compr."""
+    run = interp._compiled_for(p, cfg)
+    return run.__closure__[run.__code__.co_freevars.index("memo")].cell_contents
+
+
+def _pinned(p, x, value, cost):
+    out = evaluate(p, x)
+    assert out == cost_eval(p, x)
+    assert (out.value, out.cost) == (value, cost)
+
+
+def test_loop_resumes_from_a_shorter_run():
+    p = parse("loop(x + y, x, 0)")
+    _pinned(p, 3, 6, 14)
+    assert _memo(p) == (0, 3, 6, 12)
+    _pinned(p, 6, 21, 26)
+    assert _memo(p) == (0, 6, 21, 24)
+    # Another initial value starts over.
+    p = parse("loop(x + y, 2 + 2, x)")
+    _pinned(p, 1, 11, 20)
+    _pinned(p, 2, 12, 20)
+    assert _memo(p) == (2, 4, 12, 16)
+
+
+def test_loop2_resumes_from_a_shorter_run():
+    p = parse("loop2(x + y, x, x, 0, 1)")
+    _pinned(p, 6, 8, 32)
+    assert _memo(p) == (0, 1, 5, 5, 3, 25)
+    _pinned(p, 10, 55, 52)
+    assert _memo(p) == (0, 1, 9, 34, 21, 45)
+    # Another second initial value starts over.
+    p = parse("loop2(x + y, x, 2 + 2, 0, x)")
+    _pinned(p, 1, 3, 24)
+    _pinned(p, 2, 6, 24)
+    assert _memo(p) == (0, 2, 3, 4, 2, 15)
+
+
+def test_compr_resumes_from_a_shorter_run():
+    p = parse("compr(x mod 2, x)")
+    _pinned(p, 3, 6, 60)
+    assert _memo(p) == (3, 6, 59)
+    _pinned(p, 5, 10, 94)
+    assert _memo(p) == (5, 10, 93)
+    _pinned(p, 5, 10, 94)
+
+
+def test_run_after_a_longer_one_starts_over():
+    p = parse("loop(x + y, x, 0)")
+    _pinned(p, 6, 21, 26)
+    _pinned(p, 3, 6, 14)
+    assert _memo(p) == (0, 3, 6, 12)
+    p = parse("compr(x mod 2, x)")
+    _pinned(p, 5, 10, 94)
+    _pinned(p, 3, 6, 60)
+    assert _memo(p) == (3, 6, 59)
+
+
+def test_replay_past_the_budget_times_out():
+    p = parse("loop(x + y, x, 0)")
+    _pinned(p, 6, 21, 26)
+    # Reading x and 0 leaves 18 units, less than the 24 of the replay.
+    for q in (p, parse("loop(x + y, x, 0)")):
+        budget = Budget(20)
+        out = evaluate(q, 7, budget=budget)
+        assert out == EvalOutcome(None, 20, ErrorKind.TIMEOUT)
+        assert budget.remaining == 0
+    assert _memo(p) == (0, 6, 21, 24)
+
+
+def test_threads_sharing_a_program_match_one_thread():
+    p = parse("loop(x + y, x, 0) + loop2(x + y, x, x, 0, 1) + compr(x mod (2 + 1), x)")
+    cfg = EvalConfig(per_call_limit=3_000)
+    limits = [None, 200, 1_000]
+    calls = [(x, limit) for x in range(100) for limit in limits]
+    want = {
+        (x, limit): cost_eval(p, x, 0, None if limit is None else Budget(limit), cfg)
+        for x, limit in calls
+    }
+    failures = []
+
+    def worker(seed):
+        order = calls[:]
+        random.Random(seed).shuffle(order)
+        try:
+            for x, limit in order * 3:
+                got = evaluate(p, x, 0, None if limit is None else Budget(limit), cfg)
+                if got != want[x, limit]:
+                    failures.append((x, limit, got))
+        except Exception as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
