@@ -95,9 +95,9 @@ def is_acyclic_window(values: list[int]) -> bool:
     """
     if len(values) != WINDOW:
         raise ValueError(f"window must have {WINDOW} values, got {len(values)}")
-    last = WINDOW - 1
+    tail = values[CYCLE_SKIP:]
     for period in range(1, MAX_PERIOD + 1):
-        if all(values[i] == values[i + period] for i in range(CYCLE_SKIP, last - period + 1)):
+        if tail[:-period] == tail[period:]:
             return False
     return True
 
@@ -118,16 +118,20 @@ def acyclic_on(
     """
     if axis not in (Op.X, Op.Y):
         raise ValueError("axis must be Op.X or Op.Y")
+    along_x = axis == Op.X
+    limit = cfg.per_call_limit
+    budget = Budget(0)
     for other in range(SWEEP):
         window: list[int] = []
-        leftover = 0
+        budget.remaining = 0
         for i in range(WINDOW):
-            budget = Budget(cfg.per_call_limit + leftover)
-            xy = (i, other) if axis == Op.X else (other, i)
-            outcome = evaluate(p, xy[0], xy[1], budget, cfg)
-            if not outcome.ok:
+            budget.remaining += limit
+            if along_x:
+                outcome = evaluate(p, i, other, budget, cfg)
+            else:
+                outcome = evaluate(p, other, i, budget, cfg)
+            if outcome.error is not None:
                 return False
-            leftover = budget.remaining
             value = outcome.value
             window.append(0 if map_negatives and value < 0 else value)
         if not is_acyclic_window(window):

@@ -20,9 +20,14 @@ each called as run(x, y, budget).  A closure checks the value bound
 before it charges, raises division by zero before it charges, and a
 timeout leaves the budget at 0, so the outcome of a run, its cost
 included, does not depend on how the program is executed.  The compiled
-closures are cached per program object, held weakly so that they go
-with the program, and per (value bound, big-value threshold), so that
-configurations differing only in their per-call limit share them.
+closures are kept on the program object itself, in a dict created on
+first use and keyed by (value bound, big-value threshold), so that they
+live exactly as long as the program and configurations differing only in
+their per-call limit share them.  The dict is not part of the program's
+value: programs compare, hash and pickle by their syntax alone.
+
+Each call returns an EvalOutcome, a named tuple of the value (None on an
+error), the cost charged and the error kind (None on success).
 
 Each loop, loop2 and compr closure remembers its last successful run:
 its initial values, the number of steps (for compr, the index of the hit
@@ -42,11 +47,10 @@ one.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .lang import Op, Program
 
@@ -93,8 +97,7 @@ class Budget:
         self.remaining -= cost
 
 
-@dataclass(frozen=True)
-class EvalOutcome:
+class EvalOutcome(NamedTuple):
     value: int | None
     cost: int
     error: ErrorKind | None = None
@@ -102,6 +105,11 @@ class EvalOutcome:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+
+# Builds an outcome from a (value, cost, error) tuple without the extra
+# Python call of the generated __new__; evaluate returns one per call.
+_outcome = tuple.__new__
 
 
 class EvalFailure(Exception):
@@ -119,8 +127,10 @@ _LOG10_2 = math.log10(2)
 
 
 @cache
-def _pow10(k: int) -> int:
-    return 10**k
+def _digit_range(bits: int) -> tuple[int, int]:
+    """(k+1, 10^(k+1)) for values of this bit length; see _digit_count."""
+    k = int((bits - 1) * _LOG10_2)
+    return k + 1, 10 ** (k + 1)
 
 
 def _digit_count(m: int) -> int:
@@ -131,10 +141,11 @@ def _digit_count(m: int) -> int:
     m >= 10^(k+1).  The product is computed in floating point; its error
     stays far below the distance of (b-1) * log10 2 from the nearest
     integer for every b a value bound can reach.  For m = 0, int() rounds
-    -log10 2 toward zero, so k = 0 and the count is 1.
+    -log10 2 toward zero, so k = 0 and the count is 1.  Both bounds are
+    cached per bit length.
     """
-    k = int((m.bit_length() - 1) * _LOG10_2)
-    return k + 1 + (m >= _pow10(k + 1))
+    low, power = _digit_range(m.bit_length())
+    return low + (m >= power)
 
 
 # Compilation to closures.
@@ -156,11 +167,16 @@ def _charge_big(value: int, quadratic: bool, budget: Budget, value_bound: int) -
     magnitude = abs(value)
     if magnitude > value_bound:
         raise _Fail(ErrorKind.OVERFLOW)
-    digits = _digit_count(magnitude)
-    budget.charge(digits * digits if quadratic else digits)
+    cost = _digit_count(magnitude)
+    if quadratic:
+        cost *= cost
+    r = budget.remaining - cost
+    if r < 0:
+        _timeout(budget)
+    budget.remaining = r
 
 
-# The closures below repeat one inline charge of a small value,
+# _charge_big and the closures below repeat one inline charge,
 #     r = budget.remaining - cost; if r < 0: _timeout(budget)
 #     budget.remaining = r
 # rather than calling Budget.charge: it runs once per operator node.
@@ -450,33 +466,12 @@ def _compile(p: Program, value_bound: int, threshold: int) -> _Run:
     return build(p)
 
 
-class _Compiled(weakref.ref):
-    """A program's closure for one (value bound, threshold), held in
-    _compiled under its key for as long as the program lives."""
-
-    __slots__ = ("key", "run")
-
-
-# (id(p), value bound, threshold) -> compiled closure of p.  Keyed by
-# identity, since hashing a program walks all of it.
-_compiled: dict[tuple[int, int, int], _Compiled] = {}
-
-
-def _forget(entry: _Compiled) -> None:
-    if _compiled.get(entry.key) is entry:
-        del _compiled[entry.key]
-
-
-def _compiled_for(p: Program, cfg: EvalConfig) -> _Run:
-    """p's closure for cfg, compiled on first use."""
-    key = (id(p), cfg.value_bound, cfg.big_value_threshold)
-    entry = _compiled.get(key)
-    if entry is None or entry() is not p:
-        entry = _Compiled(p, _forget)
-        entry.key = key
-        entry.run = _compile(p, cfg.value_bound, cfg.big_value_threshold)
-        _compiled[key] = entry
-    return entry.run
+def _compiled(p: Program, key: tuple[int, int]) -> _Run:
+    """p's closure for key = (value bound, threshold), compiled on first
+    use and kept in p's own dict of compiled code."""
+    code = p.__dict__.setdefault("_code", {})
+    # Threads compiling p at once all keep the first closure stored.
+    return code.setdefault(key, _compile(p, *key))
 
 
 def evaluate(
@@ -489,13 +484,17 @@ def evaluate(
     """Evaluate p at (x, y) against a budget (a fresh one if not given)."""
     if budget is None:
         budget = Budget(cfg.per_call_limit)
-    run = _compiled_for(p, cfg)
+    key = (cfg.value_bound, cfg.big_value_threshold)
+    try:
+        run = p._code[key]
+    except (AttributeError, KeyError):
+        run = _compiled(p, key)
     start = budget.remaining
     try:
         value = run(x, y, budget)
     except _Fail as failure:
-        return EvalOutcome(None, start - budget.remaining, failure.kind)
-    return EvalOutcome(value, start - budget.remaining)
+        return _outcome(EvalOutcome, (None, start - budget.remaining, failure.kind))
+    return _outcome(EvalOutcome, (value, start - budget.remaining, None))
 
 
 def generate_seq(p: Program, n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> list[EvalOutcome]:
@@ -506,14 +505,14 @@ def generate_seq(p: Program, n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> list[E
     the final outcome.
     """
     outcomes: list[EvalOutcome] = []
-    leftover = 0
+    limit = cfg.per_call_limit
+    budget = Budget(0)
     for i in range(n):
-        budget = Budget(cfg.per_call_limit + leftover)
+        budget.remaining += limit
         outcome = evaluate(p, i, 0, budget, cfg)
         outcomes.append(outcome)
-        if not outcome.ok:
+        if outcome.error is not None:
             break
-        leftover = budget.remaining
     return outcomes
 
 

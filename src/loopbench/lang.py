@@ -70,6 +70,11 @@ class Program:
     def __repr__(self) -> str:
         return f"<{to_text(self)}>"
 
+    def __getstate__(self) -> dict:
+        # Only the syntax: the evaluator keeps compiled code in the
+        # instance dict, and that code goes with this object alone.
+        return {"op": self.op, "args": self.args}
+
 
 # Term constructors.  Leaves are shared singletons.
 

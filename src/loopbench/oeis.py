@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .interp import EvalConfig, DEFAULT_CONFIG, generate_seq
-from .lang import Program, parse, to_text, Op, depends_on
+from .lang import ParseError, Program, parse, to_text, Op, depends_on
 
 log = logging.getLogger(__name__)
 
@@ -170,14 +170,43 @@ def problem_to_json(pr: ProblemRecord) -> str:
     )
 
 
+def _field(d: dict, name: str, kind: type):
+    if name not in d:
+        raise ValueError(f"missing field {name!r}")
+    value = d[name]
+    if not isinstance(value, kind):
+        raise ValueError(f"field {name!r} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _program_field(d: dict, name: str) -> Program:
+    text = _field(d, name, str)
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ValueError(f"field {name!r}: {exc}") from None
+
+
 def problem_from_json(line: str) -> ProblemRecord:
+    """One manifest row; a ValueError names the missing or ill-typed field."""
     d = json.loads(line)
+    if not isinstance(d, dict):
+        raise ValueError(f"row must be a JSON object, got {type(d).__name__}")
+    pid = _field(d, "id", str)
+    anums = _field(d, "anums", list)
+    if not all(isinstance(a, str) for a in anums):
+        raise ValueError(f"field 'anums' must list strings, got {anums!r}")
+    terms = _field(d, "terms", list)
+    for t in terms:
+        # bool is an int subclass, but true is not a term.
+        if type(t) is not int:
+            raise ValueError(f"field 'terms' has a non-integer term {t!r}")
     return ProblemRecord(
-        id=d["id"],
-        anums=list(d["anums"]),
-        terms=[int(t) for t in d["terms"]],
-        small=parse(d["small"]),
-        fast=parse(d["fast"]),
+        id=pid,
+        anums=anums,
+        terms=terms,
+        small=_program_field(d, "small"),
+        fast=_program_field(d, "fast"),
         status=d.get("status", "unverified"),
         syn_pass=bool(d.get("syn_pass", False)),
         sem_pass=bool(d.get("sem_pass", False)),
@@ -189,8 +218,13 @@ def save_problems(problems: list[ProblemRecord], path: str | Path) -> None:
 
 
 def load_problems(path: str | Path) -> list[ProblemRecord]:
-    return [
-        problem_from_json(line)
-        for line in Path(path).read_text().splitlines()
-        if line.strip()
-    ]
+    """Read a manifest; a bad row raises ValueError naming path:line."""
+    problems = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            problems.append(problem_from_json(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return problems

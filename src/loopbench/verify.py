@@ -37,12 +37,16 @@ def verify100(problem: ProblemRecord, cfg: EvalConfig = VERIFY_CONFIG) -> Verify
     if len(problem.terms) >= 100:
         return VerifyReport(problem.id, VERIFIED, 100)
 
+    limit = cfg.per_call_limit
+    budget = Budget(0)
     for i in range(100):
-        small_out = evaluate(problem.small, i, 0, Budget(cfg.per_call_limit), cfg)
-        if not small_out.ok:
+        budget.remaining = limit
+        small_out = evaluate(problem.small, i, 0, budget, cfg)
+        if small_out.error is not None:
             return VerifyReport(problem.id, NONVERIFIED, i, (i, small_out.error.value))
-        fast_out = evaluate(problem.fast, i, 0, Budget(cfg.per_call_limit), cfg)
-        if not fast_out.ok:
+        budget.remaining = limit
+        fast_out = evaluate(problem.fast, i, 0, budget, cfg)
+        if fast_out.error is not None:
             return VerifyReport(problem.id, NONVERIFIED, i, (i, fast_out.error.value))
         if small_out.value != fast_out.value:
             return VerifyReport(

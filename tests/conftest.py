@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from loopbench import oeis
+from loopbench.interp import DEFAULT_CONFIG
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -26,3 +27,19 @@ def problems(solutions, sequences):
 @pytest.fixture
 def problems_by_id(problems):
     return {p.id: p for p in problems}
+
+
+def record_evaluate(monkeypatch, module) -> list[tuple]:
+    """Wrap module.evaluate, as the benchmark's tracer does, recording per
+    call (program, x, y, budget granted, outcome) in the returned list."""
+    calls = []
+    real = module.evaluate
+
+    def recording(p, x, y=0, budget=None, cfg=DEFAULT_CONFIG):
+        granted = None if budget is None else budget.remaining
+        outcome = real(p, x, y, budget, cfg)
+        calls.append((p, x, y, granted, outcome))
+        return outcome
+
+    monkeypatch.setattr(module, "evaluate", recording)
+    return calls

@@ -3,9 +3,10 @@
 Everything here is deliberately written from the definitions rather than
 imported from the package under test: a naive recursive interpreter, a
 free-variable computation, a slicing-based cycle detector, a random
-program generator, and a standalone SMT-LIB surface checker.  The one
-exception is the cost oracle, a tree-walking evaluator that charges the
-cost model node by node against the package's Budget.
+program generator, a standalone SMT-LIB surface checker, and a direct
+evaluator of lowered definitions.  The exceptions are the cost oracle, a
+tree-walking evaluator that charges the cost model node by node against
+the package's Budget, and the definition evaluator's input types.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from loopbench.interp import (
     _Fail,
 )
 from loopbench.lang import BODY_SLOTS, Op, Program
+from loopbench.smt import LoweredDef, Sexp
 
 
 class RefLimit(Exception):
@@ -446,3 +448,89 @@ def _check_term(t, arities: dict[str, int], bound: set[str]) -> None:
         raise SmtSyntaxError(f"undeclared symbol {head!r}")
     for arg in t[1:]:
         _check_term(arg, arities, bound)
+
+
+# Definition evaluator: a second, independent route to a problem's
+# values.  It evaluates the emitted definition bodies themselves, with
+# SMT-LIB's Euclidean div and mod (remainder always non-negative),
+# sharing nothing with the program interpreter, to cross-check the
+# lowering.
+
+
+class SmtEvalError(Exception):
+    pass
+
+
+def euclidean_div(a: int, b: int) -> int:
+    if b == 0:
+        raise SmtEvalError("division by zero")
+    return a // b if b > 0 else -(a // -b)
+
+
+def euclidean_mod(a: int, b: int) -> int:
+    return a - b * euclidean_div(a, b)
+
+
+class DefEvaluator:
+    """Evaluates symbol applications over a set of lowered definitions.
+
+    Recursive symbols are memoized per argument tuple.  negative_divmod
+    records whether any div/mod saw a negative operand, the regime where
+    Euclidean and floor semantics can disagree.
+    """
+
+    def __init__(self, defs: list[LoweredDef], max_steps: int = 1_000_000):
+        self.defs = {d.name: d for d in defs}
+        self.max_steps = max_steps
+        self.steps = 0
+        self.negative_divmod = False
+        self._memo: dict[tuple, int] = {}
+
+    def call(self, name: str, args: tuple[int, ...] = ()) -> int:
+        key = (name, args)
+        if key in self._memo:
+            return self._memo[key]
+        d = self.defs.get(name)
+        if d is None:
+            raise SmtEvalError(f"undefined symbol {name!r}")
+        if len(args) != len(d.params):
+            raise SmtEvalError(f"{name} expects {len(d.params)} arguments, got {len(args)}")
+        value = self._eval(d.body, dict(zip(d.params, args)))
+        self._memo[key] = value
+        return value
+
+    def _tick(self) -> None:
+        self.steps += 1
+        if self.steps > self.max_steps:
+            raise SmtEvalError("step limit exceeded")
+
+    def _eval(self, s: Sexp, env: dict[str, int]) -> int:
+        self._tick()
+        if isinstance(s, str):
+            if s in env:
+                return env[s]
+            if s.isdigit():
+                return int(s)
+            return self.call(s)
+        head = s[0]
+        if head == "ite":
+            return self._eval(s[2] if self._bool(s[1], env) else s[3], env)
+        if head in ("+", "-", "*", "div", "mod"):
+            a = self._eval(s[1], env)
+            b = self._eval(s[2], env)
+            if head == "+":
+                return a + b
+            if head == "-":
+                return a - b
+            if head == "*":
+                return a * b
+            if a < 0 or b < 0:
+                self.negative_divmod = True
+            return euclidean_div(a, b) if head == "div" else euclidean_mod(a, b)
+        args = tuple(self._eval(arg, env) for arg in s[1:])
+        return self.call(head, args)
+
+    def _bool(self, s: Sexp, env: dict[str, int]) -> bool:
+        if not isinstance(s, tuple) or s[0] != "<=":
+            raise SmtEvalError(f"unsupported condition {s!r}")
+        return self._eval(s[1], env) <= self._eval(s[2], env)

@@ -24,9 +24,8 @@ from loopbench.interp import (
 from loopbench.lang import parse
 from loopbench.oeis import ProblemRecord, build_problems
 from loopbench.smt import BASE, Variant, emit, export_all, lower
-from loopbench.smteval import DefEvaluator
 from loopbench.verify import verify_all
-from oracles import brute_cyclic, check_smt_script, random_program
+from oracles import DefEvaluator, brute_cyclic, check_smt_script, random_program
 from test_smt import (
     DOUBLE_FACTORIAL_ASSERTS,
     DOUBLE_FACTORIAL_CONJECTURE,

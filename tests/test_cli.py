@@ -343,3 +343,21 @@ def test_entry_point_is_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout == "0 1 3 6 10\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "filter", "export"])
+@pytest.mark.parametrize("row", ["{}", '{"id": "A1", "anum": "A1"}', "[1, 2]"])
+def test_bad_manifest_row_is_an_error_not_a_traceback(capsys, tmp_path, command, row):
+    manifest = tmp_path / "problems.jsonl"
+    manifest.write_text(row + "\n")
+    outputs = {
+        "verify": [],
+        "filter": ["--syn", str(tmp_path / "syn.txt"), "--sem", str(tmp_path / "sem.txt")],
+        "export": ["--outdir", str(tmp_path / "out")],
+    }
+    code, out, err = run(capsys, command, "--problems", str(manifest), *outputs[command])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {manifest}:1: ")
+    assert manifest.read_text() == row + "\n"
+    assert sorted(tmp_path.iterdir()) == [manifest]

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import record_evaluate
+from loopbench import induction
 from loopbench.induction import (
     CYCLE_SKIP,
     MAX_PERIOD,
@@ -17,7 +19,7 @@ from loopbench.induction import (
     syntactic_test,
     write_manifest,
 )
-from loopbench.interp import EvalConfig
+from loopbench.interp import Budget, ErrorKind, EvalConfig, evaluate
 from loopbench.lang import Op, parse
 from loopbench.oeis import ProblemRecord
 from oracles import brute_cyclic
@@ -97,6 +99,9 @@ def test_is_acyclic_window_pins():
     noisy = [7, 3, 9, 1, 4, 1, 5, 9, 2] + ([1, 2, 3] * 11)[:31]
     assert len(noisy) == WINDOW
     assert not is_acyclic_window(noisy)
+    # Indices 9 and 39 are the first and last that count.
+    assert is_acyclic_window([0] * CYCLE_SKIP + [5] + [0] * 30)
+    assert is_acyclic_window([0] * 39 + [5])
     # A period longer than 15 does not count as cyclic.
     assert is_acyclic_window([i % 16 for i in range(WINDOW)])
     assert not is_acyclic_window([i % 15 for i in range(WINDOW)])
@@ -137,6 +142,41 @@ def test_acyclic_on_fails_on_evaluation_error():
     assert not acyclic_on(parse("1 div (x - 2)"), Op.X)
     # Diverging search exhausts the budget.
     assert not acyclic_on(parse("compr(x + 1, x)"), Op.X, cfg=EvalConfig(per_call_limit=500))
+
+
+def _carried(calls, limit):
+    """Budgets a window of calls is granted when each call gets limit plus
+    whatever the earlier calls of its window left unspent."""
+    granted, left = [], 0
+    for _, _, _, _, outcome in calls:
+        granted.append(limit + left)
+        left = limit + left - outcome.cost
+    return granted
+
+
+@pytest.mark.parametrize("axis", [Op.X, Op.Y])
+def test_acyclic_on_calls_evaluate_once_per_point(monkeypatch, axis):
+    calls = record_evaluate(monkeypatch, induction)
+    p = parse("loop(x + y, x, 0) + y")
+    cfg = EvalConfig(per_call_limit=500)
+    assert acyclic_on(p, axis, cfg=cfg)
+    points = [(i, other) if axis == Op.X else (other, i)
+              for other in range(10) for i in range(40)]
+    assert [(q, x, y) for q, x, y, _, _ in calls] == [(p, x, y) for x, y in points]
+    # Budgets carry over within a window and start afresh with the next.
+    for start in range(0, 400, 40):
+        window = calls[start:start + 40]
+        assert [granted for *_, granted, _ in window] == _carried(window, 500)
+
+
+def test_acyclic_on_passes_only_with_the_carried_budget():
+    # x costs 2 + 4x units, 3,200 over a window: 80 per point on average.
+    p = parse("loop(x + y, x, 0)")
+    assert acyclic_on(p, Op.X, cfg=EvalConfig(per_call_limit=80))
+    assert evaluate(p, 20, 0, Budget(80)).error == ErrorKind.TIMEOUT
+    # 79 per point run out at x = 39, which alone would need only 158.
+    assert not acyclic_on(p, Op.X, cfg=EvalConfig(per_call_limit=79))
+    assert evaluate(p, 39, 0, Budget(158)).ok
 
 
 def test_semantic_test_pins(problems_by_id):

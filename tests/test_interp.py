@@ -1,4 +1,5 @@
 import gc
+import pickle
 import random
 import sys
 import threading
@@ -27,6 +28,7 @@ from loopbench.interp import (
     speed,
 )
 from loopbench.lang import LOOPING_OPS, parse, subprograms
+from conftest import record_evaluate
 from oracles import RefDivZero, RefLimit, cost_eval, programs, random_program, ref_eval
 
 TRIANGLE = parse("loop(x + y, x, 0)")
@@ -199,6 +201,28 @@ def test_generate_seq_carries_unused_budget_forward():
     assert outcomes[-1].error == ErrorKind.TIMEOUT
 
 
+@pytest.mark.parametrize(
+    "text, n, calls",
+    [
+        ("loop(x + y, x, 0)", 20, 20),
+        ("loop(x + y, x, 0)", 30, 26),  # x costs 2 + 4x: x = 25 times out
+        ("1 div (x - 2)", 10, 3),
+    ],
+)
+def test_generate_seq_calls_evaluate_once_per_term(monkeypatch, text, n, calls):
+    recorded = record_evaluate(monkeypatch, interp)
+    p = parse(text)
+    cfg = EvalConfig(per_call_limit=50)
+    outcomes = generate_seq(p, n, cfg)
+    assert [call[:3] for call in recorded] == [(p, x, 0) for x in range(calls)]
+    assert [call[4] for call in recorded] == outcomes
+    # Each term is granted the limit plus what earlier terms left unspent.
+    left = 0
+    for *_, granted, outcome in recorded:
+        assert granted == 50 + left
+        left = granted - outcome.cost
+
+
 def test_generate_seq_stops_at_first_error():
     p = parse("1 div (x - 2)")
     outcomes = generate_seq(p, 10, EvalConfig())
@@ -255,11 +279,42 @@ def test_compiled_code_goes_with_the_program():
     assert ref() is None
 
 
-def test_limits_share_one_compilation():
+def test_limits_share_one_compilation(monkeypatch):
+    compiled = []
+
+    def counting(p, value_bound, threshold):
+        compiled.append((p, value_bound, threshold))
+        return compile_(p, value_bound, threshold)
+
+    compile_ = interp._compile
+    monkeypatch.setattr(interp, "_compile", counting)
     p = parse("loop(x + y, x, 0)")
-    assert interp._compiled_for(p, VERIFY_CONFIG) is interp._compiled_for(p, DEFAULT_CONFIG)
+    for cfg in (DEFAULT_CONFIG, VERIFY_CONFIG, DEFAULT_CONFIG):
+        assert evaluate(p, 4, cfg=cfg).value == 10
+    assert compiled == [(p, VALUE_BOUND, BIG_VALUE_THRESHOLD)]
     other = EvalConfig(value_bound=5, big_value_threshold=3)
-    assert interp._compiled_for(p, other) is not interp._compiled_for(p, DEFAULT_CONFIG)
+    assert evaluate(p, 4, cfg=other).error == ErrorKind.OVERFLOW
+    assert evaluate(p, 1, cfg=other).value == 1
+    assert compiled[1:] == [(p, 5, 3)]
+    # An equal program is a different object and compiles on its own.
+    q = parse("loop(x + y, x, 0)")
+    assert evaluate(q, 4).value == 10
+    assert len(compiled) == 3 and compiled[2][0] is q
+
+
+def test_evaluated_program_pickles_hashes_and_compares_by_syntax():
+    text = "loop(x + y, x, 0) + loop2(x + y, x, x, 0, 1) + compr(x mod 2, x)"
+    p = parse(text)
+    before = hash(p)
+    for x in range(6):
+        evaluate(p, x)
+        evaluate(p, x, cfg=EvalConfig(value_bound=5, big_value_threshold=3))
+    fresh = parse(text)
+    assert p == fresh and hash(p) == before == hash(fresh)
+    assert len({p, fresh}) == 1
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and hash(copy) == hash(p) and repr(copy) == repr(p)
+    assert evaluate(copy, 5) == evaluate(fresh, 5) == cost_eval(fresh, 5)
 
 
 # Differential test against the tree-walking cost oracle: evaluate must
@@ -337,7 +392,7 @@ def test_sweeps_in_any_order_match_cost_oracle():
 
 def _memo(p, cfg=DEFAULT_CONFIG):
     """The memo entry of p's top-level loop, loop2 or compr."""
-    run = interp._compiled_for(p, cfg)
+    run = p._code[cfg.value_bound, cfg.big_value_threshold]
     return run.__closure__[run.__code__.co_freevars.index("memo")].cell_contents
 
 

@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 
 import pytest
 
@@ -163,6 +164,39 @@ def test_save_and_load_problems(tmp_path, problems):
     problems[1].syn_pass = True
     save_problems(problems, path)
     assert load_problems(path) == problems
+
+
+GOOD_ROW = '{"id": "A1", "anums": ["A000001"], "terms": [0, 1], "small": "x", "fast": "x + 0"}'
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("{}", "missing field 'id'"),
+        ('{"id": "A1", "anum": "A1"}', "missing field 'anums'"),
+        (GOOD_ROW.replace(', "fast": "x + 0"', ""), "missing field 'fast'"),
+        ("[1, 2]", "row must be a JSON object, got list"),
+        ('"A1"', "row must be a JSON object, got str"),
+        (GOOD_ROW.replace("[0, 1]", '[0, "one"]'), "non-integer term 'one'"),
+        (GOOD_ROW.replace("[0, 1]", "[0, 1.5]"), "non-integer term 1.5"),
+        (GOOD_ROW.replace("[0, 1]", "[0, true]"), "non-integer term True"),
+        (GOOD_ROW.replace("[0, 1]", "7"), "field 'terms' must be a list, got 7"),
+        (GOOD_ROW.replace('["A000001"]', "[1]"), "field 'anums' must list strings"),
+        (GOOD_ROW.replace('"id": "A1"', '"id": 1'), "field 'id' must be a str, got 1"),
+        (GOOD_ROW.replace('"x + 0"', "3"), "field 'fast' must be a str, got 3"),
+        (GOOD_ROW.replace('"x + 0"', '"x +"'), "field 'fast': unexpected token"),
+        ("{not json", "Expecting property name"),
+    ],
+)
+def test_load_problems_names_the_line_and_field_of_a_bad_row(tmp_path, row, message):
+    path = tmp_path / "problems.jsonl"
+    path.write_text(GOOD_ROW + "\n\n" + row + "\n" + GOOD_ROW + "\n")
+    with pytest.raises(ValueError) as info:
+        load_problems(path)
+    assert str(info.value).startswith(f"{path}:3: ")
+    assert message in str(info.value)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        problem_from_json(row)
 
 
 def test_problem_record_defaults():

@@ -15,8 +15,15 @@ from loopbench.smt import (
     parse_variant,
     render,
 )
-from loopbench.smteval import DefEvaluator, SmtEvalError, euclidean_div, euclidean_mod
-from oracles import SmtSyntaxError, check_smt_script, free_vars
+from oracles import (
+    DefEvaluator,
+    SmtEvalError,
+    SmtSyntaxError,
+    check_smt_script,
+    euclidean_div,
+    euclidean_mod,
+    free_vars,
+)
 
 ALL_VARIANTS = [
     BASE,

@@ -1,5 +1,9 @@
 import json
 
+import pytest
+
+from conftest import record_evaluate
+from loopbench import verify
 from loopbench.interp import EvalConfig
 from loopbench.lang import parse
 from loopbench.oeis import ProblemRecord
@@ -73,6 +77,25 @@ def test_small_side_runs_first():
     report = verify100(pr)
     assert report.status == NONVERIFIED
     assert report.failure == (0, "div_by_zero")
+
+
+@pytest.mark.parametrize(
+    "small, fast, calls",
+    [
+        ("loop(x + y, x, 0)", "((x * x) + x) div 2", 200),
+        ("x * x", "x + x", 2 * 2),  # refuted at x = 1
+        # x at every x but 2, where the divisor is 0.
+        ("(x * (x - 2)) div (x - 2)", "x", 2 * 2 + 1),
+        ("x", "(x * (x - 2)) div (x - 2)", 2 * 3),
+    ],
+)
+def test_verify100_calls_evaluate_once_per_side_and_point(monkeypatch, small, fast, calls):
+    recorded = record_evaluate(monkeypatch, verify)
+    pr = ProblemRecord("A1", ["A000001"], [], parse(small), parse(fast))
+    cfg = EvalConfig(per_call_limit=1_000)
+    verify100(pr, cfg)
+    points = [(side, x, 0, 1_000) for x in range(100) for side in (pr.small, pr.fast)]
+    assert [call[:4] for call in recorded] == points[:calls]
 
 
 def test_emit_nonverified(tmp_path, problems):
