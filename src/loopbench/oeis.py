@@ -170,8 +170,14 @@ def problem_to_json(pr: ProblemRecord) -> str:
     )
 
 
-def _field(d: dict, name: str, kind: type):
+# What verify100 can set, and the status of a problem not yet verified.
+STATUSES = ("unverified", "verified", "nonverified", "refuted")
+
+
+def _field(d: dict, name: str, kind: type, default=None):
     if name not in d:
+        if default is not None:
+            return default
         raise ValueError(f"missing field {name!r}")
     value = d[name]
     if not isinstance(value, kind):
@@ -201,15 +207,18 @@ def problem_from_json(line: str) -> ProblemRecord:
         # bool is an int subclass, but true is not a term.
         if type(t) is not int:
             raise ValueError(f"field 'terms' has a non-integer term {t!r}")
+    status = _field(d, "status", str, "unverified")
+    if status not in STATUSES:
+        raise ValueError(f"field 'status' must be one of {', '.join(STATUSES)}, got {status!r}")
     return ProblemRecord(
         id=pid,
         anums=anums,
         terms=terms,
         small=_program_field(d, "small"),
         fast=_program_field(d, "fast"),
-        status=d.get("status", "unverified"),
-        syn_pass=bool(d.get("syn_pass", False)),
-        sem_pass=bool(d.get("sem_pass", False)),
+        status=status,
+        syn_pass=_field(d, "syn_pass", bool, False),
+        sem_pass=_field(d, "sem_pass", bool, False),
     )
 
 

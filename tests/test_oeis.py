@@ -185,6 +185,10 @@ GOOD_ROW = '{"id": "A1", "anums": ["A000001"], "terms": [0, 1], "small": "x", "f
         (GOOD_ROW.replace('"id": "A1"', '"id": 1'), "field 'id' must be a str, got 1"),
         (GOOD_ROW.replace('"x + 0"', "3"), "field 'fast' must be a str, got 3"),
         (GOOD_ROW.replace('"x + 0"', '"x +"'), "field 'fast': unexpected token"),
+        (GOOD_ROW[:-1] + ', "status": "verifyed"}', "field 'status' must be one of"),
+        (GOOD_ROW[:-1] + ', "status": null}', "field 'status' must be a str, got None"),
+        (GOOD_ROW[:-1] + ', "syn_pass": "false"}', "field 'syn_pass' must be a bool"),
+        (GOOD_ROW[:-1] + ', "sem_pass": 1}', "field 'sem_pass' must be a bool, got 1"),
         ("{not json", "Expecting property name"),
     ],
 )
