@@ -466,14 +466,6 @@ def _compile(p: Program, value_bound: int, threshold: int) -> _Run:
     return build(p)
 
 
-def _compiled(p: Program, key: tuple[int, int]) -> _Run:
-    """p's closure for key = (value bound, threshold), compiled on first
-    use and kept in p's own dict of compiled code."""
-    code = p.__dict__.setdefault("_code", {})
-    # Threads compiling p at once all keep the first closure stored.
-    return code.setdefault(key, _compile(p, *key))
-
-
 def evaluate(
     p: Program,
     x: int,
@@ -488,7 +480,10 @@ def evaluate(
     try:
         run = p._code[key]
     except (AttributeError, KeyError):
-        run = _compiled(p, key)
+        # First use of p under key.  Threads compiling p at once all keep
+        # the first closure stored.
+        code = p.__dict__.setdefault("_code", {})
+        run = code.setdefault(key, _compile(p, *key))
     start = budget.remaining
     try:
         value = run(x, y, budget)

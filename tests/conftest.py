@@ -43,3 +43,13 @@ def record_evaluate(monkeypatch, module) -> list[tuple]:
 
     monkeypatch.setattr(module, "evaluate", recording)
     return calls
+
+
+def carried_budgets(calls: list[tuple], limit: int) -> list[int]:
+    """Budgets recorded calls are granted when each gets limit plus
+    whatever the earlier calls left unspent."""
+    granted, left = [], 0
+    for *_, outcome in calls:
+        granted.append(limit + left)
+        left = limit + left - outcome.cost
+    return granted

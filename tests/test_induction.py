@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import record_evaluate
+from conftest import carried_budgets, record_evaluate
 from loopbench import induction
 from loopbench.induction import (
     CYCLE_SKIP,
@@ -144,16 +144,6 @@ def test_acyclic_on_fails_on_evaluation_error():
     assert not acyclic_on(parse("compr(x + 1, x)"), Op.X, cfg=EvalConfig(per_call_limit=500))
 
 
-def _carried(calls, limit):
-    """Budgets a window of calls is granted when each call gets limit plus
-    whatever the earlier calls of its window left unspent."""
-    granted, left = [], 0
-    for _, _, _, _, outcome in calls:
-        granted.append(limit + left)
-        left = limit + left - outcome.cost
-    return granted
-
-
 @pytest.mark.parametrize("axis", [Op.X, Op.Y])
 def test_acyclic_on_calls_evaluate_once_per_point(monkeypatch, axis):
     calls = record_evaluate(monkeypatch, induction)
@@ -166,7 +156,7 @@ def test_acyclic_on_calls_evaluate_once_per_point(monkeypatch, axis):
     # Budgets carry over within a window and start afresh with the next.
     for start in range(0, 400, 40):
         window = calls[start:start + 40]
-        assert [granted for *_, granted, _ in window] == _carried(window, 500)
+        assert [granted for *_, granted, _ in window] == carried_budgets(window, 500)
 
 
 def test_acyclic_on_passes_only_with_the_carried_budget():

@@ -27,8 +27,8 @@ from loopbench.interp import (
     seq_values,
     speed,
 )
+from conftest import carried_budgets, record_evaluate
 from loopbench.lang import LOOPING_OPS, parse, subprograms
-from conftest import record_evaluate
 from oracles import RefDivZero, RefLimit, cost_eval, programs, random_program, ref_eval
 
 TRIANGLE = parse("loop(x + y, x, 0)")
@@ -216,11 +216,7 @@ def test_generate_seq_calls_evaluate_once_per_term(monkeypatch, text, n, calls):
     outcomes = generate_seq(p, n, cfg)
     assert [call[:3] for call in recorded] == [(p, x, 0) for x in range(calls)]
     assert [call[4] for call in recorded] == outcomes
-    # Each term is granted the limit plus what earlier terms left unspent.
-    left = 0
-    for *_, granted, outcome in recorded:
-        assert granted == 50 + left
-        left = granted - outcome.cost
+    assert [call[3] for call in recorded] == carried_budgets(recorded, 50)
 
 
 def test_generate_seq_stops_at_first_error():
