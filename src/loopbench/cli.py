@@ -5,7 +5,9 @@ cover/build/verify/filter/export for benchmark construction, run/report
 for the solver harness, and pipeline to compose build through export.
 Every limit flag can also be set through a LOOPBENCH_* environment
 variable (the flag wins when both are present); a variable that is not
-an integer is an error of the subcommands that take its flag.
+an integer is an error of the subcommands that take its flag.  A negative
+limit or value bound, from either source, is rejected by EvalConfig
+before any work.
 """
 
 from __future__ import annotations
@@ -245,8 +247,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    cfg = _cfg(args, "verify_limit")
     problems = oeis.load_problems(args.problems)
-    reports = verify_mod.verify_all(problems, _cfg(args, "verify_limit"))
+    reports = verify_mod.verify_all(problems, cfg)
     oeis.save_problems(problems, args.problems)
     if args.reports:
         verify_mod.save_reports(reports, args.reports)
@@ -259,8 +262,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_filter(args) -> int:
+    cfg = _cfg(args)
     problems = oeis.load_problems(args.problems)
-    syn_ids, sem_ids = induction.classify_all(problems, _cfg(args), args.filter_mode)
+    syn_ids, sem_ids = induction.classify_all(problems, cfg, args.filter_mode)
     oeis.save_problems(problems, args.problems)
     induction.write_manifest(syn_ids, args.syn)
     induction.write_manifest(sem_ids, args.sem)
@@ -305,13 +309,14 @@ def _cmd_report(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     variant = smt.parse_variant(args.variant, appendix_twox=args.c2x_appendix)
+    verify_cfg, filter_cfg = _cfg(args, "verify_limit"), _cfg(args)
     sequences = oeis.load_stripped(args.stripped)
     solutions = oeis.load_solutions(args.solutions)
     problems = oeis.build_problems(solutions, sequences)
 
-    reports = verify_mod.verify_all(problems, _cfg(args, "verify_limit"))
+    reports = verify_mod.verify_all(problems, verify_cfg)
 
-    syn_ids, sem_ids = induction.classify_all(problems, _cfg(args), args.filter_mode)
+    syn_ids, sem_ids = induction.classify_all(problems, filter_cfg, args.filter_mode)
 
     exported = [p for p in problems if p.status != "refuted"]
     counts = [

@@ -21,38 +21,56 @@ before it charges, raises division by zero before it charges, and a
 timeout leaves the budget at 0, so the outcome of a run, its cost
 included, does not depend on how the program is executed.  The compiled
 closures are kept on the program object itself, in a dict created on
-first use and keyed by (value bound, big-value threshold), so that they
-live exactly as long as the program and configurations differing only in
-their per-call limit share them.  The dict is not part of the program's
+first use, so that they live exactly as long as the program.  The dict
+is keyed by a small int that each EvalConfig looks up once for its
+(value bound, big-value threshold), so configurations differing only in
+their per-call limit share the code, and a call hashes one int instead
+of a tuple of two large ones.  The dict is not part of the program's
 value: programs compare, hash and pickle by their syntax alone.
 
 Each call returns an EvalOutcome, a named tuple of the value (None on an
 error), the cost charged and the error kind (None on success).
 
-Each loop, loop2 and compr closure remembers its last successful run:
-its initial values, the number of steps (for compr, the index of the hit
-it returned), the state they reached and their cost.  A later run with
-equal initial values that needs at least as many steps or hits charges
+Each loop2 and compr closure remembers its last successful run: its
+initial values, the number of steps (for compr, the index of the hit it
+returned), the state they reached and their cost.  A loop closure keeps
+two such records, its last successful run from each of its two most
+recent distinct initial values, so a loop whose initial value alternates
+with the parity of x, as in loop(f, x div 2, loop(g, x mod 2, c)),
+resumes from its own record too.  A later run with an initial value
+equal to a record's that needs at least as many steps or hits charges
 the recorded cost in one step and goes on from the recorded state, so a
 sweep over x = 0, 1, 2, ... does not recompute every prefix.  The replay
 is exact for three reasons: a loop body sees only its own state and step
-index, so a prefix's values and cost depend only on the initial values;
+index, so a prefix's values and cost depend only on the initial values
+(and so do not depend on which record, or how many, a closure keeps);
 a successful prefix neither overflows nor divides by zero, so under a
 smaller budget it can only time out; and a timeout leaves the budget at
 0 whether its cost is charged step by step or at once.  Each record is
 published as one tuple, so threads sharing a program never see half of
 one.
+
+At compilation, evaluate also notes whether p reads x and y outside its
+loop bodies.  A call at a point where a variable p does not read is
+nonzero runs exactly as the call with that variable set to 0, so such a
+call replays the stored (value, cost) of that point, charging the cost
+if it fits the budget and timing out with the whole budget otherwise,
+for the reasons above.  Only successes at such points are stored, so a
+sequence or a verify sweep, which keeps y = 0, stores nothing, while
+the filter's windows along x at y = 1..9 are run once for a program
+that ignores y.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .lang import Op, Program
+from .lang import Op, Program, depends_on
 
 CHECK_LIMIT = 100_000
 VERIFY_LIMIT = 1_000_000
@@ -66,11 +84,31 @@ class ErrorKind(Enum):
     DIV_BY_ZERO = "div_by_zero"
 
 
+# One small int per (value bound, threshold), keying the compiled-code
+# dicts: a dict lookup hashes it at once, where a tuple of the two ints
+# would be hashed again on every call.
+_code_keys: dict[tuple[int, int], int] = {}
+_next_code_key = itertools.count()
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     per_call_limit: int = CHECK_LIMIT
     value_bound: int = VALUE_BOUND
     big_value_threshold: int = BIG_VALUE_THRESHOLD
+
+    def __post_init__(self) -> None:
+        for name in ("per_call_limit", "value_bound", "big_value_threshold"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
+        bounds = (self.value_bound, self.big_value_threshold)
+        key = _code_keys.setdefault(bounds, next(_next_code_key))
+        object.__setattr__(self, "_code_key", key)
+
+    def __reduce__(self):
+        # Rebuilt through __init__, so that an unpickled config takes
+        # this process's key for its bounds.
+        return EvalConfig, (self.per_call_limit, self.value_bound, self.big_value_threshold)
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -351,16 +389,19 @@ def _compile(p: Program, value_bound: int, threshold: int) -> _Run:
 
         elif op == Op.LOOP:
             ff, fa, fb = args
-            # (init, steps, acc, cost) of the last successful run.
-            memo = None
+            # (init, steps, acc, cost) of the last successful run from
+            # the most recent initial value, and from the one before it.
+            memo = older = None
 
             def run(x: int, y: int, budget: Budget) -> int:
-                nonlocal memo
+                nonlocal memo, older
                 n = fa(x, y, budget)
                 init = fb(x, y, budget)
                 mark = budget.remaining
                 acc, done = init, 0
                 m = memo
+                if m is not None and m[0] != init:
+                    m = older
                 if m is not None and m[1] <= n and m[0] == init:
                     _, done, acc, cost = m
                     r = budget.remaining - cost
@@ -374,6 +415,9 @@ def _compile(p: Program, value_bound: int, threshold: int) -> _Run:
                     budget.remaining = r
                     acc = ff(acc, i, budget)
                 if n > done:
+                    m = memo
+                    if m is not None and m[0] != init:
+                        older = m
                     memo = (init, n, acc, mark - budget.remaining)
                 return acc
 
@@ -476,20 +520,42 @@ def evaluate(
     """Evaluate p at (x, y) against a budget (a fresh one if not given)."""
     if budget is None:
         budget = Budget(cfg.per_call_limit)
-    key = (cfg.value_bound, cfg.big_value_threshold)
     try:
-        run = p._code[key]
+        run, reads_x, reads_y, points = p._code[cfg._code_key]
     except (AttributeError, KeyError):
-        # First use of p under key.  Threads compiling p at once all keep
-        # the first closure stored.
+        # First use of p under these bounds.  Threads compiling p at once
+        # all keep the first entry stored.
         code = p.__dict__.setdefault("_code", {})
-        run = code.setdefault(key, _compile(p, *key))
+        entry = (
+            _compile(p, cfg.value_bound, cfg.big_value_threshold),
+            depends_on(p, Op.X),
+            depends_on(p, Op.Y),
+            {},
+        )
+        run, reads_x, reads_y, points = code.setdefault(cfg._code_key, entry)
     start = budget.remaining
+    point = None
+    if (y and not reads_y) or (x and not reads_x):
+        # p does not read a nonzero variable, so it runs as at the point
+        # with that variable set to 0: replay that point if it succeeded.
+        # Points are keyed by the variable p reads, or by 0 if none.
+        point = x if reads_x else y if reads_y else 0
+        known = points.get(point)
+        if known is not None:
+            value, cost = known
+            if cost > start:
+                budget.remaining = 0
+                return _outcome(EvalOutcome, (None, start, ErrorKind.TIMEOUT))
+            budget.remaining = start - cost
+            return _outcome(EvalOutcome, (value, cost, None))
     try:
         value = run(x, y, budget)
     except _Fail as failure:
         return _outcome(EvalOutcome, (None, start - budget.remaining, failure.kind))
-    return _outcome(EvalOutcome, (value, start - budget.remaining, None))
+    cost = start - budget.remaining
+    if point is not None:
+        points[point] = (value, cost)
+    return _outcome(EvalOutcome, (value, cost, None))
 
 
 def generate_seq(p: Program, n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> list[EvalOutcome]:

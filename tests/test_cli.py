@@ -98,6 +98,52 @@ def test_malformed_env_value_is_an_error_of_the_subcommands_taking_it(capsys, mo
     assert err.startswith("error: LOOPBENCH_FILTER_MODE must be one of")
 
 
+@pytest.mark.parametrize(
+    "command, flags, env, field",
+    [
+        ("eval", ["--limit", "-1"], {}, "per_call_limit"),
+        ("eval", ["--value-bound", "-1"], {}, "value_bound"),
+        ("eval", [], {"LOOPBENCH_LIMIT": "-1"}, "per_call_limit"),
+        ("eval", [], {"LOOPBENCH_VALUE_BOUND": "-3"}, "value_bound"),
+        ("seq", ["--limit", "-1"], {}, "per_call_limit"),
+        ("verify", ["--verify-limit", "-1"], {}, "per_call_limit"),
+        ("verify", [], {"LOOPBENCH_VERIFY_LIMIT": "-1"}, "per_call_limit"),
+        ("filter", ["--value-bound", "-1"], {}, "value_bound"),
+        ("pipeline", ["--verify-limit", "-1"], {}, "per_call_limit"),
+        ("pipeline", ["--limit", "-1"], {}, "per_call_limit"),
+        ("pipeline", [], {"LOOPBENCH_VERIFY_LIMIT": "-1"}, "per_call_limit"),
+        ("pipeline", ["--dry-run"], {"LOOPBENCH_VALUE_BOUND": "-1"}, "value_bound"),
+    ],
+)
+def test_negative_limit_or_value_bound_is_an_error(
+    capsys, monkeypatch, corpus, command, flags, env, field
+):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    manifest = _built(capsys, corpus) if command in ("verify", "filter") else None
+    before = manifest.read_text() if manifest else None
+    operands = {
+        "eval": ["x", "3", "0"],
+        "seq": ["x", "3"],
+        "verify": ["--problems", str(manifest)],
+        "filter": ["--problems", str(manifest), "--syn", str(corpus / "syn"),
+                   "--sem", str(corpus / "sem")],
+        "pipeline": ["--stripped", str(corpus / "stripped"),
+                     "--solutions", str(corpus / "solutions.tsv"),
+                     "--outdir", str(corpus / "out")],
+    }
+    code, out, err = run(capsys, command, *flags, *operands[command])
+    assert (code, out, err) == (1, "", f"error: {field} must not be negative\n")
+    if manifest:
+        assert manifest.read_text() == before
+    assert not any((corpus / name).exists() for name in ("syn", "sem", "out"))
+
+
+def test_zero_limit_and_value_bound_are_allowed(capsys):
+    assert run(capsys, "eval", "--value-bound", "0", "0", "0", "0") == (0, "0 (cost 1)\n", "")
+    assert run(capsys, "eval", "--limit", "0", "x", "3", "0") == (1, "", "error: timeout\n")
+
+
 def test_run_rejects_a_malformed_solver_config(capsys, tmp_path):
     config = tmp_path / "solvers.json"
     config.write_text('{"solvers": [{"name": "z3"}]}')

@@ -28,8 +28,16 @@ from loopbench.interp import (
     speed,
 )
 from conftest import carried_budgets, record_evaluate
-from loopbench.lang import LOOPING_OPS, parse, subprograms
-from oracles import RefDivZero, RefLimit, cost_eval, programs, random_program, ref_eval
+from loopbench.lang import LOOPING_OPS, TWO, X, Op, div, loop, mod, parse, subprograms
+from oracles import (
+    RefDivZero,
+    RefLimit,
+    cost_eval,
+    free_vars,
+    programs,
+    random_program,
+    ref_eval,
+)
 
 TRIANGLE = parse("loop(x + y, x, 0)")
 FIB = parse("loop2(x + y, x, x, 0, 1)")
@@ -298,6 +306,21 @@ def test_limits_share_one_compilation(monkeypatch):
     assert len(compiled) == 3 and compiled[2][0] is q
 
 
+@pytest.mark.parametrize("field", ["per_call_limit", "value_bound", "big_value_threshold"])
+def test_negative_config_fields_are_rejected(field):
+    with pytest.raises(ValueError, match=f"^{field} must not be negative$"):
+        EvalConfig(**{field: -1})
+    assert getattr(EvalConfig(**{field: 0}), field) == 0
+
+
+def test_configs_with_equal_bounds_share_a_code_key():
+    cfg = EvalConfig(per_call_limit=7, value_bound=5, big_value_threshold=3)
+    same = [EvalConfig(value_bound=5, big_value_threshold=3), pickle.loads(pickle.dumps(cfg))]
+    assert {c._code_key for c in same} == {cfg._code_key}
+    assert cfg._code_key != DEFAULT_CONFIG._code_key == VERIFY_CONFIG._code_key
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+
 def test_evaluated_program_pickles_hashes_and_compares_by_syntax():
     text = "loop(x + y, x, 0) + loop2(x + y, x, x, 0, 1) + compr(x mod 2, x)"
     p = parse(text)
@@ -386,10 +409,17 @@ def test_sweeps_in_any_order_match_cost_oracle():
                     _agree(p, x, y, cfg, rng.choice(SWEEP_BUDGETS))
 
 
-def _memo(p, cfg=DEFAULT_CONFIG):
-    """The memo entry of p's top-level loop, loop2 or compr."""
-    run = p._code[cfg.value_bound, cfg.big_value_threshold]
-    return run.__closure__[run.__code__.co_freevars.index("memo")].cell_contents
+def _code(p, cfg=DEFAULT_CONFIG):
+    """p's compiled code entry: (run, reads x, reads y, stored points),
+    the points keyed by the one variable p reads, or by 0 if it reads none."""
+    return p._code[cfg._code_key]
+
+
+def _memo(p, cfg=DEFAULT_CONFIG, cell="memo"):
+    """A memo cell of p's top-level loop, loop2 or compr: "memo" holds
+    the most recent record, and a loop's "older" the record before it."""
+    run = _code(p, cfg)[0]
+    return run.__closure__[run.__code__.co_freevars.index(cell)].cell_contents
 
 
 def _pinned(p, x, value, cost):
@@ -456,14 +486,167 @@ def test_replay_past_the_budget_times_out():
     assert _memo(p) == (0, 6, 21, 24)
 
 
+# A loop keeps its last successful run from each of its two most recent
+# initial values.  A fast program of the shape loop(f, x div 2, loop(g,
+# x mod 2, c)) switches its outer initial value with the parity of x, so
+# an ascending sweep resumes each call from the record of two calls back;
+# x mod 3 cycles through one more initial value than the records hold.
+
+A900000_FAST = "loop((((x + x) + 1) + ((x + x) + 1)) + 1, x div 2, loop((x + x) + 1, x mod 2, 2))"
+ALTERNATING = [
+    A900000_FAST,
+    "loop(x + y, x div 2, x mod 2)",
+    "loop((x * x) + 1, x div 2, loop(x + x, x mod 2, 1))",
+    "loop(x + y, x div (2 + 1), (x mod (2 + 1)) * y)",
+    "loop(x - y, x div 2, cond(x mod 2, y, 0 - x))",
+]
+
+
+def _alternating_programs(rng, count):
+    """The fixed alternating programs, then random ones of the fast shape."""
+    found = [parse(text) for text in ALTERNATING]
+    while len(found) < count:
+        step = random_program(rng, depth=3)
+        inner = loop(random_program(rng, depth=2), mod(X, TWO), random_program(rng, depth=1))
+        found.append(loop(step, div(X, TWO), inner))
+    return found
+
+
+def _carried_agree(p, points, cfg, limit):
+    """A sweep granting limit per call on top of what earlier calls left,
+    as generate_seq and acyclic_on do, agrees with cost_eval."""
+    got_budget, want_budget = Budget(0), Budget(0)
+    for x, y in points:
+        got_budget.remaining += limit
+        want_budget.remaining += limit
+        got = evaluate(p, x, y, got_budget, cfg)
+        want = cost_eval(p, x, y, want_budget, cfg)
+        assert got == want, (p, x, y, cfg, limit)
+        assert got_budget.remaining == want_budget.remaining, (p, x, y, cfg, limit)
+
+
+def test_alternating_initial_values_match_cost_oracle():
+    rng = random.Random(2306)
+    xs = [(x, 0) for x in range(100)]
+    shuffled = xs[:]
+    rng.shuffle(shuffled)
+    # 20,000 units cover A900000's fast side up to x = 99.
+    for p in _alternating_programs(rng, 10):
+        for cfg in (EvalConfig(per_call_limit=20_000), ORACLE_CONFIGS[1]):
+            for order in (xs, xs[::-1], shuffled):
+                for x, y in order:  # fresh budgets
+                    _agree(p, x, y, cfg, None)
+                for x, y in order:  # tight budgets
+                    _agree(p, x, y, cfg, rng.choice(SWEEP_BUDGETS))
+                _carried_agree(p, order, cfg, 60)
+                _carried_agree(p, order, cfg, 500)
+
+
+def test_alternating_initial_values_keep_a_record_each():
+    p = parse(A900000_FAST)
+    for x in range(100):
+        assert evaluate(p, x) == cost_eval(p, x)
+    # Outer initial values 5 (odd x) and 2 (even x), 49 steps each.
+    assert _memo(p) == (5, 49, 3 * 2**99 - 1, 5_098)
+    assert _memo(p, cell="older") == (2, 49, 3 * 2**98 - 1, 4_928)
+    # x = 100 resumes from the record for 2, which is no longer the last.
+    _pinned(p, 100, 3 * 2**100 - 1, 5_253)
+    assert _memo(p) == (2, 50, 3 * 2**100 - 1, 5_238)
+    assert _memo(p, cell="older") == (5, 49, 3 * 2**99 - 1, 5_098)
+    # A third initial value displaces the older of the two.
+    p = parse("loop(x + y, x div (2 + 1), x mod (2 + 1))")
+    for x in range(9):
+        assert evaluate(p, x) == cost_eval(p, x)
+    assert (_memo(p)[:2], _memo(p, cell="older")[:2]) == ((2, 2), (1, 2))
+    _pinned(p, 9, 6, 30)
+    assert (_memo(p)[:2], _memo(p, cell="older")[:2]) == ((0, 3), (2, 2))
+
+
+# A point where p ignores a nonzero variable replays the stored run of the
+# point with that variable set to 0.  Random programs are kept by their
+# free variables: no free y, no free x, or neither.
+
+def test_points_off_the_read_variables_match_cost_oracle():
+    rng = random.Random(2307)
+    points = [(x, y) for x in range(-3, 9) for y in range(-3, 9)]
+    wanted = {frozenset({Op.X}): 0, frozenset({Op.Y}): 0, frozenset(): 0}
+    while min(wanted.values()) < 15:
+        p = random_program(rng, depth=4)
+        free = frozenset(free_vars(p))
+        if wanted.get(free, 15) >= 15:
+            continue
+        wanted[free] += 1
+        shuffled = points[:]
+        rng.shuffle(shuffled)
+        for cfg in ORACLE_CONFIGS[:3]:
+            # The second sweep over each order replays what the first stored.
+            for order in (shuffled, shuffled, points[::-1]):
+                for x, y in order:
+                    _agree(p, x, y, cfg, rng.choice(SWEEP_BUDGETS))
+            _carried_agree(p, shuffled, cfg, 40)
+
+
+def test_points_off_the_read_variables_replay_their_zero_point():
+    p = parse("loop(x + y, x, 0)")
+    assert _pinned_at(p, 6, 3) == EvalOutcome(21, 26)
+    assert _code(p)[1:] == (True, False, {6: (21, 26)})
+    assert _pinned_at(p, 6, 0 - 4) == EvalOutcome(21, 26)
+    q = parse("loop(x + 1, y, 2)")
+    assert _pinned_at(q, 5, 3) == EvalOutcome(5, 14)
+    assert _code(q)[1:] == (False, True, {3: (5, 14)})
+    r = parse("loop(x + y, 2 + 2, 1)")
+    for x, y in [(1, 0), (0, 1), (2, 3)]:
+        assert _pinned_at(r, x, y) == EvalOutcome(11, 20)
+    assert _code(r)[1:] == (False, False, {0: (11, 20)})
+    # Points where every variable p ignores is 0 store nothing, so
+    # sequences and verify's sweeps keep no points.
+    generate_seq(p, 20)
+    assert list(_code(p)[3]) == [6]
+
+
+def test_point_replay_past_the_budget_times_out():
+    p = parse("loop(x + y, x, 0)")
+    assert evaluate(p, 6, 1) == EvalOutcome(21, 26)
+    for left, want in ((26, EvalOutcome(21, 26)), (25, EvalOutcome(None, 25, ErrorKind.TIMEOUT))):
+        # p replays the stored point; an equal fresh program runs.
+        for q in (p, parse("loop(x + y, x, 0)")):
+            budget = Budget(left)
+            assert evaluate(q, 6, 2, budget) == want
+            assert budget.remaining == 0
+    assert _code(p)[3] == {6: (21, 26)}
+
+
+def test_failed_points_are_not_stored():
+    p = parse("1 div (x - 2)")
+    for y in (1, 2, 1):
+        assert _pinned_at(p, 2, y) == EvalOutcome(None, 4, ErrorKind.DIV_BY_ZERO)
+        budget = Budget(8)
+        assert evaluate(p, 3, y, budget) == EvalOutcome(None, 8, ErrorKind.TIMEOUT)
+        assert budget.remaining == 0
+    assert _code(p)[3] == {}
+    assert _pinned_at(p, 3, 1) == EvalOutcome(1, 9)
+    assert _code(p)[3] == {3: (1, 9)}
+
+
+def _pinned_at(p, x, y):
+    out = evaluate(p, x, y)
+    assert out == cost_eval(p, x, y)
+    return out
+
+
 def test_threads_sharing_a_program_match_one_thread():
-    p = parse("loop(x + y, x, 0) + loop2(x + y, x, x, 0, 1) + compr(x mod (2 + 1), x)")
+    # Nonzero y replays stored points, since p reads no free y, and the
+    # last loop alternates its initial value with the parity of x.
+    p = parse(
+        "loop(x + y, x, 0) + loop2(x + y, x, x, 0, 1) + compr(x mod (2 + 1), x)"
+        " + loop(x + y, x div 2, x mod 2)"
+    )
     cfg = EvalConfig(per_call_limit=3_000)
     limits = [None, 200, 1_000]
-    calls = [(x, limit) for x in range(100) for limit in limits]
+    calls = [(x, y, limit) for x in range(100) for y in (0, 3) for limit in limits]
     want = {
-        (x, limit): cost_eval(p, x, 0, None if limit is None else Budget(limit), cfg)
-        for x, limit in calls
+        (x, y, limit): cost_eval(p, x, y, None if limit is None else Budget(limit), cfg)
+        for x, y, limit in calls
     }
     failures = []
 
@@ -471,10 +654,10 @@ def test_threads_sharing_a_program_match_one_thread():
         order = calls[:]
         random.Random(seed).shuffle(order)
         try:
-            for x, limit in order * 3:
-                got = evaluate(p, x, 0, None if limit is None else Budget(limit), cfg)
-                if got != want[x, limit]:
-                    failures.append((x, limit, got))
+            for x, y, limit in order * 3:
+                got = evaluate(p, x, y, None if limit is None else Budget(limit), cfg)
+                if got != want[x, y, limit]:
+                    failures.append((x, y, limit, got))
         except Exception as exc:
             failures.append(exc)
 
