@@ -313,12 +313,18 @@ def test_negative_config_fields_are_rejected(field):
     assert getattr(EvalConfig(**{field: 0}), field) == 0
 
 
-def test_configs_with_equal_bounds_share_a_code_key():
+def test_configs_with_equal_bounds_share_a_code_key(monkeypatch):
     cfg = EvalConfig(per_call_limit=7, value_bound=5, big_value_threshold=3)
     same = [EvalConfig(value_bound=5, big_value_threshold=3), pickle.loads(pickle.dumps(cfg))]
     assert {c._code_key for c in same} == {cfg._code_key}
     assert cfg._code_key != DEFAULT_CONFIG._code_key == VERIFY_CONFIG._code_key
-    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    # An unpickled config takes the key its bounds have in the unpickling
+    # process, as in a fresh process whose keys were handed out otherwise.
+    data = pickle.dumps(cfg)
+    monkeypatch.setattr(interp, "_code_keys", {})
+    monkeypatch.setattr(interp, "_next_code_key", iter(range(100, 200)))
+    copy = pickle.loads(data)
+    assert copy == cfg and copy._code_key == 100
 
 
 def test_evaluated_program_pickles_hashes_and_compares_by_syntax():
