@@ -3,9 +3,10 @@
 Subcommands cover the whole flow: fmt/eval/seq for single programs,
 cover/build/verify/filter/export for benchmark construction, run/report
 for the solver harness, and pipeline to compose build through export.
-Every limit flag can also be set through a LOOPBENCH_* environment
-variable (the flag wins when both are present); a variable that is not
-an integer is an error of the subcommands that take its flag.  A negative
+Every limit flag and --filter-mode can also be set through a LOOPBENCH_*
+environment variable (the flag wins when both are present); a variable
+that is not an integer, or not a filter mode, is an error of the
+subcommands that take its flag.  A negative
 limit or value bound, from either source, is rejected by EvalConfig
 before any work.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import harness, induction, oeis, smt, verify as verify_mod
@@ -30,42 +32,39 @@ from .interp import (
 from .lang import parse, to_text
 
 
-# Integer flags whose default comes from LOOPBENCH_<FLAG>, if set.  They
-# parse to None when not given and are filled in by _fill_env_defaults,
-# inside main's error handling.
-_ENV_INT_DEFAULTS = {
+# Flags whose default comes from LOOPBENCH_<FLAG>, if set.  They parse
+# to None when not given and are filled in by _fill_env_defaults, inside
+# main's error handling.
+_ENV_DEFAULTS = {
     "limit": CHECK_LIMIT,
     "verify_limit": VERIFY_LIMIT,
     "value_bound": VALUE_BOUND,
     "jobs": 1,
+    "filter_mode": induction.PER_LOOP,
 }
-_FILTER_MODES = ("per-loop", "per-test")
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_value(name: str, default: int | str) -> int | str:
+    """The variable's value, of the default's type: an int or a filter mode."""
     raw = os.environ.get(name)
     if not raw:
         return default
+    if isinstance(default, str):
+        if raw not in induction.FILTER_MODES:
+            raise ValueError(f"{name} must be one of {induction.FILTER_MODES}, got {raw!r}")
+        return raw
     try:
         return int(raw)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def _env_str(name: str, default: str) -> str:
-    return os.environ.get(name) or default
-
-
 def _fill_env_defaults(args: argparse.Namespace) -> None:
     """Set the subcommand's flags left unset from their LOOPBENCH_*
     variables; raises ValueError naming a variable that is malformed."""
-    for flag, default in _ENV_INT_DEFAULTS.items():
+    for flag, default in _ENV_DEFAULTS.items():
         if hasattr(args, flag) and getattr(args, flag) is None:
-            setattr(args, flag, _env_int("LOOPBENCH_" + flag.upper(), default))
-    # argparse checks choices on the command line only, not defaults.
-    mode = getattr(args, "filter_mode", _FILTER_MODES[0])
-    if mode not in _FILTER_MODES:
-        raise ValueError(f"LOOPBENCH_FILTER_MODE must be one of {_FILTER_MODES}, got {mode!r}")
+            setattr(args, flag, _env_value("LOOPBENCH_" + flag.upper(), default))
 
 
 def _cfg(args: argparse.Namespace, limit_attr: str = "limit") -> EvalConfig:
@@ -138,11 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problems", required=True, type=Path)
     p.add_argument("--syn", required=True, type=Path, help="aind_syn manifest output")
     p.add_argument("--sem", required=True, type=Path, help="aind_sem manifest output")
-    p.add_argument(
-        "--filter-mode",
-        choices=_FILTER_MODES,
-        default=_env_str("LOOPBENCH_FILTER_MODE", "per-loop"),
-    )
+    p.add_argument("--filter-mode", choices=induction.FILTER_MODES, help="(LOOPBENCH_FILTER_MODE)")
     _add_limit_flags(p)
 
     p = subs.add_parser("export", help="write SMT-LIB scripts for a problem manifest")
@@ -177,11 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", required=True, type=Path)
     p.add_argument("--variant", default="base")
     p.add_argument("--c2x-appendix", action="store_true")
-    p.add_argument(
-        "--filter-mode",
-        choices=_FILTER_MODES,
-        default=_env_str("LOOPBENCH_FILTER_MODE", "per-loop"),
-    )
+    p.add_argument("--filter-mode", choices=induction.FILTER_MODES, help="(LOOPBENCH_FILTER_MODE)")
     p.add_argument(
         "--dry-run",
         action="store_true",
@@ -248,24 +239,28 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _cfg(args, "verify_limit")
-    problems = oeis.load_problems(args.problems)
-    reports = verify_mod.verify_all(problems, cfg)
+    problems, reports = verify_mod.verify_all(oeis.load_problems(args.problems), cfg)
     oeis.save_problems(problems, args.problems)
     if args.reports:
         verify_mod.save_reports(reports, args.reports)
     if args.nonverified:
         verify_mod.emit_nonverified(reports, args.nonverified)
-    counts = {status: sum(1 for r in reports if r.status == status)
-              for status in ("verified", "nonverified", "refuted")}
-    print(" ".join(f"{k}={v}" for k, v in counts.items()))
+    counts = Counter(p.status for p in problems)
+    print(" ".join(f"{s}={counts[s]}" for s in (oeis.VERIFIED, oeis.NONVERIFIED, oeis.REFUTED)))
     return 0
+
+
+def _filter_ids(problems: list[oeis.ProblemRecord]) -> tuple[list[str], list[str]]:
+    """The aind_syn and aind_sem ids: released problems passing each filter."""
+    released = [p for p in problems if p.released]
+    return [p.id for p in released if p.syn_pass], [p.id for p in released if p.sem_pass]
 
 
 def _cmd_filter(args) -> int:
     cfg = _cfg(args)
-    problems = oeis.load_problems(args.problems)
-    syn_ids, sem_ids = induction.classify_all(problems, cfg, args.filter_mode)
+    problems = induction.classify_all(oeis.load_problems(args.problems), cfg, args.filter_mode)
     oeis.save_problems(problems, args.problems)
+    syn_ids, sem_ids = _filter_ids(problems)
     induction.write_manifest(syn_ids, args.syn)
     induction.write_manifest(sem_ids, args.sem)
     print(f"syn={len(syn_ids)} sem={len(sem_ids)}")
@@ -314,20 +309,18 @@ def _cmd_pipeline(args) -> int:
     solutions = oeis.load_solutions(args.solutions)
     problems = oeis.build_problems(solutions, sequences)
 
-    reports = verify_mod.verify_all(problems, verify_cfg)
+    problems, reports = verify_mod.verify_all(problems, verify_cfg)
+    problems = induction.classify_all(problems, filter_cfg, args.filter_mode)
+    syn_ids, sem_ids = _filter_ids(problems)
 
-    syn_ids, sem_ids = induction.classify_all(problems, filter_cfg, args.filter_mode)
-
-    exported = [p for p in problems if p.status != "refuted"]
+    statuses = Counter(p.status for p in problems)
     counts = [
         ("solutions", len(solutions)),
         ("problems", len(problems)),
-        ("verified", sum(1 for p in problems if p.status == "verified")),
-        ("nonverified", sum(1 for p in problems if p.status == "nonverified")),
-        ("refuted", sum(1 for p in problems if p.status == "refuted")),
+        *((s, statuses[s]) for s in (oeis.VERIFIED, oeis.NONVERIFIED, oeis.REFUTED)),
         ("aind_syn", len(syn_ids)),
         ("aind_sem", len(sem_ids)),
-        ("exported", len(exported)),
+        ("exported", sum(p.released for p in problems)),
     ]
     for name, value in counts:
         print(f"{name}: {value}")

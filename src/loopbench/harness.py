@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import shlex
 import subprocess
 import time
@@ -56,10 +57,10 @@ class SolverSpec:
 def load_solver_config(path: str | Path) -> list[SolverSpec]:
     """Solver specs from a JSON config: {"solvers": [{name, cmd, ...}]}.
 
-    A solver needs a string name and cmd; timeout (seconds) and tokens (a
-    map from stdout line to verdict) are optional.  Raises ValueError
-    naming the solver's position and the field that is missing or
-    ill-typed.
+    A solver needs a string name and cmd; timeout (finite seconds above
+    0) and tokens (a map from stdout line to verdict) are optional.
+    Raises ValueError naming the solver's position and the field that is
+    missing or ill-typed.
     """
     data = json.loads(Path(path).read_text())
     entries = data.get("solvers") if isinstance(data, dict) else data
@@ -79,6 +80,8 @@ def load_solver_config(path: str | Path) -> list[SolverSpec]:
             timeout = float(entry.get("timeout", DEFAULT_TIMEOUT))
         except (TypeError, ValueError):
             raise ValueError(f"{where}: field 'timeout' must be a number") from None
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"{where}: field 'timeout' must be finite and above 0, got {timeout}")
         raw_tokens = entry.get("tokens", {})
         if not isinstance(raw_tokens, dict):
             raise ValueError(f"{where}: field 'tokens' must map lines to verdicts")
@@ -118,8 +121,25 @@ class RunResult:
 
 
 def result_from_json(line: str) -> RunResult:
+    """One log row; a ValueError names the missing or ill-typed field."""
     d = json.loads(line)
-    return RunResult(d["id"], d["solver"], d["variant"], Verdict(d["verdict"]), d["wall_time"])
+    if not isinstance(d, dict):
+        raise ValueError(f"row must be a JSON object, got {type(d).__name__}")
+    for name in ("id", "solver", "variant", "verdict", "wall_time"):
+        if name not in d:
+            raise ValueError(f"missing field {name!r}")
+    for name in ("id", "solver", "variant"):
+        if not isinstance(d[name], str):
+            raise ValueError(f"field {name!r} must be a string, got {d[name]!r}")
+    # bool is an int subclass, but true is not a wall time.
+    if type(d["wall_time"]) not in (int, float):
+        raise ValueError(f"field 'wall_time' must be a number, got {d['wall_time']!r}")
+    try:
+        verdict = Verdict(d["verdict"])
+    except ValueError:
+        names = ", ".join(v.value for v in Verdict)
+        raise ValueError(f"field 'verdict' must be one of {names}, got {d['verdict']!r}") from None
+    return RunResult(d["id"], d["solver"], d["variant"], verdict, d["wall_time"])
 
 
 def _read_log(path: Path) -> tuple[list[RunResult], str]:
@@ -127,7 +147,7 @@ def _read_log(path: Path) -> tuple[list[RunResult], str]:
 
     A crash during a write can leave a last line with no newline that
     does not parse; it is skipped with a warning.  A bad line anywhere
-    else raises.
+    else raises a ValueError naming path:line.
     """
     text = path.read_bytes().decode() if path.exists() else ""
     tail = text.rpartition("\n")[2]
@@ -137,7 +157,14 @@ def _read_log(path: Path) -> tuple[list[RunResult], str]:
         except json.JSONDecodeError:
             log.warning("%s: skipping a partial last line: %s", path, tail)
             text = text[: len(text) - len(tail)]
-    return [result_from_json(line) for line in text.splitlines() if line.strip()], text
+    results = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        try:
+            if line.strip():
+                results.append(result_from_json(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return results, text
 
 
 def load_results(path: str | Path) -> list[RunResult]:

@@ -10,18 +10,19 @@ additionally requires sampled value windows to be free of short cycles.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
 from .interp import Budget, EvalConfig, DEFAULT_CONFIG, evaluate
-from .lang import LOOPING_OPS, Op, Program, depends_on, looping_subprograms, subprograms
+from .lang import LOOPING_OPS, Op, Program, depends_on, subprograms
 from .oeis import ProblemRecord
 
 WINDOW = 40
 CYCLE_SKIP = 9  # indices before this are ignored by the cycle test
 MAX_PERIOD = 15
 SWEEP = 10  # values of the off-axis variable
+PER_LOOP, PER_TEST = FILTER_MODES = ("per-loop", "per-test")
 
 
 class Side(Enum):
@@ -33,35 +34,32 @@ class Side(Enum):
 class TopLoop:
     subprogram: Program
     side: Side
-    path: tuple[int, ...]
 
 
 def select_top_loops(small: Program, fast: Program) -> list[TopLoop]:
     """Outermost looping occurrences whose shape is unique problem-wide.
 
     An occurrence nested (at any argument position) inside another
-    looping occurrence is not top-level.  Occurrence counting for the
-    uniqueness requirement runs over every subterm of both sides, nested
-    ones included.
+    looping occurrence is not top-level, so each side is walked in
+    preorder down to its first looping operators only.  Occurrence
+    counting for the uniqueness requirement runs over every subterm of
+    both sides, nested ones included.
     """
-    occurrence_count: Counter[Program] = Counter()
-    for side_prog in (small, fast):
-        occurrence_count.update(s for s in subprograms(side_prog) if s.op in LOOPING_OPS)
-
+    sides = ((Side.SMALL, small), (Side.FAST, fast))
+    occurrence_count = Counter(
+        s for _, p in sides for s in subprograms(p) if s.op in LOOPING_OPS
+    )
     tops: list[TopLoop] = []
-    for side, side_prog in ((Side.SMALL, small), (Side.FAST, fast)):
-        loops = looping_subprograms(side_prog)
-        loop_paths = [path for _, path in loops]
-        for sub, path in loops:
-            nested = any(
-                len(other) < len(path) and path[: len(other)] == other
-                for other in loop_paths
-            )
-            if nested:
-                continue
-            if occurrence_count[sub] != 1:
-                continue
-            tops.append(TopLoop(sub, side, path))
+
+    def walk(p: Program, side: Side) -> None:
+        if p.op not in LOOPING_OPS:
+            for a in p.args:
+                walk(a, side)
+        elif occurrence_count[p] == 1:
+            tops.append(TopLoop(p, side))
+
+    for side, p in sides:
+        walk(p, side)
     return tops
 
 
@@ -167,7 +165,7 @@ def semantic_test(p: Program, cfg: EvalConfig = DEFAULT_CONFIG) -> bool:
 def classify(
     problem: ProblemRecord,
     cfg: EvalConfig = DEFAULT_CONFIG,
-    mode: str = "per-loop",
+    mode: str = PER_LOOP,
 ) -> tuple[bool, bool]:
     """(syn_pass, sem_pass) for a problem.
 
@@ -175,14 +173,14 @@ def classify(
     sem_pass; in per-test mode different loops may satisfy each test.
     Either way sem_pass implies syn_pass.
     """
-    if mode not in ("per-loop", "per-test"):
+    if mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {mode!r}")
     tops = select_top_loops(problem.small, problem.fast)
     syn_flags = [syntactic_test(t.subprogram) for t in tops]
     syn = any(syn_flags)
     if not syn:
         return False, False
-    if mode == "per-loop":
+    if mode == PER_LOOP:
         sem = any(
             flag and semantic_test(top.subprogram, cfg)
             for top, flag in zip(tops, syn_flags)
@@ -195,24 +193,19 @@ def classify(
 def classify_all(
     problems: list[ProblemRecord],
     cfg: EvalConfig = DEFAULT_CONFIG,
-    mode: str = "per-loop",
-) -> tuple[list[str], list[str]]:
-    """Classify a manifest in place; returns (syn ids, sem ids) sorted.
-
-    Refuted problems are not part of the released benchmark and are
-    skipped.
-    """
-    syn_ids, sem_ids = [], []
+    mode: str = PER_LOOP,
+) -> list[ProblemRecord]:
+    """Classify a manifest: copies of the problems with their syn_pass
+    and sem_pass flags set, in manifest order; the given records are
+    left as they are.  Refuted problems are not part of the released
+    benchmark and come back as given, stale flags included."""
+    classified = []
     for problem in problems:
-        if problem.status == "refuted":
-            continue
-        syn, sem = classify(problem, cfg, mode)
-        problem.syn_pass, problem.sem_pass = syn, sem
-        if syn:
-            syn_ids.append(problem.id)
-        if sem:
-            sem_ids.append(problem.id)
-    return sorted(syn_ids), sorted(sem_ids)
+        if problem.released:
+            syn, sem = classify(problem, cfg, mode)
+            problem = replace(problem, syn_pass=syn, sem_pass=sem)
+        classified.append(problem)
+    return classified
 
 
 def write_manifest(ids: list[str], path: str | Path) -> None:

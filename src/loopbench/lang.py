@@ -163,24 +163,6 @@ def depends_on(p: Program, var: Op) -> bool:
     )
 
 
-def looping_subprograms(p: Program) -> list[tuple[Program, tuple[int, ...]]]:
-    """All loop/loop2/compr occurrences in preorder, with their paths.
-
-    A path is the tuple of argument indices leading from the root to the
-    occurrence.
-    """
-    found: list[tuple[Program, tuple[int, ...]]] = []
-
-    def walk(q: Program, path: tuple[int, ...]) -> None:
-        if q.op in LOOPING_OPS:
-            found.append((q, path))
-        for i, a in enumerate(q.args):
-            walk(a, path + (i,))
-
-    walk(p, ())
-    return found
-
-
 # Parsing.
 
 # Deepest nesting parse accepts, counting both the syntax tree's depth (a

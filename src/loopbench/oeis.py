@@ -36,16 +36,26 @@ class SolutionRecord:
     fast: Program
 
 
-@dataclass
+# What verify100 can set, and the status of a problem not yet verified.
+UNVERIFIED, VERIFIED, NONVERIFIED, REFUTED = "unverified", "verified", "nonverified", "refuted"
+STATUSES = (UNVERIFIED, VERIFIED, NONVERIFIED, REFUTED)
+
+
+@dataclass(frozen=True)
 class ProblemRecord:
     id: str
     anums: list[str]
     terms: list[int]
     small: Program
     fast: Program
-    status: str = "unverified"
+    status: str = UNVERIFIED
     syn_pass: bool = False
     sem_pass: bool = False
+
+    @property
+    def released(self) -> bool:
+        """Refuted problems are not part of the released benchmark."""
+        return self.status != REFUTED
 
 
 def short_anum(anum: str) -> str:
@@ -170,10 +180,6 @@ def problem_to_json(pr: ProblemRecord) -> str:
     )
 
 
-# What verify100 can set, and the status of a problem not yet verified.
-STATUSES = ("unverified", "verified", "nonverified", "refuted")
-
-
 def _field(d: dict, name: str, kind: type, default=None):
     if name not in d:
         if default is not None:
@@ -207,7 +213,7 @@ def problem_from_json(line: str) -> ProblemRecord:
         # bool is an int subclass, but true is not a term.
         if type(t) is not int:
             raise ValueError(f"field 'terms' has a non-integer term {t!r}")
-    status = _field(d, "status", str, "unverified")
+    status = _field(d, "status", str, UNVERIFIED)
     if status not in STATUSES:
         raise ValueError(f"field 'status' must be one of {', '.join(STATUSES)}, got {status!r}")
     return ProblemRecord(

@@ -316,7 +316,7 @@ def export_all(
     outdir.mkdir(parents=True, exist_ok=True)
     index: list[tuple[str, str]] = []
     for problem in sorted(problems, key=lambda p: p.id):
-        if problem.status == "refuted":
+        if not problem.released:
             continue
         filename = f"{problem.id}.smt2"
         (outdir / filename).write_text(emit(problem, variant).text())

@@ -3,15 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .interp import Budget, ErrorKind, EvalConfig, VERIFY_CONFIG, evaluate
-from .oeis import ProblemRecord
-
-VERIFIED = "verified"
-NONVERIFIED = "nonverified"
-REFUTED = "refuted"
+from .interp import Budget, EvalConfig, VERIFY_CONFIG, evaluate
+from .oeis import NONVERIFIED, REFUTED, VERIFIED, ProblemRecord
 
 
 @dataclass(frozen=True)
@@ -57,14 +53,13 @@ def verify100(problem: ProblemRecord, cfg: EvalConfig = VERIFY_CONFIG) -> Verify
 
 def verify_all(
     problems: list[ProblemRecord], cfg: EvalConfig = VERIFY_CONFIG
-) -> list[VerifyReport]:
-    """verify100 over a manifest, updating each problem's status in place."""
-    reports = []
-    for problem in problems:
-        report = verify100(problem, cfg)
-        problem.status = report.status
-        reports.append(report)
-    return reports
+) -> tuple[list[ProblemRecord], list[VerifyReport]]:
+    """verify100 over a manifest: copies of the problems carrying their
+    new status, and the reports, both in manifest order.  The given
+    records are left as they are."""
+    reports = [verify100(problem, cfg) for problem in problems]
+    verified = [replace(p, status=r.status) for p, r in zip(problems, reports)]
+    return verified, reports
 
 
 def emit_nonverified(reports: list[VerifyReport], path: str | Path) -> list[str]:

@@ -20,7 +20,7 @@ def solutions():
 
 @pytest.fixture
 def problems(solutions, sequences):
-    # Rebuilt per test: problem records are mutated by verify/classify.
+    # Rebuilt per test, so that a test may replace records in the list.
     return oeis.build_problems(solutions, sequences)
 
 

@@ -1,10 +1,12 @@
+import json
 import shutil
 import stat
 
 import pytest
 
 from conftest import FIXTURES
-from loopbench.cli import main
+from loopbench import induction
+from loopbench.cli import build_parser, main
 from loopbench.lang import MAX_DEPTH
 
 
@@ -96,6 +98,32 @@ def test_malformed_env_value_is_an_error_of_the_subcommands_taking_it(capsys, mo
     code, _, err = run(capsys, "filter", "--problems", "p.jsonl", "--syn", "s", "--sem", "t")
     assert code == 1
     assert err.startswith("error: LOOPBENCH_FILTER_MODE must be one of")
+
+
+def test_filter_mode_comes_from_the_environment_when_no_flag_is_given(
+    capsys, monkeypatch, corpus
+):
+    monkeypatch.setenv("LOOPBENCH_FILTER_MODE", "per-test")
+    # The parser reads no variable: main fills every default in one place.
+    outputs = ["--syn", str(corpus / "syn"), "--sem", str(corpus / "sem")]
+    args = build_parser().parse_args(["filter", "--problems", "p.jsonl", *outputs])
+    assert args.filter_mode is None
+    modes = []
+    real = induction.classify_all
+
+    def recording(problems, cfg, mode):
+        modes.append(mode)
+        return real(problems, cfg, mode)
+
+    monkeypatch.setattr(induction, "classify_all", recording)
+    manifest = _built(capsys, corpus)
+    assert run(capsys, "filter", "--problems", str(manifest), *outputs)[0] == 0
+    flag = ["--filter-mode", "per-loop"]
+    assert run(capsys, "filter", "--problems", str(manifest), *flag, *outputs)[0] == 0
+    pipeline = ["--stripped", str(corpus / "stripped"), "--solutions",
+                str(corpus / "solutions.tsv"), "--outdir", str(corpus / "out"), "--dry-run"]
+    assert run(capsys, "pipeline", *pipeline)[0] == 0
+    assert modes == ["per-test", "per-loop", "per-test"]
 
 
 @pytest.mark.parametrize(
@@ -239,6 +267,32 @@ def test_verify_and_filter(capsys, corpus):
     text = manifest.read_text()
     assert '"status": "refuted"' in text
     assert '"syn_pass": true' in text
+
+
+def test_filter_leaves_a_refuted_row_out_and_writes_it_back_unchanged(capsys, corpus):
+    manifest = _built(capsys, corpus)
+    rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+    by_id = {row["id"]: row for row in rows}
+    # Stale flags from an earlier run: A217 would pass both filters if it
+    # were released, and A180713 fails the semantic one.
+    by_id["A217"].update(status="refuted", syn_pass=True, sem_pass=True)
+    by_id["A180713"].update(status="verified", syn_pass=True, sem_pass=True)
+    manifest.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    stale_line = json.dumps(by_id["A217"])
+
+    code, out, _ = run(
+        capsys,
+        "filter",
+        "--problems", str(manifest),
+        "--syn", str(corpus / "aind_syn"),
+        "--sem", str(corpus / "aind_sem"),
+    )
+    assert (code, out) == (0, "syn=5 sem=4\n")
+    assert (corpus / "aind_syn").read_text() == "A165\nA180713\nA45-A77373\nA537\nA79\n"
+    assert (corpus / "aind_sem").read_text() == "A165\nA45-A77373\nA537\nA79\n"
+    written = {json.loads(line)["id"]: line for line in manifest.read_text().splitlines()}
+    assert written["A217"] == stale_line
+    assert json.loads(written["A180713"])["sem_pass"] is False
 
 
 def test_export_variant_succ(capsys, corpus):
@@ -407,3 +461,24 @@ def test_bad_manifest_row_is_an_error_not_a_traceback(capsys, tmp_path, command,
     assert err.startswith(f"error: {manifest}:1: ")
     assert manifest.read_text() == row + "\n"
     assert sorted(tmp_path.iterdir()) == [manifest]
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+@pytest.mark.parametrize("row", ["{}", "[1, 2]"])
+def test_bad_results_log_row_is_an_error_not_a_traceback(capsys, tmp_path, command, row):
+    (tmp_path / "A1.smt2").write_text("(check-sat)\n")
+    (tmp_path / "index.tsv").write_text("A1\tA1.smt2\n")
+    config = tmp_path / "solvers.json"
+    config.write_text('{"solvers": [{"name": "stub", "cmd": "echo unsat {file}"}]}')
+    log = tmp_path / "results.jsonl"
+    good = '{"id": "A0", "solver": "stub", "variant": "base", "verdict": "proved", "wall_time": 0.1}'
+    log.write_text(good + "\n" + row + "\n")
+    argv = {
+        "run": ["--config", str(config), "--dir", str(tmp_path), "--log", str(log)],
+        "report": ["--results", str(log), "--index", str(tmp_path / "index.tsv"),
+                   "--syn", "s", "--sem", "t", "--nonverified", "n"],
+    }
+    code, out, err = run(capsys, command, *argv[command])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {log}:2: ")
+    assert log.read_text() == good + "\n" + row + "\n"

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import stat
 import time
 
@@ -129,6 +130,11 @@ def test_load_solver_config(tmp_path):
         ([{"name": 3, "cmd": "a {file}"}], "solver 0: field 'name' must be a string"),
         ([{"name": "a", "cmd": ["a", "{file}"]}], "solver 0: field 'cmd' must be a string"),
         ([{"name": "a", "cmd": "a {file}", "timeout": "soon"}], "field 'timeout' must be a number"),
+        ([{"name": "a", "cmd": "a {file}", "timeout": 0}], "solver 0: field 'timeout' must be finite and above 0, got 0.0"),
+        ([{"name": "a", "cmd": "a {file}", "timeout": -1}], "solver 0: field 'timeout' must be finite and above 0, got -1.0"),
+        ([{"name": "a", "cmd": "a {file}", "timeout": "inf"}], "solver 0: field 'timeout' must be finite and above 0, got inf"),
+        ([{"name": "a", "cmd": "a {file}", "timeout": float("inf")}], "solver 0: field 'timeout' must be finite"),
+        ([{"name": "a", "cmd": "a {file}", "timeout": float("nan")}], "solver 0: field 'timeout' must be finite and above 0, got nan"),
         ([{"name": "a", "cmd": "a {file}", "tokens": ["unsat"]}], "field 'tokens' must map"),
         ([{"name": "a", "cmd": "a {file}", "tokens": {"ok": "yes"}}], "field 'tokens': 'yes'"),
         ({"provers": []}, "expected a list of solvers"),
@@ -137,8 +143,38 @@ def test_load_solver_config(tmp_path):
 def test_malformed_solver_config_names_the_entry_and_field(tmp_path, data, message):
     config = tmp_path / "solvers.json"
     config.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(config))}: ") as info:
         load_solver_config(config)
+    assert message in str(info.value)
+
+
+GOOD_RESULT = '{"id": "A1", "solver": "s", "variant": "base", "verdict": "proved", "wall_time": 0.5}'
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("{}", "missing field 'id'"),
+        ("[1, 2]", "row must be a JSON object, got list"),
+        ('"A1"', "row must be a JSON object, got str"),
+        (GOOD_RESULT.replace(', "wall_time": 0.5', ""), "missing field 'wall_time'"),
+        (GOOD_RESULT.replace('"solver": "s", ', ""), "missing field 'solver'"),
+        (GOOD_RESULT.replace('"A1"', "1"), "field 'id' must be a string, got 1"),
+        (GOOD_RESULT.replace('"base"', "null"), "field 'variant' must be a string, got None"),
+        (GOOD_RESULT.replace("0.5", '"fast"'), "field 'wall_time' must be a number, got 'fast'"),
+        (GOOD_RESULT.replace("0.5", "true"), "field 'wall_time' must be a number, got True"),
+        (GOOD_RESULT.replace('"proved"', '"solved"'), "field 'verdict' must be one of proved,"),
+        (GOOD_RESULT.replace('"proved"', "[1]"), "field 'verdict' must be one of proved,"),
+    ],
+)
+def test_malformed_result_names_the_line_and_field(tmp_path, row, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        result_from_json(row)
+    log = tmp_path / "results.jsonl"
+    log.write_text(GOOD_RESULT + "\n\n" + row + "\n" + GOOD_RESULT + "\n")
+    with pytest.raises(ValueError) as info:
+        load_results(log)
+    assert str(info.value).startswith(f"{log}:3: {message}")
 
 
 def test_result_json_round_trip():
@@ -203,9 +239,9 @@ def test_load_results_skips_only_a_partial_last_line(tmp_path, caplog):
     assert load_results(log) == whole
 
     # A bad line that is not the unterminated last one is not a torn write.
-    for bad in (torn + "\n" + text, text + torn + "\n"):
+    for lineno, bad in ((1, torn + "\n" + text), (3, text + torn + "\n")):
         log.write_text(bad)
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(log))}:{lineno}: Unterminated string"):
             load_results(log)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,15 +33,22 @@ def test_window_constants():
     assert MAX_PERIOD == 15
 
 
-def test_select_top_loops_fixture(problems_by_id):
-    tops = select_top_loops(*_sides(problems_by_id["A79"]))
-    assert len(tops) == 2
-    assert {t.side for t in tops} == {Side.SMALL, Side.FAST}
-    assert all(t.path == () for t in tops)
+def _pairs(tops):
+    return [(t.subprogram, t.side) for t in tops]
 
-    tops = select_top_loops(*_sides(problems_by_id["A45-A77373"]))
-    assert [t.side for t in tops] == [Side.SMALL, Side.FAST]
-    assert tops[1].path == (2,)  # inside the conditional
+
+def test_select_top_loops_fixture(problems_by_id):
+    a79 = problems_by_id["A79"]
+    assert _pairs(select_top_loops(*_sides(a79))) == [
+        (a79.small, Side.SMALL),
+        (a79.fast, Side.FAST),
+    ]
+
+    a45 = problems_by_id["A45-A77373"]
+    assert _pairs(select_top_loops(*_sides(a45))) == [
+        (a45.small, Side.SMALL),
+        (parse("loop2(x + y, x, x - 2, 1, 1)"), Side.FAST),  # inside the conditional
+    ]
 
 
 def _sides(problem):
@@ -48,9 +57,19 @@ def _sides(problem):
 
 def test_select_top_loops_excludes_nested_occurrences():
     small = parse("loop(loop(x + y, x, 0), x, 1)")
-    fast = parse("x")
-    tops = select_top_loops(small, fast)
-    assert [t.path for t in tops] == [()]
+    assert _pairs(select_top_loops(small, parse("x"))) == [(small, Side.SMALL)]
+    # Every top loop of a side, in preorder, at any argument position.
+    first, second = parse("loop(x * y, x, 1)"), parse("compr(x + y, x)")
+    fast = parse("(x + loop(x * x, x, 1)) * loop(compr(x + y, x), x, 2)")
+    assert _pairs(select_top_loops(first, fast)) == [
+        (first, Side.SMALL),
+        (parse("loop(x * x, x, 1)"), Side.FAST),
+        (parse("loop(compr(x + y, x), x, 2)"), Side.FAST),
+    ]
+    assert _pairs(select_top_loops(second, parse("loop2(x, y, x, 0, 1) + 1"))) == [
+        (second, Side.SMALL),
+        (parse("loop2(x, y, x, 0, 1)"), Side.FAST),
+    ]
 
 
 def test_select_top_loops_requires_unique_shape():
@@ -65,7 +84,7 @@ def test_select_top_loops_counts_nested_duplicates():
     # The duplicate hides inside another loop's body on the fast side.
     small = parse("loop(x + y, x, 0)")
     fast = parse("loop(loop(x + y, x, 0), x, 1) + 1")
-    assert [t.side for t in select_top_loops(small, fast)] == [Side.FAST]
+    assert _pairs(select_top_loops(small, fast)) == [(fast.args[0], Side.FAST)]
 
 
 def test_syntactic_test_loop():
@@ -203,18 +222,29 @@ def test_classify_modes_agree_on_fixture(problems):
 
 
 def test_classify_all_fixture(problems):
-    for problem in problems:
-        problem.status = "verified"
-    problems_by_id = {p.id: p for p in problems}
-    problems_by_id["A999999"].status = "refuted"
-    syn_ids, sem_ids = classify_all(problems)
-    assert syn_ids == ["A165", "A180713", "A217", "A45-A77373", "A537", "A79"]
-    assert sem_ids == ["A165", "A217", "A45-A77373", "A537", "A79"]
-    assert set(sem_ids) <= set(syn_ids)
-    assert problems_by_id["A180713"].syn_pass
-    assert not problems_by_id["A180713"].sem_pass
-    # Refuted problems are left alone.
-    assert not problems_by_id["A999999"].syn_pass
+    # The refuted problem carries stale flags from an earlier run.
+    given = [
+        replace(p, status="refuted", syn_pass=True, sem_pass=True)
+        if p.id == "A999999"
+        else replace(p, status="verified")
+        for p in problems
+    ]
+    classified = classify_all(given)
+    assert {p.id: (p.syn_pass, p.sem_pass) for p in classified} == {
+        "A165": (True, True),
+        "A180713": (True, False),
+        "A217": (True, True),
+        "A45-A77373": (True, True),
+        "A537": (True, True),
+        "A79": (True, True),
+        "A999999": (True, True),
+    }
+    # Refuted problems come back as given; the others are copies, and
+    # the given records keep their flags.
+    assert [p.id for p in classified] == [p.id for p in given]
+    assert classified[-1] is given[-1]
+    assert not any(p.syn_pass or p.sem_pass for p in given[:-1])
+    assert [replace(p, syn_pass=False, sem_pass=False) for p in classified[:-1]] == given[:-1]
 
 
 def test_manifest_round_trip(tmp_path):

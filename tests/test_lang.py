@@ -12,7 +12,6 @@ from loopbench.lang import (
     Program,
     compare,
     depends_on,
-    looping_subprograms,
     opcodes,
     order_key,
     parse,
@@ -164,14 +163,6 @@ def test_depends_on_pins():
     assert depends_on(parse("loop2(1, 1, x, 1, 0)"), Op.X)
     assert not depends_on(parse("compr(x + y, 2)"), Op.X)
     assert depends_on(parse("compr(1, y)"), Op.Y)
-
-
-def test_looping_subprograms_paths():
-    p = parse("loop(x + x, x mod 2, loop(x * x, 1, loop(x + x, x div 2, 1)))")
-    found = looping_subprograms(p)
-    assert [path for _, path in found] == [(), (2,), (2, 2)]
-    assert found[2][0] == parse("loop(x + x, x div 2, 1)")
-    assert looping_subprograms(parse("x + y")) == []
 
 
 def test_order_pins():

@@ -1,12 +1,14 @@
 import logging
 import random
 import re
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from loopbench.interp import EvalConfig
 from loopbench.lang import parse
 from loopbench.oeis import (
+    STATUSES,
     ProblemRecord,
     SequenceRecord,
     SolutionRecord,
@@ -160,8 +162,11 @@ def test_problem_json_round_trip(problems):
 
 def test_save_and_load_problems(tmp_path, problems):
     path = tmp_path / "problems.jsonl"
-    problems[0].status = "verified"
-    problems[1].syn_pass = True
+    problems = [
+        replace(problems[0], status="verified"),
+        replace(problems[1], syn_pass=True),
+        *problems[2:],
+    ]
     save_problems(problems, path)
     assert load_problems(path) == problems
 
@@ -207,3 +212,14 @@ def test_problem_record_defaults():
     pr = ProblemRecord("A1", ["A000001"], [1, 2], parse("x"), parse("x + 0"))
     assert pr.status == "unverified"
     assert not pr.syn_pass and not pr.sem_pass
+
+
+def test_problem_record_is_frozen():
+    pr = ProblemRecord("A1", ["A000001"], [1, 2], parse("x"), parse("x + 0"))
+    for field, value in (("status", "verified"), ("syn_pass", True), ("sem_pass", True)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(pr, field, value)
+    assert pr.status == "unverified"
+    # Only refuted problems leave the released benchmark.
+    assert pr.released
+    assert [replace(pr, status=s).released for s in STATUSES] == [True, True, True, False]

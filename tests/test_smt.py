@@ -1,9 +1,10 @@
 import re
+from dataclasses import replace
 
 import pytest
 
 from loopbench.interp import VERIFY_CONFIG, Budget, evaluate
-from loopbench.lang import Op, parse, looping_subprograms
+from loopbench.lang import LOOPING_OPS, Op, parse, subprograms
 from loopbench.oeis import ProblemRecord
 from loopbench.smt import (
     BASE,
@@ -227,7 +228,7 @@ def test_declared_arities_match_variable_dependence(problems):
         expected = {"small": 1, "fast": 1}
         index = 0
         for side in (problem.small, problem.fast):
-            for sub, _ in looping_subprograms(side):
+            for sub in (s for s in subprograms(side) if s.op in LOOPING_OPS):
                 kind = sub.op
                 body_slots = {Op.LOOP: (0,), Op.LOOP2: (0, 1), Op.COMPR: (0,)}[kind]
                 for letter, arg in zip(piece_letters[kind], sub.args):
@@ -254,9 +255,7 @@ def test_emit_is_deterministic(problems_by_id, tmp_path):
 
 
 def test_export_all_skips_refuted_and_writes_index(problems, tmp_path):
-    for problem in problems:
-        if problem.id == "A999999":
-            problem.status = "refuted"
+    problems = [replace(p, status="refuted") if p.id == "A999999" else p for p in problems]
     index = export_all(problems, tmp_path, BASE)
     ids = [pid for pid, _ in index]
     assert ids == sorted(ids)

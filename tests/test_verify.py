@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -21,15 +22,22 @@ from loopbench.verify import (
 
 
 def test_fixture_statuses(problems):
-    reports = {r.problem_id: r for r in verify_all(problems)}
-    assert reports["A217"].status == VERIFIED
-    assert reports["A537"].status == VERIFIED
-    assert reports["A79"].status == VERIFIED
-    assert reports["A45-A77373"].status == VERIFIED
-    assert reports["A180713"].status == VERIFIED
-    assert reports["A165"].status == NONVERIFIED
-    assert reports["A999999"].status == REFUTED
-    assert all(p.status == reports[p.id].status for p in problems)
+    verified, reports = verify_all(problems)
+    assert {r.problem_id: r.status for r in reports} == {
+        "A217": VERIFIED,
+        "A537": VERIFIED,
+        "A79": VERIFIED,
+        "A45-A77373": VERIFIED,
+        "A180713": VERIFIED,
+        "A165": NONVERIFIED,
+        "A999999": REFUTED,
+    }
+    # Both lists follow the manifest, and the returned problems are
+    # copies that differ from the given ones in their status only.
+    assert [r.problem_id for r in reports] == [p.id for p in problems]
+    assert [p.status for p in verified] == [r.status for r in reports]
+    assert [replace(p, status="unverified") for p in verified] == problems
+    assert all(p.status == "unverified" for p in problems)
 
 
 def test_double_factorial_times_out_at_81(problems_by_id):
@@ -99,7 +107,7 @@ def test_verify100_calls_evaluate_once_per_side_and_point(monkeypatch, small, fa
 
 
 def test_emit_nonverified(tmp_path, problems):
-    reports = verify_all(problems)
+    _, reports = verify_all(problems)
     out = tmp_path / "all_nonverified100"
     ids = emit_nonverified(reports, out)
     assert ids == ["A165"]
