@@ -57,8 +57,9 @@ class SolverSpec:
 def load_solver_config(path: str | Path) -> list[SolverSpec]:
     """Solver specs from a JSON config: {"solvers": [{name, cmd, ...}]}.
 
-    A solver needs a string name and cmd; timeout (finite seconds above
-    0) and tokens (a map from stdout line to verdict) are optional.
+    A solver needs a string name and a cmd that shlex can split; timeout
+    (a JSON number of seconds, finite and above 0) and tokens (a map
+    from stdout line to verdict) are optional.
     Raises ValueError naming the solver's position and the field that is
     missing or ill-typed.
     """
@@ -77,9 +78,14 @@ def load_solver_config(path: str | Path) -> list[SolverSpec]:
             if not isinstance(entry[key], str):
                 raise ValueError(f"{where}: field {key!r} must be a string")
         try:
-            timeout = float(entry.get("timeout", DEFAULT_TIMEOUT))
-        except (TypeError, ValueError):
-            raise ValueError(f"{where}: field 'timeout' must be a number") from None
+            shlex.split(entry["cmd"])
+        except ValueError as exc:
+            raise ValueError(f"{where}: field 'cmd' does not split into words: {exc}") from None
+        timeout = entry.get("timeout", DEFAULT_TIMEOUT)
+        # bool is an int subclass, but true is not a timeout.
+        if type(timeout) not in (int, float):
+            raise ValueError(f"{where}: field 'timeout' must be a number, got {timeout!r}")
+        timeout = float(timeout)
         if not (math.isfinite(timeout) and timeout > 0):
             raise ValueError(f"{where}: field 'timeout' must be finite and above 0, got {timeout}")
         raw_tokens = entry.get("tokens", {})

@@ -4,10 +4,14 @@ Programs are terms over two integer variables built from the constants
 0, 1, 2, the arithmetic operators +, -, *, div, mod, a conditional, and
 three iteration operators (loop, loop2, compr).  The iteration operators
 bind x and y inside their body slots; everywhere else x and y are free.
+
+NAMES spells each operator once; the parser, the printer and the SMT-LIB
+lowering in smt all take their spellings from it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator
@@ -33,20 +37,16 @@ class Op(IntEnum):
 
 
 ARITY = {
-    Op.ZERO: 0,
-    Op.ONE: 0,
-    Op.TWO: 0,
-    Op.X: 0,
-    Op.Y: 0,
-    Op.ADD: 2,
-    Op.SUB: 2,
-    Op.MUL: 2,
-    Op.DIV: 2,
-    Op.MOD: 2,
-    Op.COND: 3,
-    Op.LOOP: 3,
-    Op.LOOP2: 5,
-    Op.COMPR: 2,
+    Op.ZERO: 0, Op.ONE: 0, Op.TWO: 0, Op.X: 0, Op.Y: 0,
+    Op.ADD: 2, Op.SUB: 2, Op.MUL: 2, Op.DIV: 2, Op.MOD: 2,
+    Op.COND: 3, Op.LOOP: 3, Op.LOOP2: 5, Op.COMPR: 2,
+}
+
+# How each operator is written, here and nowhere else.
+NAMES = {
+    Op.ZERO: "0", Op.ONE: "1", Op.TWO: "2", Op.X: "x", Op.Y: "y",
+    Op.ADD: "+", Op.SUB: "-", Op.MUL: "*", Op.DIV: "div", Op.MOD: "mod",
+    Op.COND: "cond", Op.LOOP: "loop", Op.LOOP2: "loop2", Op.COMPR: "compr",
 }
 
 BINARY_OPS = (Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD)
@@ -178,8 +178,17 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_SYMBOLS = ("<=", "+", "-", "*", "(", ")", ",")
-_KEYWORDS = {"x", "y", "div", "mod", "loop", "loop2", "compr", "cond", "if", "then", "else"}
+_LEAVES = {NAMES[p.op]: p for p in (ZERO, ONE, TWO, X, Y)}
+_CALLS = {NAMES[op]: op for op in (Op.COND, *LOOPING_OPS)}
+_SUM_OPS = {NAMES[op]: op for op in (Op.ADD, Op.SUB)}
+_TERM_OPS = {NAMES[op]: op for op in (Op.MUL, Op.DIV, Op.MOD)}
+
+# Symbol tokens: the operators not spelled as words, and the brackets,
+# commas and '<=' of calls and if-expressions.
+_PUNCTUATION = {n for n in NAMES.values() if not n.isalnum()} | {"(", ")", ",", "<="}
+# Leading space, then one token: an integer, a word, '<=' or one other
+# character, which must be a symbol.
+_TOKEN = re.compile(r"(\s*)(\d+|[A-Za-z]\w*|<=|\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -187,36 +196,19 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     if not text.isascii():
         raise ParseError("program text must be ASCII", 0)
     out: list[tuple[str, str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("<=", i):
-            out.append(("<=", "<=", i))
-            i += 2
-            continue
-        if ch in "+-*(),":
-            out.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(("word", text[i:j].lower(), i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(("eof", "", n))
+    pos = 0
+    for space, tok in _TOKEN.findall(text):
+        pos += len(space)
+        if tok in _PUNCTUATION:
+            out.append((tok, tok, pos))
+        elif tok[0].isalpha():
+            out.append(("word", tok.lower(), pos))
+        elif tok[0].isdigit():
+            out.append(("int", tok, pos))
+        else:
+            raise ParseError(f"unexpected character {tok!r}", pos)
+        pos += len(tok)
+    out.append(("eof", "", len(text)))
     return out
 
 
@@ -243,10 +235,6 @@ class _Parser:
             raise ParseError(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
 
-    def at_word(self, word: str) -> bool:
-        tok = self.peek()
-        return tok[0] == "word" and tok[1] == word
-
     def enter(self, pos: int) -> None:
         """Open one level of nesting at pos; leave() closes it."""
         self.nesting += 1
@@ -270,7 +258,7 @@ class _Parser:
         return p
 
     def parse_expr(self) -> Program:
-        if self.at_word("if"):
+        if self.peek()[1] == "if":
             return self.parse_if()
         return self.parse_sum()
 
@@ -282,49 +270,36 @@ class _Parser:
         zero = self.expect("int")
         if zero[1] != "0":
             raise ParseError("conditional guard must compare against 0", zero[2])
-        tok = self.next()
-        if tok[0] != "word" or tok[1] != "then":
-            raise ParseError(f"expected 'then', found {tok[1]!r}", tok[2])
+        self.expect("word", "then")
         then_branch = self.parse_expr()
-        tok = self.next()
-        if tok[0] != "word" or tok[1] != "else":
-            raise ParseError(f"expected 'else', found {tok[1]!r}", tok[2])
+        self.expect("word", "else")
         else_branch = self.parse_expr()
         self.leave()
         return self.node(Op.COND, (guard, then_branch, else_branch), pos)
 
+    # The two precedence levels stay two methods: a shared helper would
+    # cost one more Python frame per level of nesting.
+
     def parse_sum(self) -> Program:
         left = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op, _, pos = self.next()
-            right = self.parse_term()
-            left = self.node(Op.ADD if op == "+" else Op.SUB, (left, right), pos)
+        while self.peek()[1] in _SUM_OPS:
+            _, name, pos = self.next()
+            left = self.node(_SUM_OPS[name], (left, self.parse_term()), pos)
         return left
 
     def parse_term(self) -> Program:
         left = self.parse_atom()
-        while True:
-            tok = self.peek()
-            if tok[0] == "*":
-                self.next()
-                left = self.node(Op.MUL, (left, self.parse_atom()), tok[2])
-            elif tok[0] == "word" and tok[1] in ("div", "mod"):
-                self.next()
-                right = self.parse_atom()
-                left = self.node(Op.DIV if tok[1] == "div" else Op.MOD, (left, right), tok[2])
-            else:
-                return left
+        while self.peek()[1] in _TERM_OPS:
+            _, name, pos = self.next()
+            left = self.node(_TERM_OPS[name], (left, self.parse_atom()), pos)
+        return left
 
     def parse_atom(self) -> Program:
-        tok = self.next()
-        kind, text, pos = tok
+        kind, text, pos = self.next()
+        leaf = _LEAVES.get(text)
+        if leaf is not None:
+            return leaf
         if kind == "int":
-            if text == "0":
-                return ZERO
-            if text == "1":
-                return ONE
-            if text == "2":
-                return TWO
             raise ParseError(f"integer literal {text} is not one of 0, 1, 2", pos)
         if kind == "(":
             self.enter(pos)
@@ -332,19 +307,15 @@ class _Parser:
             self.expect(")")
             self.leave()
             return inner
+        op = _CALLS.get(text)
+        if op is not None:
+            args = self.parse_call_args(text, ARITY[op], pos)
+            return self.node(op, tuple(args), pos)
+        if text == "if":
+            # An if-expression is allowed anywhere an atom is.
+            self.i -= 1
+            return self.parse_if()
         if kind == "word":
-            if text == "x":
-                return X
-            if text == "y":
-                return Y
-            if text in ("loop", "loop2", "compr", "cond"):
-                op = {"loop": Op.LOOP, "loop2": Op.LOOP2, "compr": Op.COMPR, "cond": Op.COND}[text]
-                args = self.parse_call_args(text, ARITY[op], pos)
-                return self.node(op, tuple(args), pos)
-            if text == "if":
-                # An if-expression is allowed anywhere an atom is.
-                self.i -= 1
-                return self.parse_if()
             raise ParseError(f"unknown identifier {text!r}", pos)
         raise ParseError(f"unexpected token {text or 'end of input'!r}", pos)
 
@@ -375,9 +346,6 @@ def parse(text: str) -> Program:
 
 # Printing.
 
-_BIN_NAMES = {Op.ADD: "+", Op.SUB: "-", Op.MUL: "*", Op.DIV: "div", Op.MOD: "mod"}
-_LEAF_NAMES = {Op.ZERO: "0", Op.ONE: "1", Op.TWO: "2", Op.X: "x", Op.Y: "y"}
-
 
 def to_text(p: Program, if_style: bool = False) -> str:
     """Render p to concrete syntax; parse(to_text(p)) reconstructs p.
@@ -396,16 +364,13 @@ def to_text(p: Program, if_style: bool = False) -> str:
         return f"({text})" if needs_parens(child) else text
 
     def render(q: Program) -> str:
-        if q.op in _LEAF_NAMES:
-            return _LEAF_NAMES[q.op]
-        if q.op in _BIN_NAMES:
-            return f"{operand(q.args[0])} {_BIN_NAMES[q.op]} {operand(q.args[1])}"
-        if q.op == Op.COND:
+        if not q.args:
+            return NAMES[q.op]
+        if q.op in BINARY_OPS:
+            return f"{operand(q.args[0])} {NAMES[q.op]} {operand(q.args[1])}"
+        if if_style and q.op == Op.COND:
             a, b, c = q.args
-            if if_style:
-                return f"if {render(a)} <= 0 then {render(b)} else {render(c)}"
-            return f"cond({render(a)}, {render(b)}, {render(c)})"
-        name = {Op.LOOP: "loop", Op.LOOP2: "loop2", Op.COMPR: "compr"}[q.op]
-        return f"{name}({', '.join(render(a) for a in q.args)})"
+            return f"if {render(a)} <= 0 then {render(b)} else {render(c)}"
+        return f"{NAMES[q.op]}({', '.join(render(a) for a in q.args)})"
 
     return render(p)

@@ -44,13 +44,18 @@ STATUSES = (UNVERIFIED, VERIFIED, NONVERIFIED, REFUTED)
 @dataclass(frozen=True)
 class ProblemRecord:
     id: str
-    anums: list[str]
-    terms: list[int]
+    anums: tuple[str, ...]
+    terms: tuple[int, ...]
     small: Program
     fast: Program
     status: str = UNVERIFIED
     syn_pass: bool = False
     sem_pass: bool = False
+
+    def __post_init__(self) -> None:
+        # Tuples, so that records the stages copy share nothing mutable.
+        object.__setattr__(self, "anums", tuple(self.anums))
+        object.__setattr__(self, "terms", tuple(self.terms))
 
     @property
     def released(self) -> bool:
@@ -157,7 +162,7 @@ def build_problems(
         anums = sorted((m.anum for m in members), key=_anum_value)
         pid = "-".join(short_anum(a) for a in anums)
         terms = max((sequences[a].terms for a in anums), key=len)
-        problems.append(ProblemRecord(pid, anums, list(terms), small, fast))
+        problems.append(ProblemRecord(pid, anums, terms, small, fast))
     problems.sort(key=lambda pr: pr.id)
     return problems
 

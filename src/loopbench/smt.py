@@ -33,13 +33,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from .lang import BODY_SLOTS, Op, Program, depends_on, to_text
+from .lang import BINARY_OPS, BODY_SLOTS, NAMES, Op, Program, depends_on, to_text
 from .oeis import ProblemRecord
 
 Sexp = Union[str, tuple]
 
-_BIN_TOKENS = {Op.ADD: "+", Op.SUB: "-", Op.MUL: "*", Op.DIV: "div", Op.MOD: "mod"}
-_LEAF_TOKENS = {Op.ZERO: "0", Op.ONE: "1", Op.TWO: "2", Op.X: "x", Op.Y: "y"}
 _PIECE_LETTERS = {Op.LOOP: "fgh", Op.LOOP2: "fghij", Op.COMPR: "fg"}
 _SAME = {"x": "x", "y": "y"}
 
@@ -114,14 +112,12 @@ class _Lowerer:
 
     def expr(self, q: Program) -> Sexp:
         """Inline expansion of first-order context; loops become wrappers."""
-        if q.op in _LEAF_TOKENS:
-            return _LEAF_TOKENS[q.op]
-        if q.op in _BIN_TOKENS:
-            return (
-                _BIN_TOKENS[q.op],
-                self.expr(q.args[0]),
-                self.expr(q.args[1]),
-            )
+        # Leaves and binary operators are spelled in SMT-LIB as in the
+        # loop language.
+        if not q.args:
+            return NAMES[q.op]
+        if q.op in BINARY_OPS:
+            return (NAMES[q.op], self.expr(q.args[0]), self.expr(q.args[1]))
         if q.op == Op.COND:
             guard = self.expr(q.args[0])
             return (

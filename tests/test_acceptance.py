@@ -228,7 +228,7 @@ def test_criterion_9_pipeline_funnel(solutions, sequences):
     assert len(solutions) == 8
     assert len(problems) == 7  # two solutions share one problem
     merged = next(p for p in problems if p.id == "A45-A77373")
-    assert merged.anums == ["A000045", "A077373"]
+    assert merged.anums == ("A000045", "A077373")
 
     problems, _ = verify_all(problems)
     statuses = [p.status for p in problems]

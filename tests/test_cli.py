@@ -183,6 +183,23 @@ def test_run_rejects_a_malformed_solver_config(capsys, tmp_path):
     assert not (tmp_path / "l").exists()
 
 
+def test_run_rejects_a_cmd_that_does_not_split_before_any_solver_runs(capsys, tmp_path):
+    (tmp_path / "A1.smt2").write_text("(check-sat)\n")
+    (tmp_path / "index.tsv").write_text("A1\tA1.smt2\n")
+    config = tmp_path / "solvers.json"
+    config.write_text(json.dumps({"solvers": [
+        {"name": "good", "cmd": "echo unsat {file}"},
+        {"name": "bad", "cmd": 'echo "{file}'},
+    ]}))
+    log = tmp_path / "l.jsonl"
+    code, out, err = run(capsys, "run", "--config", str(config), "--dir", str(tmp_path), "--log", str(log))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {config}: solver 1: field 'cmd' does not split into words: No closing quotation\n"
+    )
+    assert not log.exists()
+
+
 def test_fmt(capsys):
     code, out, _ = run(capsys, "fmt", "loop2(x+y,x,x,0,1)")
     assert out == "loop2(x + y, x, x, 0, 1)\n"

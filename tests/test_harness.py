@@ -132,7 +132,10 @@ def test_load_solver_config(tmp_path):
         ([{"name": "a", "cmd": "a {file}", "timeout": "soon"}], "field 'timeout' must be a number"),
         ([{"name": "a", "cmd": "a {file}", "timeout": 0}], "solver 0: field 'timeout' must be finite and above 0, got 0.0"),
         ([{"name": "a", "cmd": "a {file}", "timeout": -1}], "solver 0: field 'timeout' must be finite and above 0, got -1.0"),
-        ([{"name": "a", "cmd": "a {file}", "timeout": "inf"}], "solver 0: field 'timeout' must be finite and above 0, got inf"),
+        ([{"name": "a", "cmd": "a {file}", "timeout": "inf"}], "solver 0: field 'timeout' must be a number, got 'inf'"),
+        ([{"name": "a", "cmd": "a {file}", "timeout": "7"}], "solver 0: field 'timeout' must be a number, got '7'"),
+        ([{"name": "a", "cmd": "a {file}", "timeout": True}], "solver 0: field 'timeout' must be a number, got True"),
+        ([{"name": "a", "cmd": 'echo "{file}'}], "solver 0: field 'cmd' does not split into words: No closing quotation"),
         ([{"name": "a", "cmd": "a {file}", "timeout": float("inf")}], "solver 0: field 'timeout' must be finite"),
         ([{"name": "a", "cmd": "a {file}", "timeout": float("nan")}], "solver 0: field 'timeout' must be finite and above 0, got nan"),
         ([{"name": "a", "cmd": "a {file}", "tokens": ["unsat"]}], "field 'tokens' must map"),

@@ -1,7 +1,13 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loopbench
 from loopbench.interp import evaluate
 from loopbench.lang import (
     ARITY,
@@ -81,28 +87,32 @@ def test_parse_is_case_insensitive_on_keywords():
 
 
 @pytest.mark.parametrize(
-    "bad",
+    "bad, message, pos",
     [
-        "",
-        "3",
-        "x + 7",
-        "loop(x, x)",
-        "loop(x, x, x, x)",
-        "x +",
-        "(x + y",
-        "x + y)",
-        "if x <= 1 then 0 else 1",
-        "if x < 0 then 0 else 1",
-        "foo(x)",
-        "x ^ 2",
-        "x + y trailing",
-        "cond(x, 1)",
-        "loop2(x, x, x, x)",
+        ("", "unexpected token 'end of input'", 0),
+        ("3", "integer literal 3 is not one of 0, 1, 2", 0),
+        ("x + 7", "integer literal 7 is not one of 0, 1, 2", 4),
+        ("loop(x, x)", "loop takes 3 arguments, got 2", 0),
+        ("loop(x, x, x, x)", "loop takes 3 arguments, got 4", 0),
+        ("x +", "unexpected token 'end of input'", 3),
+        ("(x + y", "expected ')', found 'end of input'", 6),
+        ("x + y)", "trailing input starting with ')'", 5),
+        ("if x <= 1 then 0 else 1", "conditional guard must compare against 0", 8),
+        ("if x < 0 then 0 else 1", "unexpected character '<'", 5),
+        ("foo(x)", "unknown identifier 'foo'", 0),
+        ("x ^ 2", "unexpected character '^'", 2),
+        ("x + y trailing", "trailing input starting with 'trailing'", 6),
+        ("cond(x, 1)", "cond takes 3 arguments, got 2", 0),
+        ("loop2(x, x, x, x)", "loop2 takes 5 arguments, got 4", 0),
+        ("if x <= 0", "expected 'then', found 'end of input'", 9),
+        ("if x <= 0 then 1", "expected 'else', found 'end of input'", 16),
     ],
 )
-def test_parse_rejects(bad):
-    with pytest.raises(ParseError):
+def test_parse_rejects(bad, message, pos):
+    with pytest.raises(ParseError) as info:
         parse(bad)
+    assert str(info.value) == f"{message} (at position {pos})"
+    assert info.value.pos == pos
 
 
 def test_parse_rejects_non_ascii():
@@ -245,6 +255,33 @@ def test_programs_at_the_nesting_bound_parse_evaluate_and_print(text):
     assert evaluate(p, 2).ok
     assert parse(to_text(p)) == p
     assert parse(to_text(p, if_style=True)) == p
+
+
+# Parses each at-the-bound text under a low recursion limit.  The parser
+# spends a fixed number of frames per nesting level; a rewrite that adds
+# one (say, one shared helper for both binary precedence levels) needs
+# about 100 more and fails here.
+PARSE_UNDER_LIMIT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from loopbench.lang import parse
+texts = json.load(sys.stdin)
+sys.setrecursionlimit(600)
+for text in texts:
+    parse(text)
+"""
+
+
+def test_programs_at_the_nesting_bound_parse_under_a_low_recursion_limit():
+    src = str(Path(loopbench.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", PARSE_UNDER_LIMIT, src],
+        input=json.dumps(_nested_texts(MAX_DEPTH)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("text", _nested_texts(MAX_DEPTH + 1) + ["x" + " + 1" * 600, "(" * 3000])

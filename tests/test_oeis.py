@@ -116,7 +116,7 @@ def test_build_problems_fixture(problems, problems_by_id):
     assert [p.id for p in problems] == sorted(p.id for p in problems)
     assert len(problems) == 7
     merged = problems_by_id["A45-A77373"]
-    assert merged.anums == ["A000045", "A077373"]
+    assert merged.anums == ("A000045", "A077373")
     assert len(merged.terms) == 20  # the longer member's terms
     assert merged.status == "unverified"
 
@@ -223,3 +223,15 @@ def test_problem_record_is_frozen():
     # Only refuted problems leave the released benchmark.
     assert pr.released
     assert [replace(pr, status=s).released for s in STATUSES] == [True, True, True, False]
+
+
+def test_problem_record_holds_tuples_and_hashes(problems):
+    # Built from lists, as a caller may still do: the record keeps tuples,
+    # so copies made with replace() share nothing that can change.
+    pr = ProblemRecord("A1", ["A000001"], [1, 2], parse("x"), parse("x + 0"))
+    assert (pr.anums, pr.terms) == (("A000001",), (1, 2))
+    assert replace(pr, status="verified").terms is pr.terms
+    assert hash(pr) == hash(ProblemRecord("A1", ("A000001",), (1, 2), parse("x"), parse("x + 0")))
+    for problem in [*problems, problem_from_json(problem_to_json(pr))]:
+        assert type(problem.anums) is tuple and type(problem.terms) is tuple
+        hash(problem)
