@@ -207,6 +207,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_seq(args) -> int:
+    if args.n < 0:
+        raise ValueError(f"n must be at least 0, got {args.n}")
     outcomes = generate_seq(parse(args.program), args.n, _cfg(args))
     values = [o.value for o in outcomes if o.ok]
     if values:

@@ -57,13 +57,17 @@ class SolverSpec:
 def load_solver_config(path: str | Path) -> list[SolverSpec]:
     """Solver specs from a JSON config: {"solvers": [{name, cmd, ...}]}.
 
-    A solver needs a string name and a cmd that shlex can split; timeout
-    (a JSON number of seconds, finite and above 0) and tokens (a map
-    from stdout line to verdict) are optional.
-    Raises ValueError naming the solver's position and the field that is
-    missing or ill-typed.
+    A solver needs a string name and a cmd that shlex can split, with
+    one {file} placeholder; timeout (a JSON number of seconds, finite
+    and above 0) and tokens (a map from stdout line to verdict) are
+    optional.
+    Raises ValueError starting with the path and naming the solver's
+    position and the field that is missing or ill-typed.
     """
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or not decodable text
+        raise ValueError(f"{path}: {exc}") from None
     entries = data.get("solvers") if isinstance(data, dict) else data
     if not isinstance(entries, list):
         raise ValueError(f"{path}: expected a list of solvers or {{\"solvers\": [...]}}")
@@ -81,6 +85,8 @@ def load_solver_config(path: str | Path) -> list[SolverSpec]:
             shlex.split(entry["cmd"])
         except ValueError as exc:
             raise ValueError(f"{where}: field 'cmd' does not split into words: {exc}") from None
+        if entry["cmd"].count("{file}") != 1:
+            raise ValueError(f"{where}: field 'cmd' must contain {{file}} exactly once")
         timeout = entry.get("timeout", DEFAULT_TIMEOUT)
         # bool is an int subclass, but true is not a timeout.
         if type(timeout) not in (int, float):
@@ -213,6 +219,8 @@ def run_campaign(
     only execute solvers; all results funnel through this thread for the
     append.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     log_path = Path(log_path)
     logged, intact = _read_log(log_path)
     done = {(r.problem_id, r.solver, r.variant) for r in logged}
@@ -223,7 +231,7 @@ def run_campaign(
         if (pid, spec.name, variant) not in done
     ]
     results: list[RunResult] = []
-    with log_path.open("a") as sink, ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
+    with log_path.open("a") as sink, ThreadPoolExecutor(max_workers=jobs) as pool:
         # Drop a torn last line and end the last record, so that the next
         # result starts a line of its own.
         sink.truncate(len(intact.encode()))

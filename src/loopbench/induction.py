@@ -2,9 +2,12 @@
 
 Both filters look at the problem's top-level loops: looping subprograms
 not nested inside another looping occurrence, whose exact formulation
-appears only once across the two sides combined.  The syntactic test
-checks variable dependence of the loop's pieces; the semantic test
-additionally requires sampled value windows to be free of short cycles.
+appears only once across the two sides combined.  They ask one shape
+of a loop: its bound must vary with x, and for loop its body, for
+loop2 one of its two bodies, must vary with x (and with y for loop2).
+The syntactic test reads "varies" as variable dependence; the semantic
+test as sampled value windows free of short cycles, and it also asks
+the loop's own windows along x to be acyclic.
 """
 
 from __future__ import annotations
@@ -63,26 +66,26 @@ def select_top_loops(small: Program, fast: Program) -> list[TopLoop]:
     return tops
 
 
-def syntactic_test(p: Program) -> bool:
-    """Dependence shape that makes a loop look induction-friendly.
-
-    loop(f, a, b): a and f must depend on x.
-    loop2(f, g, a, b, c): a must depend on x, and f or g on both x and y.
-    compr(f, a): a must depend on x.
-    """
+def _loop_shape(p: Program, bound_ok, body_ok) -> bool:
+    """The filters' shape, with bound_ok(bound) and body_ok(body, variable)
+    deciding what "varies" means.  The bound is asked first, then f before
+    g and x before y, and nothing more once the answer is known."""
     if p.op == Op.LOOP:
         f, a, _ = p.args
-        return depends_on(a, Op.X) and depends_on(f, Op.X)
+        return bound_ok(a) and body_ok(f, Op.X)
     if p.op == Op.LOOP2:
         f, g, a, _, _ = p.args
-        full_state = (depends_on(f, Op.X) and depends_on(f, Op.Y)) or (
-            depends_on(g, Op.X) and depends_on(g, Op.Y)
+        return bound_ok(a) and (
+            (body_ok(f, Op.X) and body_ok(f, Op.Y)) or (body_ok(g, Op.X) and body_ok(g, Op.Y))
         )
-        return depends_on(a, Op.X) and full_state
     if p.op == Op.COMPR:
-        _, a = p.args
-        return depends_on(a, Op.X)
+        return bound_ok(p.args[1])
     raise ValueError(f"not a looping operator: {p.op.name}")
+
+
+def syntactic_test(p: Program) -> bool:
+    """The loop shape, by variable dependence."""
+    return _loop_shape(p, lambda a: depends_on(a, Op.X), depends_on)
 
 
 def is_acyclic_window(values: list[int]) -> bool:
@@ -138,28 +141,14 @@ def acyclic_on(
 
 
 def semantic_test(p: Program, cfg: EvalConfig = DEFAULT_CONFIG) -> bool:
-    """Sampled-behavior counterpart of syntactic_test for one loop."""
-    if p.op == Op.LOOP:
-        f, a, _ = p.args
-        return (
-            acyclic_on(a, Op.X, map_negatives=True, cfg=cfg)
-            and acyclic_on(f, Op.X, cfg=cfg)
-            and acyclic_on(p, Op.X, cfg=cfg)
-        )
-    if p.op == Op.LOOP2:
-        f, g, a, _, _ = p.args
-        if not acyclic_on(a, Op.X, map_negatives=True, cfg=cfg):
-            return False
-        full_state = (
-            acyclic_on(f, Op.X, cfg=cfg) and acyclic_on(f, Op.Y, cfg=cfg)
-        ) or (acyclic_on(g, Op.X, cfg=cfg) and acyclic_on(g, Op.Y, cfg=cfg))
-        return full_state and acyclic_on(p, Op.X, cfg=cfg)
-    if p.op == Op.COMPR:
-        _, a = p.args
-        return acyclic_on(a, Op.X, map_negatives=True, cfg=cfg) and acyclic_on(
-            p, Op.X, cfg=cfg
-        )
-    raise ValueError(f"not a looping operator: {p.op.name}")
+    """The loop shape, by acyclic windows (the bound's negative values
+    clamped at 0), and then the loop itself acyclic along x."""
+    # Look acyclic_on up at each call: the benchmark's tracer wraps it.
+    return _loop_shape(
+        p,
+        lambda a: acyclic_on(a, Op.X, map_negatives=True, cfg=cfg),
+        lambda f, axis: acyclic_on(f, axis, cfg=cfg),
+    ) and acyclic_on(p, Op.X, cfg=cfg)
 
 
 def classify(
@@ -175,19 +164,12 @@ def classify(
     """
     if mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {mode!r}")
-    tops = select_top_loops(problem.small, problem.fast)
-    syn_flags = [syntactic_test(t.subprogram) for t in tops]
-    syn = any(syn_flags)
-    if not syn:
+    tops = [t.subprogram for t in select_top_loops(problem.small, problem.fast)]
+    syn_loops = [p for p in tops if syntactic_test(p)]
+    if not syn_loops:
         return False, False
-    if mode == PER_LOOP:
-        sem = any(
-            flag and semantic_test(top.subprogram, cfg)
-            for top, flag in zip(tops, syn_flags)
-        )
-    else:
-        sem = any(semantic_test(top.subprogram, cfg) for top in tops)
-    return syn, sem
+    tested = syn_loops if mode == PER_LOOP else tops
+    return True, any(semantic_test(p, cfg) for p in tested)
 
 
 def classify_all(

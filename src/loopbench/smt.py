@@ -21,9 +21,10 @@ become unary functions small and fast, and the script asserts the
 negation of their equality on non-negative inputs, in one of several
 conjecture shapes.
 
-div and mod in the emitted scripts are SMT-LIB's Euclidean operations,
-which differ from the interpreter's floor semantics when a negative
-operand is involved; the divergence is deliberate and documented rather
+div and mod in the emitted scripts are SMT-LIB's Euclidean operations.
+They can differ from the interpreter's floor semantics only when the
+divisor is negative: -7 div 2 is -4 in both, but 7 div -2 is -4 by floor
+and -3 in SMT-LIB.  The divergence is deliberate and documented rather
 than patched around.
 """
 

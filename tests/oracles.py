@@ -475,8 +475,9 @@ class DefEvaluator:
     """Evaluates symbol applications over a set of lowered definitions.
 
     Recursive symbols are memoized per argument tuple.  negative_divmod
-    records whether any div/mod saw a negative operand, the regime where
-    Euclidean and floor semantics can disagree.
+    records whether any div/mod saw a negative operand, which covers the
+    regime where Euclidean and floor semantics can disagree: a negative
+    divisor.
     """
 
     def __init__(self, defs: list[LoweredDef], max_steps: int = 1_000_000):

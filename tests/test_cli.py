@@ -50,6 +50,11 @@ def test_seq_reports_errors(capsys):
     assert "div_by_zero at index 2" in err
 
 
+def test_seq_rejects_a_negative_count(capsys):
+    assert run(capsys, "seq", "x", "-1") == (1, "", "error: n must be at least 0, got -1\n")
+    assert run(capsys, "seq", "x", "0") == (0, "", "")
+
+
 def test_eval(capsys):
     code, out, _ = run(capsys, "eval", "2", "0", "0")
     assert code == 0
@@ -197,6 +202,28 @@ def test_run_rejects_a_cmd_that_does_not_split_before_any_solver_runs(capsys, tm
     assert err == (
         f"error: {config}: solver 1: field 'cmd' does not split into words: No closing quotation\n"
     )
+    assert not log.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, env, shown",
+    [(["--jobs", "0"], None, 0), (["--jobs", "-3"], None, -3), ([], "0", 0)],
+    ids=["flag-0", "flag-negative", "env-0"],
+)
+def test_run_rejects_fewer_than_one_job_before_opening_the_log(
+    capsys, monkeypatch, tmp_path, flag, env, shown
+):
+    if env is not None:
+        monkeypatch.setenv("LOOPBENCH_JOBS", env)
+    (tmp_path / "A1.smt2").write_text("(check-sat)\n")
+    (tmp_path / "index.tsv").write_text("A1\tA1.smt2\n")
+    config = tmp_path / "solvers.json"
+    config.write_text(json.dumps({"solvers": [{"name": "s", "cmd": "echo unsat {file}"}]}))
+    log = tmp_path / "l.jsonl"
+    code, out, err = run(
+        capsys, "run", "--config", str(config), "--dir", str(tmp_path), "--log", str(log), *flag
+    )
+    assert (code, out, err) == (1, "", f"error: jobs must be at least 1, got {shown}\n")
     assert not log.exists()
 
 
@@ -397,6 +424,37 @@ def test_pipeline_writes_all_stage_outputs(capsys, corpus):
     smt_files = sorted(p.name for p in (outdir / "base").glob("*.smt2"))
     assert len(smt_files) == 6
     assert "A999999.smt2" not in smt_files
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_stage_commands_write_the_same_bytes_as_pipeline(capsys, corpus):
+    piped, staged = corpus / "piped", corpus / "staged"
+    assert run(
+        capsys, "pipeline", "--stripped", str(corpus / "stripped"),
+        "--solutions", str(corpus / "solutions.tsv"), "--outdir", str(piped),
+    )[0] == 0
+    staged.mkdir()
+    manifest = str(staged / "problems.jsonl")
+    for argv in (
+        ["build", "--stripped", str(corpus / "stripped"),
+         "--solutions", str(corpus / "solutions.tsv"), "--out", manifest],
+        ["verify", "--problems", manifest, "--reports", str(staged / "verify_reports.jsonl"),
+         "--nonverified", str(staged / "all_nonverified100")],
+        ["filter", "--problems", manifest,
+         "--syn", str(staged / "aind_syn"), "--sem", str(staged / "aind_sem")],
+        ["export", "--problems", manifest, "--outdir", str(staged / "base")],
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+    piped_tree = _tree(piped)
+    assert sorted(map(str, piped_tree)) == sorted(
+        ["problems.jsonl", "verify_reports.jsonl", "all_nonverified100", "aind_syn",
+         "aind_sem", "base/index.tsv"]
+        + [f"base/{pid}.smt2" for pid in ("A165", "A180713", "A217", "A45-A77373", "A537", "A79")]
+    )
+    assert _tree(staged) == piped_tree
 
 
 def test_run_and_report(capsys, corpus, tmp_path):

@@ -136,6 +136,8 @@ def test_load_solver_config(tmp_path):
         ([{"name": "a", "cmd": "a {file}", "timeout": "7"}], "solver 0: field 'timeout' must be a number, got '7'"),
         ([{"name": "a", "cmd": "a {file}", "timeout": True}], "solver 0: field 'timeout' must be a number, got True"),
         ([{"name": "a", "cmd": 'echo "{file}'}], "solver 0: field 'cmd' does not split into words: No closing quotation"),
+        ([{"name": "a", "cmd": "a"}], "solver 0: field 'cmd' must contain {file} exactly once"),
+        ([{"name": "a", "cmd": "a {file} {file}"}], "solver 0: field 'cmd' must contain {file} exactly once"),
         ([{"name": "a", "cmd": "a {file}", "timeout": float("inf")}], "solver 0: field 'timeout' must be finite"),
         ([{"name": "a", "cmd": "a {file}", "timeout": float("nan")}], "solver 0: field 'timeout' must be finite and above 0, got nan"),
         ([{"name": "a", "cmd": "a {file}", "tokens": ["unsat"]}], "field 'tokens' must map"),
@@ -146,6 +148,23 @@ def test_load_solver_config(tmp_path):
 def test_malformed_solver_config_names_the_entry_and_field(tmp_path, data, message):
     config = tmp_path / "solvers.json"
     config.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(config))}: ") as info:
+        load_solver_config(config)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"[1,2", "Expecting ',' delimiter: line 1 column 5 (char 4)"),
+        (b"[\xff]", "codec can't decode byte 0xff in position 1"),
+    ],
+    ids=["not-json", "not-text"],
+)
+def test_solver_config_that_does_not_parse_names_the_path(tmp_path, raw, message):
+    # Raw bytes: the parametrized test above writes json.dumps(data).
+    config = tmp_path / "solvers.json"
+    config.write_bytes(raw)
     with pytest.raises(ValueError, match=f"^{re.escape(str(config))}: ") as info:
         load_solver_config(config)
     assert message in str(info.value)
@@ -220,6 +239,15 @@ def test_run_campaign_and_resume(tmp_path):
     assert len(run_campaign(solvers, files + more_files, "base", log)) == 2
     assert len(run_campaign(solvers, files[:1], "c1", log)) == 2
     assert len(load_results(log)) == 10
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_campaign_rejects_fewer_than_one_job(tmp_path, jobs):
+    log = tmp_path / "results.jsonl"
+    solvers = [SolverSpec("yes", "echo unsat {file}")]
+    with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+        run_campaign(solvers, _mk_files(tmp_path, ["A1"]), "base", log, jobs=jobs)
+    assert not log.exists()
 
 
 def _result(pid, solver, verdict, variant="base"):

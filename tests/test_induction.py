@@ -21,8 +21,8 @@ from loopbench.induction import (
     syntactic_test,
     write_manifest,
 )
-from loopbench.interp import Budget, ErrorKind, EvalConfig, evaluate
-from loopbench.lang import Op, parse
+from loopbench.interp import DEFAULT_CONFIG, Budget, ErrorKind, EvalConfig, evaluate
+from loopbench.lang import Op, parse, to_text
 from loopbench.oeis import ProblemRecord
 from oracles import brute_cyclic
 
@@ -197,6 +197,107 @@ def test_semantic_test_pins(problems_by_id):
     # The parity-bound loop cycles along x.
     (top,) = select_top_loops(*_sides(problems_by_id["A180713"]))
     assert not semantic_test(top.subprogram)
+
+
+def _script_acyclic(monkeypatch, failing=(), cfg=DEFAULT_CONFIG):
+    """Replace acyclic_on with a recorder: each call is logged as
+    (program text, axis, map_negatives), and fails iff its
+    (program text, axis) is in failing.  Every call must pass cfg on."""
+    calls = []
+
+    def recorder(p, axis, map_negatives=False, cfg=DEFAULT_CONFIG):
+        assert cfg is expected_cfg
+        calls.append((to_text(p), axis, map_negatives))
+        return (to_text(p), axis) not in failing
+
+    expected_cfg = cfg
+    monkeypatch.setattr(induction, "acyclic_on", recorder)
+    return calls
+
+
+def _piece(text, axis=Op.X):
+    """A recorded call on a body or a whole loop, sampled unclamped."""
+    return (text, axis, False)
+
+
+def test_semantic_test_checks_bound_then_body_then_loop(monkeypatch):
+    cfg = EvalConfig(per_call_limit=7)
+    calls = _script_acyclic(monkeypatch, cfg=cfg)
+    assert semantic_test(parse("loop(x + y, x, 0)"), cfg)
+    assert calls == [("x", Op.X, True), _piece("x + y"), _piece("loop(x + y, x, 0)")]
+
+    calls.clear()
+    assert semantic_test(parse("compr(x - 2, x + 1)"), cfg)
+    assert calls == [("x + 1", Op.X, True), _piece("compr(x - 2, x + 1)")]
+
+
+def test_semantic_test_stops_at_the_first_failing_piece(monkeypatch):
+    calls = _script_acyclic(monkeypatch, failing={("x + 1", Op.X)})
+    assert not semantic_test(parse("loop(x + y, x + 1, 0)"))
+    assert calls == [("x + 1", Op.X, True)]
+
+    calls = _script_acyclic(monkeypatch, failing={("x + y", Op.X)})
+    assert not semantic_test(parse("loop(x + y, x, 0)"))
+    assert calls == [("x", Op.X, True), _piece("x + y")]
+
+
+LOOP2 = "loop2(x + y, x * y, x, 0, 1)"
+
+
+@pytest.mark.parametrize(
+    "failing, passes, pieces",
+    [
+        # f passes on both axes: g is never sampled.
+        ((), True, [_piece("x + y"), _piece("x + y", Op.Y), _piece(LOOP2)]),
+        # f fails on y and g passes.
+        (
+            {("x + y", Op.Y)},
+            True,
+            [
+                _piece("x + y"), _piece("x + y", Op.Y),
+                _piece("x * y"), _piece("x * y", Op.Y),
+                _piece(LOOP2),
+            ],
+        ),
+        # f fails on x, so it is not sampled on y; g then fails on y.
+        (
+            {("x + y", Op.X), ("x * y", Op.Y)},
+            False,
+            [_piece("x + y"), _piece("x * y"), _piece("x * y", Op.Y)],
+        ),
+    ],
+    ids=["f-passes", "g-passes", "both-fail"],
+)
+def test_semantic_test_loop2_tries_f_then_g(monkeypatch, failing, passes, pieces):
+    calls = _script_acyclic(monkeypatch, failing=failing)
+    assert semantic_test(parse(LOOP2)) is passes
+    assert calls == [("x", Op.X, True), *pieces]
+
+
+def test_semantic_test_rejects_non_loops():
+    with pytest.raises(ValueError, match="not a looping operator"):
+        semantic_test(parse("x + y"))
+
+
+@pytest.mark.parametrize(
+    "mode, bounds",
+    [("per-loop", ["x + 1"]), ("per-test", ["2", "x + 1"])],
+)
+def test_classify_mode_picks_the_loops_the_semantic_test_samples(monkeypatch, mode, bounds):
+    # The small side's loop fails the syntactic test (constant bound), the
+    # fast side's passes it.  Every sampled piece fails, so each loop's
+    # semantic test samples its bound only.
+    problem = ProblemRecord(
+        "A1", ["A000001"], [], parse("loop(x + y, 2, 0)"), parse("loop(x * y, x + 1, 1)")
+    )
+    calls = _script_acyclic(monkeypatch, failing={("2", Op.X), ("x + 1", Op.X)})
+    assert classify(problem, mode=mode) == (True, False)
+    assert calls == [(b, Op.X, True) for b in bounds]
+
+    calls.clear()
+    no_loop_passes = replace(problem, fast=parse("loop(x * y, 1, 1)"))
+    assert classify(no_loop_passes, mode=mode) == (False, False)
+    assert calls == []
 
 
 def test_classify_uses_every_top_loop(problems_by_id):
