@@ -48,10 +48,10 @@ class SolverSpec:
     tokens: dict[str, Verdict] = field(default_factory=lambda: dict(DEFAULT_TOKENS))
 
     def __post_init__(self) -> None:
+        # Named by its config field: load_solver_config puts the path and
+        # the solver's position in front.
         if self.command.count("{file}") != 1:
-            raise ValueError(
-                f"solver {self.name!r}: command must contain {{file}} exactly once"
-            )
+            raise ValueError("field 'cmd' must contain {file} exactly once")
 
 
 def load_solver_config(path: str | Path) -> list[SolverSpec]:
@@ -85,8 +85,6 @@ def load_solver_config(path: str | Path) -> list[SolverSpec]:
             shlex.split(entry["cmd"])
         except ValueError as exc:
             raise ValueError(f"{where}: field 'cmd' does not split into words: {exc}") from None
-        if entry["cmd"].count("{file}") != 1:
-            raise ValueError(f"{where}: field 'cmd' must contain {{file}} exactly once")
         timeout = entry.get("timeout", DEFAULT_TIMEOUT)
         # bool is an int subclass, but true is not a timeout.
         if type(timeout) not in (int, float):
@@ -101,14 +99,11 @@ def load_solver_config(path: str | Path) -> list[SolverSpec]:
             tokens = {token: Verdict(verdict) for token, verdict in raw_tokens.items()}
         except ValueError as exc:
             raise ValueError(f"{where}: field 'tokens': {exc}") from None
-        specs.append(
-            SolverSpec(
-                name=entry["name"],
-                command=entry["cmd"],
-                timeout=timeout,
-                tokens=tokens or dict(DEFAULT_TOKENS),
-            )
-        )
+        try:
+            spec = SolverSpec(entry["name"], entry["cmd"], timeout, tokens or dict(DEFAULT_TOKENS))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        specs.append(spec)
     return specs
 
 
@@ -190,8 +185,10 @@ def run_solver(spec: SolverSpec, file: Path) -> tuple[Verdict, float]:
     ]
     start = time.perf_counter()
     try:
+        # Output that is not UTF-8 is decoded with replacement characters,
+        # so the verdict still follows the tokens and the return code.
         proc = subprocess.run(
-            argv, capture_output=True, text=True, timeout=spec.timeout
+            argv, capture_output=True, text=True, errors="replace", timeout=spec.timeout
         )
     except subprocess.TimeoutExpired:
         return Verdict.TIMEOUT, time.perf_counter() - start

@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .induction import write_manifest
 from .interp import Budget, EvalConfig, VERIFY_CONFIG, evaluate
 from .oeis import NONVERIFIED, REFUTED, VERIFIED, ProblemRecord
 
@@ -23,16 +24,12 @@ class VerifyReport:
 def verify100(problem: ProblemRecord, cfg: EvalConfig = VERIFY_CONFIG) -> VerifyReport:
     """Check small = fast on x = 0..99.
 
-    A problem whose sequence already lists 100 or more terms was checked
-    term-by-term during coverage, so it is verified outright.  Otherwise
-    both sides are evaluated at each index, small first, each call
-    against a fresh budget.  The first value mismatch refutes the
-    problem; an execution error before any mismatch leaves it
-    non-verified (the errored index counts as unchecked).
+    Both sides are evaluated at each index, small first, each call
+    against a fresh budget, however many terms the problem's sequence
+    lists.  The first value mismatch refutes the problem; an execution
+    error before any mismatch leaves it non-verified (the errored index
+    counts as unchecked).
     """
-    if len(problem.terms) >= 100:
-        return VerifyReport(problem.id, VERIFIED, 100)
-
     limit = cfg.per_call_limit
     budget = Budget(0)
     for i in range(100):
@@ -63,9 +60,9 @@ def verify_all(
 
 
 def emit_nonverified(reports: list[VerifyReport], path: str | Path) -> list[str]:
-    """Write the sorted ids of non-verified problems, one per line."""
+    """Write the sorted ids of non-verified problems as a manifest."""
     ids = sorted(r.problem_id for r in reports if r.status == NONVERIFIED)
-    Path(path).write_text("".join(i + "\n" for i in ids))
+    write_manifest(ids, path)
     return ids
 
 

@@ -6,7 +6,15 @@ free-variable computation, a slicing-based cycle detector, a random
 program generator, a standalone SMT-LIB surface checker, and a direct
 evaluator of lowered definitions.  The exceptions are the cost oracle, a
 tree-walking evaluator that charges the cost model node by node against
-the package's Budget, and the definition evaluator's input types.
+the package's Budget, the table of loop body slots that free_vars reads,
+and the definition evaluator's input types.
+
+For a fixed program, cost_eval is a pure function of (x, y, config,
+starting budget), and the budget it leaves is the start less the cost.
+The interpreter tests' differential driver relies on that: it draws each
+pool of random programs once, runs every sweep schedule on them, and
+keeps one memo of cost_eval outcomes per drawn program, so that a call
+repeated under the same key is compared with the walk already made.
 """
 
 from __future__ import annotations

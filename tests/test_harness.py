@@ -241,6 +241,24 @@ def test_run_campaign_and_resume(tmp_path):
     assert len(load_results(log)) == 10
 
 
+def test_campaign_survives_output_that_is_not_utf8(tmp_path):
+    # Bytes 0xff 0xfe on stdout and stderr: each solver is named after the
+    # verdict its token or return code gives.
+    bodies = {
+        "proved": "printf '\\377\\376\\nunsat\\n'; printf '\\377' >&2\n",
+        "unknown": "printf '\\377\\376'; printf '\\376' >&2\n",
+        "error": "printf '\\377\\376'; printf '\\377' >&2; exit 2\n",
+    }
+    solvers = [
+        SolverSpec(name, f"{_script(tmp_path, name + '.sh', body)} {{file}}")
+        for name, body in bodies.items()
+    ]
+    log = tmp_path / "results.jsonl"
+    results = run_campaign(solvers, _mk_files(tmp_path, ["A1"]), "base", log)
+    assert sorted((r.solver, r.verdict.value) for r in results) == [(n, n) for n in sorted(bodies)]
+    assert len(load_results(log)) == 3
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_run_campaign_rejects_fewer_than_one_job(tmp_path, jobs):
     log = tmp_path / "results.jsonl"

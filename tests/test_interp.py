@@ -257,21 +257,18 @@ def test_cost_is_budget_delta():
 @given(programs(max_leaves=10), st.integers(-6, 6), st.integers(-6, 6))
 def test_interpreter_matches_reference(p, x, y):
     out = evaluate(p, x, y)
+    if out.error in (ErrorKind.TIMEOUT, ErrorKind.OVERFLOW):
+        # A resource limit the reference does not model: whatever it
+        # returns, gives up on or divides by zero, there is nothing to check.
+        return
     try:
         ref = ref_eval(p, x, y)
     except RefLimit:
         return  # the reference gave up; nothing to compare
     except RefDivZero:
-        if out.ok:
-            raise AssertionError(f"{p!r} at ({x},{y}): reference divides by zero, got {out.value}")
-        assert out.error in (ErrorKind.DIV_BY_ZERO, ErrorKind.TIMEOUT, ErrorKind.OVERFLOW)
+        assert out.error == ErrorKind.DIV_BY_ZERO, (p, x, y, out)
         return
-    if out.ok:
-        assert out.value == ref
-    else:
-        # The interpreter hit a resource limit the reference does not
-        # model; a plain div-by-zero would have been seen by both.
-        assert out.error in (ErrorKind.TIMEOUT, ErrorKind.OVERFLOW)
+    assert out.ok and out.value == ref, (p, x, y, out, ref)
 
 
 def test_compiled_code_goes_with_the_program():
@@ -340,79 +337,6 @@ def test_evaluated_program_pickles_hashes_and_compares_by_syntax():
     copy = pickle.loads(pickle.dumps(p))
     assert copy == p and hash(copy) == hash(p) and repr(copy) == repr(p)
     assert evaluate(copy, 5) == evaluate(fresh, 5) == cost_eval(fresh, 5)
-
-
-# Differential test against the tree-walking cost oracle: evaluate must
-# agree on value, cost, error kind and the budget left over.  The small
-# configurations put values beyond the threshold and the bound within
-# reach of tiny programs: the value bound above and below the threshold,
-# and a threshold of 9 so that small values already cost several digits.
-# The small budgets make timeouts land inside loops.  The per-call limit
-# is cut to keep the walker's timeouts quick.
-
-ORACLE_CONFIGS = [
-    EvalConfig(per_call_limit=2_000),
-    EvalConfig(per_call_limit=2_000, value_bound=5, big_value_threshold=3),
-    EvalConfig(per_call_limit=2_000, value_bound=3, big_value_threshold=5),
-    EvalConfig(per_call_limit=2_000, value_bound=10**6, big_value_threshold=9),
-]
-ORACLE_BUDGETS = [None, 7, 50]
-
-
-def _agree(p, x, y, cfg, limit):
-    budgets = [None, None] if limit is None else [Budget(limit), Budget(limit)]
-    got = evaluate(p, x, y, budgets[0], cfg)
-    want = cost_eval(p, x, y, budgets[1], cfg)
-    assert got == want, (p, x, y, cfg, limit)
-    if limit is not None:
-        assert budgets[0].remaining == budgets[1].remaining
-
-
-def test_evaluate_matches_cost_oracle_on_random_programs():
-    rng = random.Random(2304)
-    for _ in range(1500):
-        p = random_program(rng, depth=4)
-        x, y = rng.randint(-6, 6), rng.randint(-6, 6)
-        for cfg in ORACLE_CONFIGS:
-            for limit in ORACLE_BUDGETS:
-                _agree(p, x, y, cfg, limit)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    programs(max_leaves=10),
-    st.integers(-6, 6),
-    st.integers(-6, 6),
-    st.sampled_from(ORACLE_CONFIGS),
-    st.sampled_from(ORACLE_BUDGETS),
-)
-def test_evaluate_matches_cost_oracle(p, x, y, cfg, limit):
-    _agree(p, x, y, cfg, limit)
-
-
-# Loops resume from their last successful run.  A sweep over the points
-# in ascending order resumes every loop from the previous point's run,
-# descending order restarts them, and shuffled order mixes both; the
-# budgets make replays land on timeouts.
-
-SWEEP_POINTS = [(x, y) for x in range(-3, 12) for y in (0, 1, 5)]
-SWEEP_BUDGETS = [None, 7, 50, 300]
-
-
-def test_sweeps_in_any_order_match_cost_oracle():
-    rng = random.Random(2305)
-    checked = 0
-    while checked < 60:
-        p = random_program(rng, depth=4)
-        if not any(q.op in LOOPING_OPS for q in subprograms(p)):
-            continue
-        checked += 1
-        shuffled = SWEEP_POINTS[:]
-        rng.shuffle(shuffled)
-        for cfg in ORACLE_CONFIGS:
-            for order in (SWEEP_POINTS, SWEEP_POINTS[::-1], shuffled):
-                for x, y in order:
-                    _agree(p, x, y, cfg, rng.choice(SWEEP_BUDGETS))
 
 
 def _code(p, cfg=DEFAULT_CONFIG):
@@ -508,46 +432,6 @@ ALTERNATING = [
 ]
 
 
-def _alternating_programs(rng, count):
-    """The fixed alternating programs, then random ones of the fast shape."""
-    found = [parse(text) for text in ALTERNATING]
-    while len(found) < count:
-        step = random_program(rng, depth=3)
-        inner = loop(random_program(rng, depth=2), mod(X, TWO), random_program(rng, depth=1))
-        found.append(loop(step, div(X, TWO), inner))
-    return found
-
-
-def _carried_agree(p, points, cfg, limit):
-    """A sweep granting limit per call on top of what earlier calls left,
-    as generate_seq and acyclic_on do, agrees with cost_eval."""
-    got_budget, want_budget = Budget(0), Budget(0)
-    for x, y in points:
-        got_budget.remaining += limit
-        want_budget.remaining += limit
-        got = evaluate(p, x, y, got_budget, cfg)
-        want = cost_eval(p, x, y, want_budget, cfg)
-        assert got == want, (p, x, y, cfg, limit)
-        assert got_budget.remaining == want_budget.remaining, (p, x, y, cfg, limit)
-
-
-def test_alternating_initial_values_match_cost_oracle():
-    rng = random.Random(2306)
-    xs = [(x, 0) for x in range(100)]
-    shuffled = xs[:]
-    rng.shuffle(shuffled)
-    # 20,000 units cover A900000's fast side up to x = 99.
-    for p in _alternating_programs(rng, 10):
-        for cfg in (EvalConfig(per_call_limit=20_000), ORACLE_CONFIGS[1]):
-            for order in (xs, xs[::-1], shuffled):
-                for x, y in order:  # fresh budgets
-                    _agree(p, x, y, cfg, None)
-                for x, y in order:  # tight budgets
-                    _agree(p, x, y, cfg, rng.choice(SWEEP_BUDGETS))
-                _carried_agree(p, order, cfg, 60)
-                _carried_agree(p, order, cfg, 500)
-
-
 def test_alternating_initial_values_keep_a_record_each():
     p = parse(A900000_FAST)
     for x in range(100):
@@ -569,27 +453,7 @@ def test_alternating_initial_values_keep_a_record_each():
 
 
 # A point where p ignores a nonzero variable replays the stored run of the
-# point with that variable set to 0.  Random programs are kept by their
-# free variables: no free y, no free x, or neither.
-
-def test_points_off_the_read_variables_match_cost_oracle():
-    rng = random.Random(2307)
-    points = [(x, y) for x in range(-3, 9) for y in range(-3, 9)]
-    wanted = {frozenset({Op.X}): 0, frozenset({Op.Y}): 0, frozenset(): 0}
-    while min(wanted.values()) < 15:
-        p = random_program(rng, depth=4)
-        free = frozenset(free_vars(p))
-        if wanted.get(free, 15) >= 15:
-            continue
-        wanted[free] += 1
-        shuffled = points[:]
-        rng.shuffle(shuffled)
-        for cfg in ORACLE_CONFIGS[:3]:
-            # The second sweep over each order replays what the first stored.
-            for order in (shuffled, shuffled, points[::-1]):
-                for x, y in order:
-                    _agree(p, x, y, cfg, rng.choice(SWEEP_BUDGETS))
-            _carried_agree(p, shuffled, cfg, 40)
+# point with that variable set to 0.
 
 
 def test_points_off_the_read_variables_replay_their_zero_point():
@@ -638,6 +502,140 @@ def _pinned_at(p, x, y):
     out = evaluate(p, x, y)
     assert out == cost_eval(p, x, y)
     return out
+
+
+# The differential driver: evaluate must agree with the tree-walking
+# cost_eval on value, cost, error kind and the budget left over.  Each pool
+# in POOLS is drawn once from its seed, as distinct programs, and each runs
+# the pool's (order, grant) sweeps under each of the pool's configs: single
+# random points (random); ascending sweeps, which resume loops from the
+# previous point, descending ones, which restart them, and shuffled ones
+# (looping); loops whose initial value alternates, which resume from their
+# older record (alternating); and programs that ignore x, y or both, swept
+# twice in one shuffled order so that the second sweep replays the points
+# the first stored (off_axis).  A grant is FRESH, the per-call limit;
+# TIGHT, drawn per call from SWEEP_BUDGETS so that replays land on
+# timeouts; or n units on top of what earlier calls left, carried as in
+# generate_seq and acyclic_on.  The small configs bring the value bound and
+# the big-value threshold (each above the other, and a threshold of 9)
+# within reach of tiny programs; their cut per-call limit keeps the
+# walker's timeouts quick.  cost_eval is a pure function of (x, y, cfg,
+# starting budget) for a fixed program and leaves the start less the cost
+# (0 on a timeout), so each drawn program's oracle memo, a dict of its own,
+# answers a repeated key from the walk already made.  One dict for all
+# programs would hash each whole tree per call if keyed by the program,
+# and match a collected program whose id was reused if keyed by id().
+
+ORACLE_CONFIGS = [
+    EvalConfig(per_call_limit=2_000),
+    EvalConfig(per_call_limit=2_000, value_bound=5, big_value_threshold=3),
+    EvalConfig(per_call_limit=2_000, value_bound=3, big_value_threshold=5),
+    EvalConfig(per_call_limit=2_000, value_bound=10**6, big_value_threshold=9),
+]
+FRESH, TIGHT = None, "tight"
+ORACLE_BUDGETS = [FRESH, 7, 50]
+SWEEP_BUDGETS = [FRESH, 7, 50, 300]
+ORDERS = ("ascending", "descending", "shuffled")
+
+
+def _sweep(p, oracle, points, cfg, grant, rng):
+    """evaluate agrees at each point with cost_eval, read through oracle."""
+    carried = Budget(0)
+    for x, y in points:
+        budget = None
+        if grant is TIGHT:
+            limit = rng.choice(SWEEP_BUDGETS)
+            budget = None if limit is FRESH else Budget(limit)
+        elif grant is not FRESH:
+            carried.remaining += grant
+            budget = carried
+        start = cfg.per_call_limit if budget is None else budget.remaining
+        key = (x, y, cfg, start)
+        want = oracle.get(key)
+        if want is None:
+            want = oracle[key] = cost_eval(p, x, y, Budget(start), cfg)
+        assert evaluate(p, x, y, budget, cfg) == want, (p, x, y, cfg, start)
+        assert budget is None or budget.remaining == start - want.cost, (p, x, y, cfg, start)
+
+
+def _distinct(rng, count, keep=lambda p: True):
+    """count distinct random programs for which keep holds."""
+    found = {}
+    while len(found) < count:
+        p = random_program(rng, depth=4)
+        if keep(p):
+            found[p] = None
+    return list(found)
+
+
+def _alternating(rng):
+    """The fixed alternating programs, then random ones of the fast shape."""
+    found = [parse(text) for text in ALTERNATING]
+    while len(found) < 10:
+        step = random_program(rng, depth=3)
+        inner = loop(random_program(rng, depth=2), mod(X, TWO), random_program(rng, depth=1))
+        found.append(loop(step, div(X, TWO), inner))
+    return found
+
+
+def _looping(p):
+    return any(q.op in LOOPING_OPS for q in subprograms(p))
+
+
+def _off_axis(rng):
+    frees = ({Op.X}, {Op.Y}, set())
+    return [p for f in frees for p in _distinct(rng, 15, lambda p: free_vars(p) == f)]
+
+
+# name: (seed, programs, points of one program, configs, (order, grant) sweeps)
+POOLS = {
+    "random": (
+        2304, lambda rng: _distinct(rng, 1500),
+        lambda rng: [(rng.randint(-6, 6), rng.randint(-6, 6))],
+        ORACLE_CONFIGS, [("ascending", grant) for grant in ORACLE_BUDGETS],
+    ),
+    "looping": (
+        2305, lambda rng: _distinct(rng, 60, _looping),
+        lambda rng: [(x, y) for x in range(-3, 12) for y in (0, 1, 5)],
+        ORACLE_CONFIGS, [(order, TIGHT) for order in ORDERS],
+    ),
+    "alternating": (
+        # 20,000 units cover A900000's fast side up to x = 99.
+        2306, _alternating, lambda rng: [(x, 0) for x in range(100)],
+        [EvalConfig(per_call_limit=20_000), ORACLE_CONFIGS[1]],
+        [(order, grant) for order in ORDERS for grant in (FRESH, TIGHT, 60, 500)],
+    ),
+    "off_axis": (
+        2307, _off_axis, lambda rng: [(x, y) for x in range(-3, 9) for y in range(-3, 9)],
+        ORACLE_CONFIGS[:3],
+        [("shuffled", TIGHT), ("shuffled", TIGHT), ("descending", TIGHT), ("shuffled", 40)],
+    ),
+}
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_evaluate_matches_cost_oracle_on_drawn_programs(pool):
+    seed, draw, points, configs, sweeps = POOLS[pool]
+    rng = random.Random(seed)
+    for p in draw(rng):
+        oracle = {}
+        up = points(rng)
+        orders = dict(zip(ORDERS, (up, up[::-1], rng.sample(up, len(up)))))
+        for cfg in configs:
+            for order, grant in sweeps:
+                _sweep(p, oracle, orders[order], cfg, grant, rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    programs(max_leaves=10),
+    st.integers(-6, 6),
+    st.integers(-6, 6),
+    st.sampled_from(ORACLE_CONFIGS),
+    st.sampled_from(ORACLE_BUDGETS),
+)
+def test_evaluate_matches_cost_oracle(p, x, y, cfg, grant):
+    _sweep(p, {}, [(x, y)], cfg, grant, None)
 
 
 def test_threads_sharing_a_program_match_one_thread():
