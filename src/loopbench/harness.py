@@ -154,9 +154,13 @@ def _read_log(path: Path) -> tuple[list[RunResult], str]:
 
     A crash during a write can leave a last line with no newline that
     does not parse; it is skipped with a warning.  A bad line anywhere
-    else raises a ValueError naming path:line.
+    else raises a ValueError naming path:line, and a log that is not
+    UTF-8 one naming the path.
     """
-    text = path.read_bytes().decode() if path.exists() else ""
+    try:
+        text = path.read_bytes().decode() if path.exists() else ""
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     tail = text.rpartition("\n")[2]
     if tail.strip():
         try:

@@ -21,6 +21,14 @@ become unary functions small and fast, and the script asserts the
 negation of their equality on non-negative inputs, in one of several
 conjecture shapes.
 
+Only the conjecture depends on the variant.  A problem's header,
+declarations and assertions are lowered and rendered on its first
+`emit` and kept on its record; a variant's conjecture line is rendered
+once and kept on the variant.  So exporting the same records under
+several variants lowers each problem once.  Reuse is exact: records,
+programs and variants are immutable, and `dataclasses.replace` gives a
+record without the kept text.
+
 div and mod in the emitted scripts are SMT-LIB's Euclidean operations.
 They can differ from the interpreter's floor semantics only when the
 divisor is negative: -7 div 2 is -4 in both, but 7 div -2 is -4 by floor
@@ -283,9 +291,21 @@ def _assertion(d: LoweredDef) -> str:
     return render(("assert", ("forall", binders, ("=", head, d.body))))
 
 
-def emit(problem: ProblemRecord, variant: Variant = BASE) -> SmtScript:
-    """Full SMT-LIB script for one problem under one conjecture variant."""
-    small_defs, fast_defs = lower(problem.small, problem.fast)
+def _lowered(problem: ProblemRecord) -> tuple[tuple[str, ...], ...]:
+    """Header, sorted declarations and assertions of a problem's scripts.
+
+    They do not depend on the variant, so they are lowered and rendered
+    on first use and kept on the record, which is immutable.  A lowering
+    error names the problem.
+    """
+    try:
+        return problem._smt_parts
+    except AttributeError:
+        pass
+    try:
+        small_defs, fast_defs = lower(problem.small, problem.fast)
+    except ValueError as exc:
+        raise ValueError(f"{problem.id}: {exc}") from None
     defs = small_defs + fast_defs
     header = (
         f";; sequence(s): {problem.id}",
@@ -295,8 +315,24 @@ def emit(problem: ProblemRecord, variant: Variant = BASE) -> SmtScript:
     )
     declarations = tuple(_declaration(d) for d in sorted(defs, key=lambda d: d.name))
     assertions = tuple(_assertion(d) for d in defs)
-    conj = render(("assert", conjecture(variant)))
-    return SmtScript(header, "(set-logic UFNIA)", declarations, assertions, conj)
+    return problem.__dict__.setdefault("_smt_parts", (header, declarations, assertions))
+
+
+def _conjecture_line(variant: Variant) -> str:
+    """A variant's conjecture assertion, rendered on first use and kept on it."""
+    try:
+        return variant._smt_line
+    except AttributeError:
+        line = render(("assert", conjecture(variant)))
+        return variant.__dict__.setdefault("_smt_line", line)
+
+
+def emit(problem: ProblemRecord, variant: Variant = BASE) -> SmtScript:
+    """Full SMT-LIB script for one problem under one conjecture variant."""
+    header, declarations, assertions = _lowered(problem)
+    return SmtScript(
+        header, "(set-logic UFNIA)", declarations, assertions, _conjecture_line(variant)
+    )
 
 
 def export_all(
@@ -307,17 +343,22 @@ def export_all(
     """Write one .smt2 per non-refuted problem plus an index manifest.
 
     Returns the (id, filename) index.  Output is deterministic: problems
-    are sorted by id and the emitter is pure.
+    are sorted by id and the emitter is pure.  Every script is built
+    before any file is written, so a problem that does not lower leaves
+    nothing behind.
     """
+    scripts = [
+        (problem.id, emit(problem, variant))
+        for problem in sorted(problems, key=lambda p: p.id)
+        if problem.released
+    ]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     index: list[tuple[str, str]] = []
-    for problem in sorted(problems, key=lambda p: p.id):
-        if not problem.released:
-            continue
-        filename = f"{problem.id}.smt2"
-        (outdir / filename).write_text(emit(problem, variant).text())
-        index.append((problem.id, filename))
+    for pid, script in scripts:
+        filename = f"{pid}.smt2"
+        (outdir / filename).write_text(script.text())
+        index.append((pid, filename))
     (outdir / "index.tsv").write_text(
         "".join(f"{pid}\t{fname}\n" for pid, fname in index)
     )

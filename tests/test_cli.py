@@ -365,6 +365,20 @@ def test_export_rejects_unknown_variant(capsys, corpus):
     assert "unknown conjecture variant" in err
 
 
+def test_export_names_a_problem_that_does_not_lower_and_writes_nothing(capsys, corpus):
+    manifest = _built(capsys, corpus)
+    rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+    for row in rows:
+        if row["id"] == "A999999":
+            row["small"] = "x + y"
+    manifest.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    outdir = corpus / "smt"
+    code, out, err = run(capsys, "export", "--problems", str(manifest), "--outdir", str(outdir))
+    assert (code, out) == (1, "")
+    assert err == "error: A999999: small program depends on y at top level\n"
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("mode", [[], ["--dry-run"]], ids=["write", "dry-run"])
 def test_pipeline_rejects_unknown_variant_before_any_work(capsys, corpus, mode):
     outdir = corpus / "out"
@@ -538,22 +552,36 @@ def test_bad_manifest_row_is_an_error_not_a_traceback(capsys, tmp_path, command,
     assert sorted(tmp_path.iterdir()) == [manifest]
 
 
-@pytest.mark.parametrize("command", ["run", "report"])
-@pytest.mark.parametrize("row", ["{}", "[1, 2]"])
-def test_bad_results_log_row_is_an_error_not_a_traceback(capsys, tmp_path, command, row):
+def _log_readers(tmp_path, log):
+    """argv of `run` and `report` over a one-script export and this log."""
     (tmp_path / "A1.smt2").write_text("(check-sat)\n")
     (tmp_path / "index.tsv").write_text("A1\tA1.smt2\n")
     config = tmp_path / "solvers.json"
     config.write_text('{"solvers": [{"name": "stub", "cmd": "echo unsat {file}"}]}')
-    log = tmp_path / "results.jsonl"
-    good = '{"id": "A0", "solver": "stub", "variant": "base", "verdict": "proved", "wall_time": 0.1}'
-    log.write_text(good + "\n" + row + "\n")
-    argv = {
+    return {
         "run": ["--config", str(config), "--dir", str(tmp_path), "--log", str(log)],
         "report": ["--results", str(log), "--index", str(tmp_path / "index.tsv"),
                    "--syn", "s", "--sem", "t", "--nonverified", "n"],
     }
-    code, out, err = run(capsys, command, *argv[command])
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+@pytest.mark.parametrize("row", ["{}", "[1, 2]"])
+def test_bad_results_log_row_is_an_error_not_a_traceback(capsys, tmp_path, command, row):
+    log = tmp_path / "results.jsonl"
+    good = '{"id": "A0", "solver": "stub", "variant": "base", "verdict": "proved", "wall_time": 0.1}'
+    log.write_text(good + "\n" + row + "\n")
+    code, out, err = run(capsys, command, *_log_readers(tmp_path, log)[command])
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {log}:2: ")
     assert log.read_text() == good + "\n" + row + "\n"
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_results_log_that_is_not_utf8_is_an_error_naming_it(capsys, tmp_path, command):
+    log = tmp_path / "results.jsonl"
+    log.write_bytes(b"\xff\n")
+    code, out, err = run(capsys, command, *_log_readers(tmp_path, log)[command])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {log}: 'utf-8' codec can't decode byte 0xff in position 0")
+    assert log.read_bytes() == b"\xff\n"

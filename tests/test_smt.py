@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import pytest
 
+from loopbench import smt
 from loopbench.interp import VERIFY_CONFIG, Budget, evaluate
 from loopbench.lang import LOOPING_OPS, Op, parse, subprograms
-from loopbench.oeis import ProblemRecord
+from loopbench.oeis import ProblemRecord, save_problems
 from loopbench.smt import (
     BASE,
     Variant,
@@ -35,6 +36,12 @@ ALL_VARIANTS = [
     Variant("twox", appendix_twox=True),
     Variant("strong"),
 ]
+
+# The paper's eleven exported variants, and c2x in its appendix form.
+EVERY_VARIANT = [
+    parse_variant(name)
+    for name in ("base", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c2x", "strong")
+] + [Variant("twox", appendix_twox=True)]
 
 DOUBLE_FACTORIAL_ASSERTS = """\
 (assert (forall ((x Int) (y Int)) (= (f0 x y) (* 2 (* x y)))))
@@ -263,6 +270,53 @@ def test_export_all_skips_refuted_and_writes_index(problems, tmp_path):
     assert not (tmp_path / "A999999.smt2").exists()
     index_lines = (tmp_path / "index.tsv").read_text().splitlines()
     assert index_lines == [f"{pid}\t{fname}" for pid, fname in index]
+
+
+# Each record is lowered and rendered once, each variant's conjecture
+# rendered once; what is kept must give the same bytes as a fresh start.
+
+
+def test_emit_after_every_other_variant_matches_a_fresh_record(problems):
+    for problem in problems:
+        for variant in EVERY_VARIANT:
+            used = replace(problem)
+            for other in EVERY_VARIANT:
+                if other != variant:
+                    emit(used, other)
+            fresh = emit(replace(problem), replace(variant)).text()
+            script = emit(used, variant)
+            assert script.text() == fresh, (problem.id, variant)
+            assert script.conjecture == render(("assert", conjecture(variant)))
+
+
+def test_export_lowers_each_problem_once_across_variants(problems, tmp_path, monkeypatch):
+    lowered = []
+
+    def counting(small, fast):
+        lowered.append((small, fast))
+        return lower_(small, fast)
+
+    lower_ = smt.lower
+    monkeypatch.setattr(smt, "lower", counting)
+    for variant in EVERY_VARIANT:
+        index = export_all(problems, tmp_path / variant.label(), variant)
+        assert len(index) == len(problems)
+    by_id = sorted(problems, key=lambda p: p.id)
+    assert lowered == [(p.small, p.fast) for p in by_id]
+
+
+def test_emission_leaves_records_equal_hashed_and_saved_alike(problems, tmp_path):
+    before = tmp_path / "before.jsonl"
+    save_problems(problems, before)
+    hashes = [hash(p) for p in problems]
+    for problem in problems:
+        for variant in EVERY_VARIANT:
+            emit(problem, variant)
+    assert problems == [replace(p) for p in problems]
+    assert [hash(p) for p in problems] == hashes
+    after = tmp_path / "after.jsonl"
+    save_problems(problems, after)
+    assert after.read_bytes() == before.read_bytes()
 
 
 # Cross-checking the lowering by direct evaluation of the definitions.
