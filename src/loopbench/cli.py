@@ -183,14 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _read_index(path: Path) -> list[str]:
-    return [
-        line.split("\t")[0]
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]
-
-
 def _cmd_fmt(args) -> int:
     print(to_text(parse(args.program), if_style=args.if_cond))
     return 0
@@ -200,8 +192,7 @@ def _cmd_eval(args) -> int:
     cfg = _cfg(args)
     outcome = evaluate(parse(args.program), args.x, args.y, Budget(cfg.per_call_limit), cfg)
     if not outcome.ok:
-        print(f"error: {outcome.error.value}", file=sys.stderr)
-        return 1
+        raise ValueError(outcome.error.value)
     print(f"{outcome.value} (cost {outcome.cost})")
     return 0
 
@@ -215,16 +206,14 @@ def _cmd_seq(args) -> int:
         print(" ".join(str(v) for v in values))
     failed = [o for o in outcomes if not o.ok]
     if failed:
-        print(f"error: {failed[0].error.value} at index {len(outcomes) - 1}", file=sys.stderr)
-        return 1
+        raise ValueError(f"{failed[0].error.value} at index {len(outcomes) - 1}")
     return 0
 
 
 def _cmd_cover(args) -> int:
     sequences = oeis.load_stripped(args.stripped)
     if args.anum not in sequences:
-        print(f"error: no sequence {args.anum} in {args.stripped}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no sequence {args.anum} in {args.stripped}")
     ok = oeis.covers(parse(args.program), sequences[args.anum], _cfg(args))
     print("true" if ok else "false")
     return 0 if ok else 1
@@ -248,7 +237,7 @@ def _cmd_verify(args) -> int:
     if args.nonverified:
         verify_mod.emit_nonverified(reports, args.nonverified)
     counts = Counter(p.status for p in problems)
-    print(" ".join(f"{s}={counts[s]}" for s in (oeis.VERIFIED, oeis.NONVERIFIED, oeis.REFUTED)))
+    print(" ".join(f"{s}={counts[s]}" for s in oeis.STATUSES[1:]))
     return 0
 
 
@@ -279,8 +268,7 @@ def _cmd_export(args) -> int:
 
 def _cmd_run(args) -> int:
     solvers = harness.load_solver_config(args.config)
-    ids = _read_index(args.dir / "index.tsv")
-    files = [(pid, args.dir / f"{pid}.smt2") for pid in ids]
+    files = [(pid, args.dir / name) for pid, name in smt.read_index(args.dir / "index.tsv")]
     results = harness.run_campaign(solvers, files, args.variant, args.log, args.jobs)
     print(f"{len(results)} new results -> {args.log}")
     return 0
@@ -290,7 +278,7 @@ def _cmd_report(args) -> int:
     results = harness.load_results(args.results)
     table = harness.aggregate(
         results,
-        all_ids=_read_index(args.index),
+        all_ids=[pid for pid, _ in smt.read_index(args.index)],
         syn_ids=induction.read_manifest(args.syn),
         sem_ids=induction.read_manifest(args.sem),
         nonver_ids=induction.read_manifest(args.nonverified),
@@ -319,7 +307,7 @@ def _cmd_pipeline(args) -> int:
     counts = [
         ("solutions", len(solutions)),
         ("problems", len(problems)),
-        *((s, statuses[s]) for s in (oeis.VERIFIED, oeis.NONVERIFIED, oeis.REFUTED)),
+        *((s, statuses[s]) for s in oeis.STATUSES[1:]),
         ("aind_syn", len(syn_ids)),
         ("aind_sem", len(sem_ids)),
         ("exported", sum(p.released for p in problems)),

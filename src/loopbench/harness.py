@@ -57,10 +57,10 @@ class SolverSpec:
 def load_solver_config(path: str | Path) -> list[SolverSpec]:
     """Solver specs from a JSON config: {"solvers": [{name, cmd, ...}]}.
 
-    A solver needs a string name and a cmd that shlex can split, with
-    one {file} placeholder; timeout (a JSON number of seconds, finite
-    and above 0) and tokens (a map from stdout line to verdict) are
-    optional.
+    A solver needs a string name that no earlier solver has (results
+    are keyed by it) and a cmd that shlex can split, with one {file}
+    placeholder; timeout (a JSON number of seconds, finite and above 0)
+    and tokens (a map from stdout line to verdict) are optional.
     Raises ValueError starting with the path and naming the solver's
     position and the field that is missing or ill-typed.
     """
@@ -72,6 +72,7 @@ def load_solver_config(path: str | Path) -> list[SolverSpec]:
     if not isinstance(entries, list):
         raise ValueError(f"{path}: expected a list of solvers or {{\"solvers\": [...]}}")
     specs = []
+    positions: dict[str, int] = {}
     for i, entry in enumerate(entries):
         where = f"{path}: solver {i}"
         if not isinstance(entry, dict):
@@ -81,6 +82,9 @@ def load_solver_config(path: str | Path) -> list[SolverSpec]:
                 raise ValueError(f"{where}: missing field {key!r}")
             if not isinstance(entry[key], str):
                 raise ValueError(f"{where}: field {key!r} must be a string")
+        first = positions.setdefault(entry["name"], i)
+        if first != i:
+            raise ValueError(f"{where}: name {entry['name']!r} repeats solver {first}")
         try:
             shlex.split(entry["cmd"])
         except ValueError as exc:
@@ -261,12 +265,15 @@ class ReportTable:
     cells: dict[str, dict[str, int]]
     anomalies: list[RunResult]
 
+    def _grid(self, corner: str) -> list[list[str]]:
+        """The header row, under corner, and one row of counts per population."""
+        columns = [*self.methods, "All"]
+        rows = [[row] + [str(self.cells[row][m]) for m in columns] for row in self.rows]
+        return [[corner, *columns], *rows]
+
     def render_text(self) -> str:
-        headers = ["", *self.methods, "All"]
-        table = [headers]
-        for row in self.rows:
-            table.append([row] + [str(self.cells[row][m]) for m in headers[1:]])
-        widths = [max(len(r[c]) for r in table) for c in range(len(headers))]
+        table = self._grid("")
+        widths = [max(len(cell) for cell in column) for column in zip(*table)]
         lines = [
             "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
             for row in table
@@ -279,11 +286,7 @@ class ReportTable:
         return "\n".join(lines) + "\n"
 
     def render_csv(self) -> str:
-        headers = ["row", *self.methods, "All"]
-        lines = [",".join(headers)]
-        for row in self.rows:
-            lines.append(",".join([row] + [str(self.cells[row][m]) for m in headers[1:]]))
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(row) + "\n" for row in self._grid("row"))
 
 
 def aggregate(

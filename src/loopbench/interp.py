@@ -128,12 +128,6 @@ class Budget:
     def __init__(self, remaining: int):
         self.remaining = remaining
 
-    def charge(self, cost: int) -> None:
-        if cost > self.remaining:
-            self.remaining = 0
-            raise _Fail(ErrorKind.TIMEOUT)
-        self.remaining -= cost
-
 
 class EvalOutcome(NamedTuple):
     value: int | None
@@ -217,7 +211,7 @@ def _charge_big(value: int, quadratic: bool, budget: Budget, value_bound: int) -
 # _charge_big and the closures below repeat one inline charge,
 #     r = budget.remaining - cost; if r < 0: _timeout(budget)
 #     budget.remaining = r
-# rather than calling Budget.charge: it runs once per operator node.
+# rather than calling a helper for it: it runs once per operator node.
 
 
 @cache

@@ -76,49 +76,13 @@ class Program:
         return {"op": self.op, "args": self.args}
 
 
-# Term constructors.  Leaves are shared singletons.
+# The leaves, shared singletons: parse returns these objects.
 
 ZERO = Program(Op.ZERO)
 ONE = Program(Op.ONE)
 TWO = Program(Op.TWO)
 X = Program(Op.X)
 Y = Program(Op.Y)
-
-
-def add(a: Program, b: Program) -> Program:
-    return Program(Op.ADD, (a, b))
-
-
-def sub(a: Program, b: Program) -> Program:
-    return Program(Op.SUB, (a, b))
-
-
-def mul(a: Program, b: Program) -> Program:
-    return Program(Op.MUL, (a, b))
-
-
-def div(a: Program, b: Program) -> Program:
-    return Program(Op.DIV, (a, b))
-
-
-def mod(a: Program, b: Program) -> Program:
-    return Program(Op.MOD, (a, b))
-
-
-def cond(a: Program, b: Program, c: Program) -> Program:
-    return Program(Op.COND, (a, b, c))
-
-
-def loop(f: Program, a: Program, b: Program) -> Program:
-    return Program(Op.LOOP, (f, a, b))
-
-
-def loop2(f: Program, g: Program, a: Program, b: Program, c: Program) -> Program:
-    return Program(Op.LOOP2, (f, g, a, b, c))
-
-
-def compr(f: Program, a: Program) -> Program:
-    return Program(Op.COMPR, (f, a))
 
 
 def size(p: Program) -> int:

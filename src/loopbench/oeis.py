@@ -65,7 +65,7 @@ class ProblemRecord:
 
 def short_anum(anum: str) -> str:
     """Canonical A-number: leading zeros stripped (A000045 -> A45)."""
-    return f"A{int(anum[1:])}"
+    return f"A{_anum_value(anum)}"
 
 
 def _anum_value(anum: str) -> int:
@@ -238,13 +238,18 @@ def save_problems(problems: list[ProblemRecord], path: str | Path) -> None:
 
 
 def load_problems(path: str | Path) -> list[ProblemRecord]:
-    """Read a manifest; a bad row raises ValueError naming path:line."""
+    """Read a manifest; a bad row or a repeated id raises ValueError naming path:line."""
     problems = []
+    first_lines: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            problems.append(problem_from_json(line))
+            problem = problem_from_json(line)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        first = first_lines.setdefault(problem.id, lineno)
+        if first != lineno:
+            raise ValueError(f"{path}:{lineno}: repeated id {problem.id!r} (first on line {first})")
+        problems.append(problem)
     return problems

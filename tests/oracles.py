@@ -4,10 +4,12 @@ Everything here is deliberately written from the definitions rather than
 imported from the package under test: a naive recursive interpreter, a
 free-variable computation, a slicing-based cycle detector, a random
 program generator, a standalone SMT-LIB surface checker, and a direct
-evaluator of lowered definitions.  The exceptions are the cost oracle, a
-tree-walking evaluator that charges the cost model node by node against
-the package's Budget, the table of loop body slots that free_vars reads,
-and the definition evaluator's input types.
+evaluator of lowered definitions.  The exceptions are the types the cost
+oracle and the definition evaluator take and return, and the table of
+loop body slots that free_vars reads.  The cost oracle, a tree-walking
+evaluator that charges the cost model node by node, keeps its count in
+the package's Budget but states the timeout rule itself (_charge): a
+cost that does not fit times out and leaves the budget at 0.
 
 For a fixed program, cost_eval is a pure function of (x, y, config,
 starting budget), and the budget it leaves is the start less the cost.
@@ -131,6 +133,14 @@ _COSTLY = (Op.DIV, Op.MOD)
 _QUADRATIC = (Op.MUL, Op.DIV, Op.MOD)
 
 
+def _charge(budget: Budget, cost: int) -> None:
+    """Take cost from the budget, or time out leaving it at 0."""
+    if cost > budget.remaining:
+        budget.remaining = 0
+        raise _Fail(ErrorKind.TIMEOUT)
+    budget.remaining -= cost
+
+
 def _produce(op: Op, value: int, budget: Budget, cfg: EvalConfig) -> int:
     """Charge for one first-order application returning value."""
     magnitude = abs(value)
@@ -141,7 +151,7 @@ def _produce(op: Op, value: int, budget: Budget, cfg: EvalConfig) -> int:
         cost = digits * digits if op in _QUADRATIC else digits
     else:
         cost = 5 if op in _COSTLY else 1
-    budget.charge(cost)
+    _charge(budget, cost)
     return value
 
 
@@ -188,7 +198,7 @@ def _eval(p: Program, x: int, y: int, budget: Budget, cfg: EvalConfig) -> int:
         n = _eval(a, x, y, budget, cfg)
         acc = _eval(b, x, y, budget, cfg)
         for i in range(1, n + 1):
-            budget.charge(1)
+            _charge(budget, 1)
             acc = _eval(f, acc, i, budget, cfg)
         return acc
 
@@ -200,10 +210,10 @@ def _eval(p: Program, x: int, y: int, budget: Budget, cfg: EvalConfig) -> int:
         if n <= 0:
             return u
         for _ in range(n - 1):
-            budget.charge(1)
+            _charge(budget, 1)
             u, v = _eval(f, u, v, budget, cfg), _eval(g, u, v, budget, cfg)
         # The final step only needs the first component.
-        budget.charge(1)
+        _charge(budget, 1)
         return _eval(f, u, v, budget, cfg)
 
     if op == Op.COMPR:
@@ -213,14 +223,14 @@ def _eval(p: Program, x: int, y: int, budget: Budget, cfg: EvalConfig) -> int:
         def search(start: int) -> int:
             c = start
             while True:
-                budget.charge(1)
+                _charge(budget, 1)
                 if _eval(f, c, 0, budget, cfg) <= 0:
                     return c
                 c += 1
 
         cur = search(0)
         for _ in range(1, n + 1):
-            budget.charge(1)
+            _charge(budget, 1)
             cur = search(cur + 1)
         return cur
 

@@ -23,9 +23,9 @@ from loopbench.interp import (
 )
 from loopbench.lang import parse
 from loopbench.oeis import ProblemRecord, build_problems
-from loopbench.smt import BASE, Variant, emit, export_all, lower
+from loopbench.smt import BASE, Variant, emit, export_all
 from loopbench.verify import verify_all
-from oracles import DefEvaluator, brute_cyclic, check_smt_script, random_program
+from oracles import brute_cyclic, check_smt_script, random_program
 from test_smt import (
     DOUBLE_FACTORIAL_ASSERTS,
     DOUBLE_FACTORIAL_CONJECTURE,
@@ -33,6 +33,7 @@ from test_smt import (
     FIB_SUCC1_CONJECTURE,
     PARITY_ASSERTS,
     PARITY_TWOX_CONJECTURE,
+    cosimulate,
 )
 
 DOUBLE_FACTORIALS = [
@@ -168,17 +169,10 @@ def test_criterion_7_lowering_cosimulation(problems):
     for problem in problems:
         if problem.id == "A999999":
             continue
-        small_defs, fast_defs = lower(problem.small, problem.fast)
-        ev = DefEvaluator(small_defs + fast_defs, max_steps=5_000_000)
-        for x in range(31):
-            small = evaluate(problem.small, x, 0, Budget(VERIFY_LIMIT), VERIFY_CONFIG)
-            fast = evaluate(problem.fast, x, 0, Budget(VERIFY_LIMIT), VERIFY_CONFIG)
-            if not (small.ok and fast.ok):
-                break
-            assert ev.call("small", (x,)) == small.value, (problem.id, x)
-            assert ev.call("fast", (x,)) == fast.value, (problem.id, x)
-            compared += 1
-        assert not ev.negative_divmod, problem.id
+        result = cosimulate(problem.small, problem.fast, range(31))
+        assert result.disagree == [], problem.id
+        assert not result.negative_divmod, problem.id
+        compared += result.agree
     assert compared >= 6 * 25
     _pass(7, f"definition-level evaluation agrees with the interpreter on {compared} points")
 

@@ -205,6 +205,34 @@ def test_run_rejects_a_cmd_that_does_not_split_before_any_solver_runs(capsys, tm
     assert not log.exists()
 
 
+def test_run_rejects_a_repeated_solver_name_before_any_solver_runs(capsys, tmp_path):
+    # Results are keyed by solver name: two solvers named z would share one
+    # report column, and a resume would count either one's result as both.
+    (tmp_path / "A1.smt2").write_text("(check-sat)\n")
+    (tmp_path / "index.tsv").write_text("A1\tA1.smt2\n")
+    config = tmp_path / "solvers.json"
+    config.write_text(json.dumps({"solvers": [
+        {"name": "z", "cmd": "echo unsat {file}"},
+        {"name": "z", "cmd": "echo sat {file}"},
+    ]}))
+    log = tmp_path / "l.jsonl"
+    code, out, err = run(capsys, "run", "--config", str(config), "--dir", str(tmp_path), "--log", str(log))
+    assert (code, out, err) == (1, "", f"error: {config}: solver 1: name 'z' repeats solver 0\n")
+    assert not log.exists()
+
+
+def test_run_takes_each_script_from_the_index(capsys, tmp_path):
+    # The index names the file; the solver reads it and finds its verdict.
+    (tmp_path / "renamed.smt2").write_text("unsat\n")
+    (tmp_path / "index.tsv").write_text("A1\trenamed.smt2\n")
+    config = tmp_path / "solvers.json"
+    config.write_text(json.dumps({"solvers": [{"name": "cat", "cmd": "cat {file}"}]}))
+    log = tmp_path / "l.jsonl"
+    code, out, _ = run(capsys, "run", "--config", str(config), "--dir", str(tmp_path), "--log", str(log))
+    assert (code, out) == (0, f"1 new results -> {log}\n")
+    assert json.loads(log.read_text())["verdict"] == "proved"
+
+
 @pytest.mark.parametrize(
     "flag, env, shown",
     [(["--jobs", "0"], None, 0), (["--jobs", "-3"], None, -3), ([], "0", 0)],
@@ -550,6 +578,27 @@ def test_bad_manifest_row_is_an_error_not_a_traceback(capsys, tmp_path, command,
     assert err.startswith(f"error: {manifest}:1: ")
     assert manifest.read_text() == row + "\n"
     assert sorted(tmp_path.iterdir()) == [manifest]
+
+
+@pytest.mark.parametrize("command", ["verify", "filter", "export"])
+def test_repeated_manifest_id_is_an_error_and_nothing_is_written(capsys, corpus, command):
+    manifest = _built(capsys, corpus)
+    first = manifest.read_text().splitlines()[0]
+    assert json.loads(first)["id"] == "A165"
+    manifest.write_text(manifest.read_text() + first + "\n")
+    before = manifest.read_text()
+    outputs = {
+        "verify": ["--reports", str(corpus / "r"), "--nonverified", str(corpus / "n")],
+        "filter": ["--syn", str(corpus / "syn"), "--sem", str(corpus / "sem")],
+        "export": ["--outdir", str(corpus / "out")],
+    }
+    code, out, err = run(capsys, command, "--problems", str(manifest), *outputs[command])
+    assert (code, out) == (1, "")
+    assert err == f"error: {manifest}:8: repeated id 'A165' (first on line 1)\n"
+    assert manifest.read_text() == before
+    assert sorted(p.name for p in corpus.iterdir()) == [
+        "problems.jsonl", "solutions.tsv", "stripped"
+    ]
 
 
 def _log_readers(tmp_path, log):

@@ -28,7 +28,7 @@ from loopbench.interp import (
     speed,
 )
 from conftest import carried_budgets, record_evaluate
-from loopbench.lang import LOOPING_OPS, TWO, X, Op, div, loop, mod, parse, subprograms
+from loopbench.lang import LOOPING_OPS, TWO, X, Op, Program, parse, subprograms
 from oracles import (
     RefDivZero,
     RefLimit,
@@ -573,8 +573,11 @@ def _alternating(rng):
     found = [parse(text) for text in ALTERNATING]
     while len(found) < 10:
         step = random_program(rng, depth=3)
-        inner = loop(random_program(rng, depth=2), mod(X, TWO), random_program(rng, depth=1))
-        found.append(loop(step, div(X, TWO), inner))
+        inner = Program(
+            Op.LOOP,
+            (random_program(rng, depth=2), Program(Op.MOD, (X, TWO)), random_program(rng, depth=1)),
+        )
+        found.append(Program(Op.LOOP, (step, Program(Op.DIV, (X, TWO)), inner)))
     return found
 
 

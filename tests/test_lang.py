@@ -29,12 +29,6 @@ from loopbench.lang import (
     ZERO,
     ONE,
     TWO,
-    add,
-    loop,
-    loop2,
-    compr,
-    cond,
-    mul,
 )
 from oracles import free_vars, programs
 
@@ -66,16 +60,18 @@ def test_parse_basic_forms():
     assert parse("0") == ZERO
     assert parse("x") == X
     assert parse("X  ") == X
-    assert parse("x + y") == add(X, Y)
-    assert parse("2 * (x * y)") == mul(TWO, mul(X, Y))
-    assert parse("cond(x, 1, 2)") == cond(X, ONE, TWO)
-    assert parse("if x <= 0 then 1 else 2") == cond(X, ONE, TWO)
-    assert parse("compr(x - 2, x)") == compr(parse("x - 2"), X)
-    assert parse("loop2(x + y, x, x, 0, 1)") == loop2(add(X, Y), X, X, ZERO, ONE)
+    assert parse("x + y") == Program(Op.ADD, (X, Y))
+    assert parse("2 * (x * y)") == Program(Op.MUL, (TWO, Program(Op.MUL, (X, Y))))
+    assert parse("cond(x, 1, 2)") == Program(Op.COND, (X, ONE, TWO))
+    assert parse("if x <= 0 then 1 else 2") == Program(Op.COND, (X, ONE, TWO))
+    assert parse("compr(x - 2, x)") == Program(Op.COMPR, (Program(Op.SUB, (X, TWO)), X))
+    assert parse("loop2(x + y, x, x, 0, 1)") == Program(
+        Op.LOOP2, (Program(Op.ADD, (X, Y)), X, X, ZERO, ONE)
+    )
 
 
 def test_parse_precedence_and_associativity():
-    assert parse("x + y * 2") == add(X, mul(Y, TWO))
+    assert parse("x + y * 2") == Program(Op.ADD, (X, Program(Op.MUL, (Y, TWO))))
     assert parse("x - y - 2") == parse("(x - y) - 2")
     assert parse("x div y mod 2") == parse("(x div y) mod 2")
     assert parse("x + 2 * y + 1") == parse("x + (2 * y) + 1")
@@ -130,8 +126,9 @@ def test_printer_pins():
     assert to_text(parse("loop(2 * (x * y), x, 1)")) == "loop(2 * (x * y), x, 1)"
     assert to_text(parse("(x + x) + x")) == "(x + x) + x"
     assert to_text(parse("x + (x + x)")) == "x + (x + x)"
-    assert to_text(cond(X, ONE, TWO)) == "cond(x, 1, 2)"
-    assert to_text(cond(X, ONE, TWO), if_style=True) == "if x <= 0 then 1 else 2"
+    cond = Program(Op.COND, (X, ONE, TWO))
+    assert to_text(cond) == "cond(x, 1, 2)"
+    assert to_text(cond, if_style=True) == "if x <= 0 then 1 else 2"
 
 
 def test_printer_parenthesizes_only_binary_operands():
@@ -141,14 +138,14 @@ def test_printer_parenthesizes_only_binary_operands():
 
 
 def test_printer_if_style_nesting():
-    p = cond(add(X, Y), ONE, TWO)
+    p = Program(Op.COND, (Program(Op.ADD, (X, Y)), ONE, TWO))
     assert to_text(p, if_style=True) == "if x + y <= 0 then 1 else 2"
     # A conditional used as a binary operand does need parentheses.
-    q = add(cond(X, ONE, TWO), ONE)
+    q = Program(Op.ADD, (Program(Op.COND, (X, ONE, TWO)), ONE))
     assert to_text(q, if_style=True) == "(if x <= 0 then 1 else 2) + 1"
     assert parse(to_text(q, if_style=True)) == q
     # Nested conditionals bind the way they are printed.
-    r = cond(X, cond(Y, ONE, TWO), TWO)
+    r = Program(Op.COND, (X, Program(Op.COND, (Y, ONE, TWO)), TWO))
     assert to_text(r, if_style=True) == "if x <= 0 then if y <= 0 then 1 else 2 else 2"
     assert parse(to_text(r, if_style=True)) == r
 
@@ -226,8 +223,8 @@ def test_depends_on_matches_free_variables(p, var):
 @given(programs())
 def test_body_slots_are_bound(p):
     # Wrapping a program in a loop body hides its x/y from the outside.
-    assert not depends_on(loop(p, TWO, ONE), Op.X)
-    wrapped = compr(p, ONE)
+    assert not depends_on(Program(Op.LOOP, (p, TWO, ONE)), Op.X)
+    wrapped = Program(Op.COMPR, (p, ONE))
     assert not depends_on(wrapped, Op.X)
     assert not depends_on(wrapped, Op.Y)
     assert BODY_SLOTS[Op.LOOP2] == (0, 1)

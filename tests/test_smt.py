@@ -1,12 +1,16 @@
+import random
 import re
+from collections import Counter
 from dataclasses import replace
+from typing import NamedTuple
 
 import pytest
 
+from conftest import FIXTURES
 from loopbench import smt
-from loopbench.interp import VERIFY_CONFIG, Budget, evaluate
-from loopbench.lang import LOOPING_OPS, Op, parse, subprograms
-from loopbench.oeis import ProblemRecord, save_problems
+from loopbench.interp import VERIFY_CONFIG, Budget, EvalConfig, evaluate
+from loopbench.lang import LOOPING_OPS, Op, Program, depends_on, parse, subprograms
+from loopbench.oeis import ProblemRecord, load_problems, save_problems
 from loopbench.smt import (
     BASE,
     Variant,
@@ -25,7 +29,11 @@ from oracles import (
     euclidean_div,
     euclidean_mod,
     free_vars,
+    random_program,
 )
+
+# The released benchmark's frozen manifest: 158 rows, 108 of them released.
+BENCH_PROBLEMS = FIXTURES.parent / "bench" / "expected" / "problems.jsonl"
 
 ALL_VARIANTS = [
     BASE,
@@ -270,6 +278,15 @@ def test_export_all_skips_refuted_and_writes_index(problems, tmp_path):
     assert not (tmp_path / "A999999.smt2").exists()
     index_lines = (tmp_path / "index.tsv").read_text().splitlines()
     assert index_lines == [f"{pid}\t{fname}" for pid, fname in index]
+    assert smt.read_index(tmp_path / "index.tsv") == index
+
+
+@pytest.mark.parametrize("row", ["A1", "A1\tA1.smt2\textra"])
+def test_read_index_names_the_line_of_a_row_that_is_not_two_fields(tmp_path, row):
+    path = tmp_path / "index.tsv"
+    path.write_text(f"A0\tA0.smt2\n\n{row}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: expected 2 tab-separated"):
+        smt.read_index(path)
 
 
 # Each record is lowered and rendered once, each variant's conjecture
@@ -327,28 +344,87 @@ def _interp_value(program, x):
     return out.value if out.ok else None
 
 
+class Cosim(NamedTuple):
+    agree: int  # points where both sides' definitions give evaluate's values
+    disagree: list[int]  # the points where a side's do not
+    skipped: int  # points from the first one that could not be run on
+    negative_divmod: bool  # some div or mod in the definitions saw a negative operand
+
+
+def cosimulate(
+    small: Program,
+    fast: Program,
+    xs: range,
+    cfg: EvalConfig = VERIFY_CONFIG,
+    max_steps: int = 5_000_000,
+) -> Cosim:
+    """Co-simulate a pair's lowering: its definitions, run by DefEvaluator,
+    against evaluate, at each x of xs in turn.
+
+    A point is one x, compared on both sides, each evaluate call with a
+    fresh budget.  The walk stops at the first point where evaluate fails
+    on either side or the definition evaluator hits its step limit; that
+    point and the rest are skipped.
+    """
+    small_defs, fast_defs = lower(small, fast)
+    ev = DefEvaluator(small_defs + fast_defs, max_steps=max_steps)
+    agree, disagree = 0, []
+    for n, x in enumerate(xs):
+        outcomes = [evaluate(p, x, 0, Budget(cfg.per_call_limit), cfg) for p in (small, fast)]
+        if not all(o.ok for o in outcomes):
+            return Cosim(agree, disagree, len(xs) - n, ev.negative_divmod)
+        try:
+            values = [ev.call(side, (x,)) for side in ("small", "fast")]
+        except SmtEvalError:
+            if ev.steps <= ev.max_steps:
+                raise  # not the step limit: the definitions are wrong
+            return Cosim(agree, disagree, len(xs) - n, ev.negative_divmod)
+        if values == [o.value for o in outcomes]:
+            agree += 1
+        else:
+            disagree.append(x)
+    return Cosim(agree, disagree, 0, ev.negative_divmod)
+
+
 def test_lowered_definitions_compute_the_programs(problems):
     for problem in problems + [NUMBERING_PROBLEM]:
         if problem.id == "A999999":
             continue
-        small_defs, fast_defs = lower(problem.small, problem.fast)
-        ev = DefEvaluator(small_defs + fast_defs, max_steps=5_000_000)
-        for x in range(31):
-            expected_small = _interp_value(problem.small, x)
-            expected_fast = _interp_value(problem.fast, x)
-            if expected_small is None or expected_fast is None:
-                break
-            assert ev.call("small", (x,)) == expected_small, (problem.id, x)
-            assert ev.call("fast", (x,)) == expected_fast, (problem.id, x)
-        assert not ev.negative_divmod, problem.id
+        result = cosimulate(problem.small, problem.fast, range(31))
+        assert result.disagree == [], problem.id
+        assert not result.negative_divmod, problem.id
 
 
 def test_lowered_compr_matches_interpreter():
     finder = parse("compr(x - (2 + 2), x)")
-    small_defs, fast_defs = lower(finder, parse("x"))
-    ev = DefEvaluator(small_defs + fast_defs)
-    for x in range(5):
-        assert ev.call("small", (x,)) == _interp_value(finder, x) == x
+    assert cosimulate(finder, parse("x"), range(5)) == Cosim(5, [], 0, False)
+    assert [_interp_value(finder, x) for x in range(5)] == [0, 1, 2, 3, 4]
+
+
+def test_lowering_cosimulates_on_every_released_bench_problem():
+    released = [p for p in load_problems(BENCH_PROBLEMS) if p.released]
+    results = [cosimulate(p.small, p.fast, range(31)) for p in released]
+    assert len(released) == 108
+    assert sum(r.agree for r in results) == 108 * 31
+    assert not any(r.negative_divmod for r in results)
+
+
+def test_lowering_cosimulates_on_random_programs_and_flags_every_disagreement():
+    rng = random.Random(7)
+    cfg = EvalConfig(per_call_limit=2_000)
+    totals = Counter()
+    for _ in range(1_500):
+        small, fast = random_program(rng, depth=3), random_program(rng, depth=3)
+        if depends_on(small, Op.Y) or depends_on(fast, Op.Y):
+            continue
+        result = cosimulate(small, fast, range(12), cfg, max_steps=20_000)
+        # SMT-LIB's Euclidean div and mod differ from floor division only
+        # for a negative divisor.
+        assert not result.disagree or result.negative_divmod, (small, fast, result)
+        totals.update(agree=result.agree, disagree=len(result.disagree), skipped=result.skipped)
+    # 316 pairs of 12 points; the 6 disagreements are one pair's, whose
+    # divisor goes negative.
+    assert totals == Counter(agree=2_113, disagree=6, skipped=1_673)
 
 
 def test_euclidean_and_floor_division_diverge_on_negative_divisors():
