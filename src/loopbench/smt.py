@@ -99,7 +99,12 @@ def parse_variant(text: str, appendix_twox: bool = False) -> Variant:
 
 
 def _params_of(p: Program) -> tuple[str, ...]:
-    return tuple(NAMES[var] for var in (Op.X, Op.Y) if depends_on(p, var))
+    params = []
+    if depends_on(p, Op.X):
+        params.append("x")
+    if depends_on(p, Op.Y):
+        params.append("y")
+    return tuple(params)
 
 
 def _apply(name: str, params: tuple[str, ...], argmap: dict[str, Sexp]) -> Sexp:
@@ -158,9 +163,15 @@ class _Lowerer:
             rec = {"x": (f"u{i}", down, "y", "z"), "y": (f"v{i}", down, "y", "z")}
             helpers = [
                 LoweredDef(
-                    f"{name}{i}", ("x", "y", "z"), ("ite", ("<=", "x", "0"), init, body(slot, rec))
-                )
-                for slot, (name, init) in enumerate((("u", "y"), ("v", "z")))
+                    f"u{i}",
+                    ("x", "y", "z"),
+                    ("ite", ("<=", "x", "0"), "y", body(0, rec)),
+                ),
+                LoweredDef(
+                    f"v{i}",
+                    ("x", "y", "z"),
+                    ("ite", ("<=", "x", "0"), "z", body(1, rec)),
+                ),
             ]
         else:
             # t searches upward from its argument for a body value <= 0.
@@ -358,9 +369,10 @@ def read_index(path: str | Path) -> list[tuple[str, str]]:
     """The (id, filename) rows of an index.tsv; a bad row raises ValueError naming path:line."""
     rows = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
         cells = tuple(line.split("\t"))
-        if len(cells) == 2:
-            rows.append(cells)
-        elif line.strip():
+        if len(cells) != 2 or not all(cells):
             raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields")
+        rows.append(cells)
     return rows

@@ -281,7 +281,7 @@ def test_export_all_skips_refuted_and_writes_index(problems, tmp_path):
     assert smt.read_index(tmp_path / "index.tsv") == index
 
 
-@pytest.mark.parametrize("row", ["A1", "A1\tA1.smt2\textra"])
+@pytest.mark.parametrize("row", ["A1", "A1\tA1.smt2\textra", "A1\t", "\tA1.smt2"])
 def test_read_index_names_the_line_of_a_row_that_is_not_two_fields(tmp_path, row):
     path = tmp_path / "index.tsv"
     path.write_text(f"A0\tA0.smt2\n\n{row}\n")
@@ -363,8 +363,10 @@ def cosimulate(
 
     A point is one x, compared on both sides, each evaluate call with a
     fresh budget.  The walk stops at the first point where evaluate fails
-    on either side or the definition evaluator hits its step limit; that
-    point and the rest are skipped.
+    on either side; that point and the rest are skipped.  The definition
+    evaluator hitting its step limit raises SmtEvalError, as any other
+    failure of the definitions does: a lowered recursion that does not
+    end fails every caller.
     """
     small_defs, fast_defs = lower(small, fast)
     ev = DefEvaluator(small_defs + fast_defs, max_steps=max_steps)
@@ -373,12 +375,7 @@ def cosimulate(
         outcomes = [evaluate(p, x, 0, Budget(cfg.per_call_limit), cfg) for p in (small, fast)]
         if not all(o.ok for o in outcomes):
             return Cosim(agree, disagree, len(xs) - n, ev.negative_divmod)
-        try:
-            values = [ev.call(side, (x,)) for side in ("small", "fast")]
-        except SmtEvalError:
-            if ev.steps <= ev.max_steps:
-                raise  # not the step limit: the definitions are wrong
-            return Cosim(agree, disagree, len(xs) - n, ev.negative_divmod)
+        values = [ev.call(side, (x,)) for side in ("small", "fast")]
         if values == [o.value for o in outcomes]:
             agree += 1
         else:
@@ -409,6 +406,13 @@ def test_lowering_cosimulates_on_every_released_bench_problem():
     assert not any(r.negative_divmod for r in results)
 
 
+def test_cosimulate_raises_when_the_definitions_hit_the_step_limit():
+    # loop(x + y, x, 1) lowers to a recursion of about x steps per call;
+    # cut at 50 steps it must fail the walk, not end it early.
+    with pytest.raises(SmtEvalError, match="step limit"):
+        cosimulate(parse("loop(x + y, x, 1)"), parse("x"), range(31), max_steps=50)
+
+
 def test_lowering_cosimulates_on_random_programs_and_flags_every_disagreement():
     rng = random.Random(7)
     cfg = EvalConfig(per_call_limit=2_000)
@@ -422,8 +426,8 @@ def test_lowering_cosimulates_on_random_programs_and_flags_every_disagreement():
         # for a negative divisor.
         assert not result.disagree or result.negative_divmod, (small, fast, result)
         totals.update(agree=result.agree, disagree=len(result.disagree), skipped=result.skipped)
-    # 316 pairs of 12 points; the 6 disagreements are one pair's, whose
-    # divisor goes negative.
+    # 316 pairs of 12 points, none of them cut by the step limit; the 6
+    # disagreements are one pair's, whose divisor goes negative.
     assert totals == Counter(agree=2_113, disagree=6, skipped=1_673)
 
 
