@@ -3,18 +3,14 @@
 Subcommands cover the whole flow: fmt/eval/seq for single programs,
 cover/build/verify/filter/export for benchmark construction, run/report
 for the solver harness, and pipeline to compose build through export.
-Every limit flag and --filter-mode can also be set through a LOOPBENCH_*
-environment variable (the flag wins when both are present); a variable
-that is not an integer, or not a filter mode, is an error of the
-subcommands that take its flag.  A negative
-limit or value bound, from either source, is rejected by EvalConfig
+Every setting comes from the command line: each flag has its default in
+the parser.  A negative limit or value bound is rejected by EvalConfig
 before any work.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -32,41 +28,6 @@ from .interp import (
 from .lang import parse, to_text
 
 
-# Flags whose default comes from LOOPBENCH_<FLAG>, if set.  They parse
-# to None when not given and are filled in by _fill_env_defaults, inside
-# main's error handling.
-_ENV_DEFAULTS = {
-    "limit": CHECK_LIMIT,
-    "verify_limit": VERIFY_LIMIT,
-    "value_bound": VALUE_BOUND,
-    "jobs": 1,
-    "filter_mode": induction.PER_LOOP,
-}
-
-
-def _env_value(name: str, default: int | str) -> int | str:
-    """The variable's value, of the default's type: an int or a filter mode."""
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    if isinstance(default, str):
-        if raw not in induction.FILTER_MODES:
-            raise ValueError(f"{name} must be one of {induction.FILTER_MODES}, got {raw!r}")
-        return raw
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _fill_env_defaults(args: argparse.Namespace) -> None:
-    """Set the subcommand's flags left unset from their LOOPBENCH_*
-    variables; raises ValueError naming a variable that is malformed."""
-    for flag, default in _ENV_DEFAULTS.items():
-        if hasattr(args, flag) and getattr(args, flag) is None:
-            setattr(args, flag, _env_value("LOOPBENCH_" + flag.upper(), default))
-
-
 def _cfg(args: argparse.Namespace, limit_attr: str = "limit") -> EvalConfig:
     return EvalConfig(
         per_call_limit=getattr(args, limit_attr),
@@ -74,23 +35,17 @@ def _cfg(args: argparse.Namespace, limit_attr: str = "limit") -> EvalConfig:
     )
 
 
-def _add_limit_flags(sub: argparse.ArgumentParser, verify_limit: bool = False) -> None:
-    sub.add_argument(
-        "--limit",
-        type=int,
-        help="abstract time budget per call (LOOPBENCH_LIMIT)",
-    )
-    if verify_limit:
-        sub.add_argument(
-            "--verify-limit",
-            type=int,
-            help="abstract time budget per call during verification (LOOPBENCH_VERIFY_LIMIT)",
-        )
-    sub.add_argument(
-        "--value-bound",
-        type=int,
-        help="largest value magnitude before overflow (LOOPBENCH_VALUE_BOUND)",
-    )
+_LIMIT_FLAGS = {
+    "--limit": (CHECK_LIMIT, "abstract time budget per call"),
+    "--verify-limit": (VERIFY_LIMIT, "abstract time budget per call during verification"),
+    "--value-bound": (VALUE_BOUND, "largest value magnitude before overflow"),
+}
+
+
+def _add_limit_flags(sub: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        default, bounds = _LIMIT_FLAGS[flag]
+        sub.add_argument(flag, type=int, default=default, help=f"{bounds} (default {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,18 +64,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program")
     p.add_argument("x", type=int)
     p.add_argument("y", type=int)
-    _add_limit_flags(p)
+    _add_limit_flags(p, "--limit", "--value-bound")
 
     p = subs.add_parser("seq", help="print the first n values of a program")
     p.add_argument("program")
     p.add_argument("n", type=int)
-    _add_limit_flags(p)
+    _add_limit_flags(p, "--limit", "--value-bound")
 
     p = subs.add_parser("cover", help="check that a program generates a sequence's terms")
     p.add_argument("program")
     p.add_argument("--anum", required=True)
     p.add_argument("--stripped", required=True, type=Path)
-    _add_limit_flags(p)
+    _add_limit_flags(p, "--limit", "--value-bound")
 
     p = subs.add_parser("build", help="group solutions into a problem manifest")
     p.add_argument("--stripped", required=True, type=Path)
@@ -131,14 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problems", required=True, type=Path)
     p.add_argument("--reports", type=Path, help="verify report JSON-lines output")
     p.add_argument("--nonverified", type=Path, help="all_nonverified100 manifest output")
-    _add_limit_flags(p, verify_limit=True)
+    _add_limit_flags(p, "--verify-limit", "--value-bound")
 
     p = subs.add_parser("filter", help="apply the induction-likelihood filters")
     p.add_argument("--problems", required=True, type=Path)
     p.add_argument("--syn", required=True, type=Path, help="aind_syn manifest output")
     p.add_argument("--sem", required=True, type=Path, help="aind_sem manifest output")
-    p.add_argument("--filter-mode", choices=induction.FILTER_MODES, help="(LOOPBENCH_FILTER_MODE)")
-    _add_limit_flags(p)
+    p.add_argument("--filter-mode", choices=induction.FILTER_MODES, default=induction.PER_LOOP)
+    _add_limit_flags(p, "--limit", "--value-bound")
 
     p = subs.add_parser("export", help="write SMT-LIB scripts for a problem manifest")
     p.add_argument("--problems", required=True, type=Path)
@@ -155,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True, type=Path)
     p.add_argument("--variant", default="base")
     p.add_argument("--log", required=True, type=Path)
-    p.add_argument("--jobs", type=int, help="solver runs at a time (LOOPBENCH_JOBS)")
+    p.add_argument("--jobs", type=int, default=1, help="solver runs at a time")
 
     p = subs.add_parser("report", help="aggregate solver results into a table")
     p.add_argument("--results", required=True, type=Path)
@@ -172,13 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", required=True, type=Path)
     p.add_argument("--variant", default="base")
     p.add_argument("--c2x-appendix", action="store_true")
-    p.add_argument("--filter-mode", choices=induction.FILTER_MODES, help="(LOOPBENCH_FILTER_MODE)")
+    p.add_argument("--filter-mode", choices=induction.FILTER_MODES, default=induction.PER_LOOP)
     p.add_argument(
         "--dry-run",
         action="store_true",
         help="print the stage counts without writing anything",
     )
-    _add_limit_flags(p, verify_limit=True)
+    _add_limit_flags(p, "--limit", "--verify-limit", "--value-bound")
 
     return top
 
@@ -267,9 +222,10 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    variant = smt.parse_variant(args.variant)
     solvers = harness.load_solver_config(args.config)
     files = [(pid, args.dir / name) for pid, name in smt.read_index(args.dir / "index.tsv")]
-    results = harness.run_campaign(solvers, files, args.variant, args.log, args.jobs)
+    results = harness.run_campaign(solvers, files, variant.label(), args.log, args.jobs)
     print(f"{len(results)} new results -> {args.log}")
     return 0
 
@@ -347,7 +303,6 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _fill_env_defaults(args)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -84,7 +84,10 @@ BASE = Variant("base")
 
 
 def parse_variant(text: str, appendix_twox: bool = False) -> Variant:
-    """Variant from its CLI name: base, c1..c8, c2x, strong."""
+    """Variant from its CLI name: base, c1..c8, c2x, strong.  Only c2x
+    has an appendix form."""
+    if appendix_twox and text != "c2x":
+        raise ValueError(f"--c2x-appendix applies only to variant c2x, not {text!r}")
     if text == "base":
         return Variant("base")
     if text == "c2x":

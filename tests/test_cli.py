@@ -6,7 +6,7 @@ import pytest
 
 from conftest import FIXTURES
 from loopbench import induction
-from loopbench.cli import build_parser, main
+from loopbench.cli import main
 from loopbench.lang import MAX_DEPTH
 
 
@@ -75,44 +75,10 @@ def test_eval_respects_limit_flag(capsys):
     assert "timeout" in err
 
 
-def test_limit_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("LOOPBENCH_LIMIT", "5")
-    code, _, err = run(capsys, "eval", "loop(x + y, x, 0)", "9", "0")
-    assert code == 1
-    assert "timeout" in err
-    # An explicit flag still wins over the environment.
-    code, out, _ = run(capsys, "eval", "--limit", "100000", "loop(x + y, x, 0)", "9", "0")
-    assert code == 0
-
-
-def test_malformed_env_value_is_an_error_of_the_subcommands_taking_it(capsys, monkeypatch):
-    monkeypatch.setenv("LOOPBENCH_LIMIT", "abc")
-    code, out, err = run(capsys, "eval", "x", "1", "0")
-    assert code == 1
-    assert out == ""
-    assert err == "error: LOOPBENCH_LIMIT must be an integer, got 'abc'\n"
-    # An explicit flag does not read the variable.
-    assert run(capsys, "eval", "--limit", "9", "x", "1", "0")[:2] == (0, "1 (cost 1)\n")
-    monkeypatch.setenv("LOOPBENCH_JOBS", "1.5")
-    assert run(capsys, "fmt", "x") == (0, "x\n", "")
-    code, _, err = run(capsys, "run", "--config", "c.json", "--dir", ".", "--log", "l.jsonl")
-    assert code == 1
-    assert err == "error: LOOPBENCH_JOBS must be an integer, got '1.5'\n"
-    monkeypatch.delenv("LOOPBENCH_LIMIT")
-    monkeypatch.setenv("LOOPBENCH_FILTER_MODE", "bogus")
-    code, _, err = run(capsys, "filter", "--problems", "p.jsonl", "--syn", "s", "--sem", "t")
-    assert code == 1
-    assert err.startswith("error: LOOPBENCH_FILTER_MODE must be one of")
-
-
-def test_filter_mode_comes_from_the_environment_when_no_flag_is_given(
+def test_filter_mode_defaults_to_per_loop_and_the_flag_reaches_classify_all(
     capsys, monkeypatch, corpus
 ):
-    monkeypatch.setenv("LOOPBENCH_FILTER_MODE", "per-test")
-    # The parser reads no variable: main fills every default in one place.
     outputs = ["--syn", str(corpus / "syn"), "--sem", str(corpus / "sem")]
-    args = build_parser().parse_args(["filter", "--problems", "p.jsonl", *outputs])
-    assert args.filter_mode is None
     modes = []
     real = induction.classify_all
 
@@ -122,37 +88,84 @@ def test_filter_mode_comes_from_the_environment_when_no_flag_is_given(
 
     monkeypatch.setattr(induction, "classify_all", recording)
     manifest = _built(capsys, corpus)
+    flag = ["--filter-mode", "per-test"]
     assert run(capsys, "filter", "--problems", str(manifest), *outputs)[0] == 0
-    flag = ["--filter-mode", "per-loop"]
     assert run(capsys, "filter", "--problems", str(manifest), *flag, *outputs)[0] == 0
     pipeline = ["--stripped", str(corpus / "stripped"), "--solutions",
                 str(corpus / "solutions.tsv"), "--outdir", str(corpus / "out"), "--dry-run"]
     assert run(capsys, "pipeline", *pipeline)[0] == 0
-    assert modes == ["per-test", "per-loop", "per-test"]
+    assert run(capsys, "pipeline", *pipeline, *flag)[0] == 0
+    assert modes == ["per-loop", "per-test", "per-loop", "per-test"]
+
+
+# The names that once mirrored the flags; every setting now comes from
+# the command line alone.
+ENV_NAMES = ["LOOPBENCH_LIMIT", "LOOPBENCH_VERIFY_LIMIT", "LOOPBENCH_VALUE_BOUND",
+             "LOOPBENCH_FILTER_MODE", "LOOPBENCH_JOBS"]
+
+
+def _env_session(capsys, root):
+    """Run eval, verify, filter, pipeline --dry-run and run in a fresh
+    directory: each one's (exit code, stdout, stderr), and the files written."""
+    root.mkdir()
+    shutil.copy(FIXTURES / "stripped", root / "stripped")
+    shutil.copy(FIXTURES / "solutions.tsv", root / "solutions.tsv")
+    (root / "smt").mkdir()
+    (root / "smt" / "A1.smt2").write_text("unsat\n")
+    (root / "smt" / "index.tsv").write_text("A1\tA1.smt2\n")
+    config = root / "solvers.json"
+    config.write_text(json.dumps({"solvers": [{"name": "cat", "cmd": "cat {file}"}]}))
+    inputs = ["--stripped", str(root / "stripped"), "--solutions", str(root / "solutions.tsv")]
+    manifest = str(root / "problems.jsonl")
+    outputs = []
+    for argv in (
+        ["eval", "loop(x + y, x, 0)", "9", "0"],
+        ["build", *inputs, "--out", manifest],
+        ["verify", "--problems", manifest, "--reports", str(root / "reports.jsonl")],
+        ["filter", "--problems", manifest, "--syn", str(root / "syn"), "--sem", str(root / "sem")],
+        ["pipeline", *inputs, "--outdir", str(root / "out"), "--dry-run"],
+        ["run", "--config", str(config), "--dir", str(root / "smt"), "--log", str(root / "log")],
+    ):
+        code, out, err = run(capsys, *argv)
+        outputs.append((argv[0], code, out.replace(str(root), "ROOT"), err))
+    log = root / "log"
+    verdicts = [json.loads(line)["verdict"] for line in log.read_text().splitlines()]
+    log.unlink()
+    return outputs, verdicts, _tree(root)
 
 
 @pytest.mark.parametrize(
-    "command, flags, env, field",
+    "env",
     [
-        ("eval", ["--limit", "-1"], {}, "per_call_limit"),
-        ("eval", ["--value-bound", "-1"], {}, "value_bound"),
-        ("eval", [], {"LOOPBENCH_LIMIT": "-1"}, "per_call_limit"),
-        ("eval", [], {"LOOPBENCH_VALUE_BOUND": "-3"}, "value_bound"),
-        ("seq", ["--limit", "-1"], {}, "per_call_limit"),
-        ("verify", ["--verify-limit", "-1"], {}, "per_call_limit"),
-        ("verify", [], {"LOOPBENCH_VERIFY_LIMIT": "-1"}, "per_call_limit"),
-        ("filter", ["--value-bound", "-1"], {}, "value_bound"),
-        ("pipeline", ["--verify-limit", "-1"], {}, "per_call_limit"),
-        ("pipeline", ["--limit", "-1"], {}, "per_call_limit"),
-        ("pipeline", [], {"LOOPBENCH_VERIFY_LIMIT": "-1"}, "per_call_limit"),
-        ("pipeline", ["--dry-run"], {"LOOPBENCH_VALUE_BOUND": "-1"}, "value_bound"),
+        dict.fromkeys(ENV_NAMES, "bogus"),
+        {"LOOPBENCH_LIMIT": "5", "LOOPBENCH_VERIFY_LIMIT": "5", "LOOPBENCH_VALUE_BOUND": "3",
+         "LOOPBENCH_FILTER_MODE": "per-test", "LOOPBENCH_JOBS": "0"},
     ],
+    ids=["malformed", "non-default"],
 )
-def test_negative_limit_or_value_bound_is_an_error(
-    capsys, monkeypatch, corpus, command, flags, env, field
-):
+def test_no_environment_variable_changes_a_command(capsys, monkeypatch, tmp_path, env):
+    for name in ENV_NAMES:
+        monkeypatch.delenv(name, raising=False)
+    unset = _env_session(capsys, tmp_path / "unset")
+    assert [code for _, code, _, _ in unset[0]] == [0] * 6
     for name, value in env.items():
         monkeypatch.setenv(name, value)
+    assert _env_session(capsys, tmp_path / "set") == unset
+
+
+@pytest.mark.parametrize(
+    "command, flags, field",
+    [
+        ("eval", ["--limit", "-1"], "per_call_limit"),
+        ("eval", ["--value-bound", "-1"], "value_bound"),
+        ("seq", ["--limit", "-1"], "per_call_limit"),
+        ("verify", ["--verify-limit", "-1"], "per_call_limit"),
+        ("filter", ["--value-bound", "-1"], "value_bound"),
+        ("pipeline", ["--verify-limit", "-1"], "per_call_limit"),
+        ("pipeline", ["--limit", "-1"], "per_call_limit"),
+    ],
+)
+def test_negative_limit_or_value_bound_is_an_error(capsys, corpus, command, flags, field):
     manifest = _built(capsys, corpus) if command in ("verify", "filter") else None
     before = manifest.read_text() if manifest else None
     operands = {
@@ -170,6 +183,20 @@ def test_negative_limit_or_value_bound_is_an_error(
     if manifest:
         assert manifest.read_text() == before
     assert not any((corpus / name).exists() for name in ("syn", "sem", "out"))
+
+
+def test_verify_takes_no_limit_flag(capsys):
+    # verify evaluates only under --verify-limit; a --limit it ignored
+    # would accept even a negative value.
+    with pytest.raises(SystemExit) as exit:
+        main(["verify", "--problems", "p.jsonl", "--limit", "5"])
+    assert exit.value.code == 2
+    assert "unrecognized arguments: --limit 5" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--verify-limit" in help_text
+    assert "--limit" not in help_text
 
 
 def test_zero_limit_and_value_bound_are_allowed(capsys):
@@ -234,15 +261,11 @@ def test_run_takes_each_script_from_the_index(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag, env, shown",
-    [(["--jobs", "0"], None, 0), (["--jobs", "-3"], None, -3), ([], "0", 0)],
-    ids=["flag-0", "flag-negative", "env-0"],
+    "flag, shown",
+    [(["--jobs", "0"], 0), (["--jobs", "-3"], -3)],
+    ids=["flag-0", "flag-negative"],
 )
-def test_run_rejects_fewer_than_one_job_before_opening_the_log(
-    capsys, monkeypatch, tmp_path, flag, env, shown
-):
-    if env is not None:
-        monkeypatch.setenv("LOOPBENCH_JOBS", env)
+def test_run_rejects_fewer_than_one_job_before_opening_the_log(capsys, tmp_path, flag, shown):
     (tmp_path / "A1.smt2").write_text("(check-sat)\n")
     (tmp_path / "index.tsv").write_text("A1\tA1.smt2\n")
     config = tmp_path / "solvers.json"
@@ -252,6 +275,28 @@ def test_run_rejects_fewer_than_one_job_before_opening_the_log(
         capsys, "run", "--config", str(config), "--dir", str(tmp_path), "--log", str(log), *flag
     )
     assert (code, out, err) == (1, "", f"error: jobs must be at least 1, got {shown}\n")
+    assert not log.exists()
+
+
+def _one_script_run(capsys, tmp_path, variant):
+    (tmp_path / "A1.smt2").write_text("unsat\n")
+    (tmp_path / "index.tsv").write_text("A1\tA1.smt2\n")
+    config = tmp_path / "solvers.json"
+    config.write_text(json.dumps({"solvers": [{"name": "cat", "cmd": "cat {file}"}]}))
+    log = tmp_path / "l.jsonl"
+    argv = ["--config", str(config), "--dir", str(tmp_path), "--log", str(log)]
+    return run(capsys, "run", *argv, "--variant", variant), log
+
+
+def test_run_logs_the_variant_it_names(capsys, tmp_path):
+    (code, out, err), log = _one_script_run(capsys, tmp_path, "c2x")
+    assert (code, out, err) == (0, f"1 new results -> {log}\n", "")
+    assert json.loads(log.read_text())["variant"] == "c2x"
+
+
+def test_run_rejects_an_unknown_variant_before_opening_the_log(capsys, tmp_path):
+    (code, out, err), log = _one_script_run(capsys, tmp_path, "c99")
+    assert (code, out, err) == (1, "", "error: unknown conjecture variant 'c99'\n")
     assert not log.exists()
 
 
@@ -393,6 +438,18 @@ def test_export_rejects_unknown_variant(capsys, corpus):
     assert "unknown conjecture variant" in err
 
 
+def test_export_rejects_the_appendix_form_of_a_variant_other_than_c2x(capsys, corpus):
+    manifest = _built(capsys, corpus)
+    outdir = corpus / "x"
+    code, out, err = run(
+        capsys, "export", "--problems", str(manifest), "--outdir", str(outdir),
+        "--variant", "base", "--c2x-appendix",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: --c2x-appendix applies only to variant c2x, not 'base'\n"
+    assert not outdir.exists()
+
+
 def test_export_names_a_problem_that_does_not_lower_and_writes_nothing(capsys, corpus):
     manifest = _built(capsys, corpus)
     rows = [json.loads(line) for line in manifest.read_text().splitlines()]
@@ -422,6 +479,24 @@ def test_pipeline_rejects_unknown_variant_before_any_work(capsys, corpus, mode):
     assert code == 1
     assert "error: unknown conjecture variant 'c99'" in err
     assert out == ""
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("mode", [[], ["--dry-run"]], ids=["write", "dry-run"])
+def test_pipeline_rejects_the_appendix_form_of_a_variant_other_than_c2x(capsys, corpus, mode):
+    outdir = corpus / "out"
+    code, out, err = run(
+        capsys,
+        "pipeline",
+        "--stripped", str(corpus / "stripped"),
+        "--solutions", str(corpus / "solutions.tsv"),
+        "--outdir", str(outdir),
+        "--variant", "c3",
+        "--c2x-appendix",
+        *mode,
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: --c2x-appendix applies only to variant c2x, not 'c3'\n"
     assert not outdir.exists()
 
 

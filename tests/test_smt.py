@@ -5,6 +5,7 @@ from dataclasses import replace
 from typing import NamedTuple
 
 import pytest
+from hypothesis import assume, given, settings
 
 from conftest import FIXTURES
 from loopbench import smt
@@ -29,6 +30,7 @@ from oracles import (
     euclidean_div,
     euclidean_mod,
     free_vars,
+    programs,
     random_program,
 )
 
@@ -190,6 +192,9 @@ def test_parse_variant():
     for bad in ("c0", "c9", "c2y", "succ", ""):
         with pytest.raises(ValueError):
             parse_variant(bad)
+    for other in ("base", "c1", "strong"):
+        with pytest.raises(ValueError, match="applies only to variant c2x"):
+            parse_variant(other, appendix_twox=True)
 
 
 def test_lower_rejects_top_level_y():
@@ -429,6 +434,16 @@ def test_lowering_cosimulates_on_random_programs_and_flags_every_disagreement():
     # 316 pairs of 12 points, none of them cut by the step limit; the 6
     # disagreements are one pair's, whose divisor goes negative.
     assert totals == Counter(agree=2_113, disagree=6, skipped=1_673)
+
+
+@settings(max_examples=200, deadline=None)
+@given(programs(max_leaves=10), programs(max_leaves=10))
+def test_lowering_cosimulates_on_drawn_programs_and_flags_every_disagreement(small, fast):
+    # The Hypothesis twin of the seeded test above: hitting the step limit
+    # raises, and a disagreement must come with a negative divisor.
+    assume(not depends_on(small, Op.Y) and not depends_on(fast, Op.Y))
+    result = cosimulate(small, fast, range(12), EvalConfig(per_call_limit=2_000), max_steps=20_000)
+    assert not result.disagree or result.negative_divmod, (small, fast, result)
 
 
 def test_euclidean_and_floor_division_diverge_on_negative_divisors():
