@@ -10,9 +10,7 @@ from .lang import (
     Op,
     ParseError,
     Program,
-    compare,
     depends_on,
-    order_key,
     parse,
     size,
     to_text,
@@ -21,12 +19,9 @@ from .interp import (
     Budget,
     ErrorKind,
     EvalConfig,
-    EvalFailure,
     EvalOutcome,
     evaluate,
     generate_seq,
-    seq_values,
-    speed,
 )
 from .oeis import (
     ProblemRecord,
@@ -50,21 +45,16 @@ __all__ = [
     "Op",
     "ParseError",
     "Program",
-    "compare",
     "depends_on",
-    "order_key",
     "parse",
     "size",
     "to_text",
     "Budget",
     "ErrorKind",
     "EvalConfig",
-    "EvalFailure",
     "EvalOutcome",
     "evaluate",
     "generate_seq",
-    "seq_values",
-    "speed",
     "ProblemRecord",
     "SequenceRecord",
     "SolutionRecord",

@@ -9,6 +9,8 @@ so an interrupted campaign resumes where it stopped.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import logging
 import math
@@ -286,7 +288,9 @@ class ReportTable:
         return "\n".join(lines) + "\n"
 
     def render_csv(self) -> str:
-        return "".join(",".join(row) + "\n" for row in self._grid("row"))
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(self._grid("row"))
+        return out.getvalue()
 
 
 def aggregate(

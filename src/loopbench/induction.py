@@ -13,8 +13,7 @@ the loop's own windows along x to be acyclic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import replace
 from pathlib import Path
 
 from .interp import Budget, EvalConfig, DEFAULT_CONFIG, evaluate
@@ -28,19 +27,9 @@ SWEEP = 10  # values of the off-axis variable
 PER_LOOP, PER_TEST = FILTER_MODES = ("per-loop", "per-test")
 
 
-class Side(Enum):
-    SMALL = "small"
-    FAST = "fast"
-
-
-@dataclass(frozen=True)
-class TopLoop:
-    subprogram: Program
-    side: Side
-
-
-def select_top_loops(small: Program, fast: Program) -> list[TopLoop]:
-    """Outermost looping occurrences whose shape is unique problem-wide.
+def select_top_loops(small: Program, fast: Program) -> list[Program]:
+    """Outermost looping occurrences whose shape is unique problem-wide,
+    in preorder, small's before fast's.
 
     An occurrence nested (at any argument position) inside another
     looping occurrence is not top-level, so each side is walked in
@@ -48,21 +37,21 @@ def select_top_loops(small: Program, fast: Program) -> list[TopLoop]:
     counting for the uniqueness requirement runs over every subterm of
     both sides, nested ones included.
     """
-    sides = ((Side.SMALL, small), (Side.FAST, fast))
+    sides = (small, fast)
     occurrence_count = Counter(
-        s for _, p in sides for s in subprograms(p) if s.op in LOOPING_OPS
+        s for p in sides for s in subprograms(p) if s.op in LOOPING_OPS
     )
-    tops: list[TopLoop] = []
+    tops: list[Program] = []
 
-    def walk(p: Program, side: Side) -> None:
+    def walk(p: Program) -> None:
         if p.op not in LOOPING_OPS:
             for a in p.args:
-                walk(a, side)
+                walk(a)
         elif occurrence_count[p] == 1:
-            tops.append(TopLoop(p, side))
+            tops.append(p)
 
-    for side, p in sides:
-        walk(p, side)
+    for p in sides:
+        walk(p)
     return tops
 
 
@@ -164,7 +153,7 @@ def classify(
     """
     if mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {mode!r}")
-    tops = [t.subprogram for t in select_top_loops(problem.small, problem.fast)]
+    tops = select_top_loops(problem.small, problem.fast)
     syn_loops = [p for p in tops if syntactic_test(p)]
     if not syn_loops:
         return False, False

@@ -144,15 +144,6 @@ class EvalOutcome(NamedTuple):
 _outcome = tuple.__new__
 
 
-class EvalFailure(Exception):
-    """Raised by helpers that require a fully successful run."""
-
-    def __init__(self, kind: ErrorKind, index: int):
-        super().__init__(f"evaluation failed with {kind.value} at index {index}")
-        self.kind = kind
-        self.index = index
-
-
 # Digit counts.
 
 _LOG10_2 = math.log10(2)
@@ -569,22 +560,3 @@ def generate_seq(p: Program, n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> list[E
         if outcome.error is not None:
             break
     return outcomes
-
-
-def _successful_seq(p: Program, n: int, cfg: EvalConfig) -> list[EvalOutcome]:
-    """generate_seq's outcomes; raises EvalFailure if any call fails."""
-    outcomes = generate_seq(p, n, cfg)
-    bad = [o for o in outcomes if not o.ok]
-    if bad:
-        raise EvalFailure(bad[0].error, len(outcomes) - 1)
-    return outcomes
-
-
-def seq_values(p: Program, n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> list[int]:
-    """Values of the first n calls; raises EvalFailure if any call fails."""
-    return [o.value for o in _successful_seq(p, n, cfg)]
-
-
-def speed(p: Program, n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> int:
-    """Total abstract time to generate the first n values of p."""
-    return sum(o.cost for o in _successful_seq(p, n, cfg))

@@ -18,7 +18,7 @@ from typing import Iterator
 
 
 class Op(IntEnum):
-    """Operator tags, ordered; the numeric value is the comparison code."""
+    """Operator tags."""
 
     ZERO = 0
     ONE = 1
@@ -95,22 +95,6 @@ def subprograms(p: Program) -> Iterator[Program]:
     yield p
     for a in p.args:
         yield from subprograms(a)
-
-
-def opcodes(p: Program) -> tuple[int, ...]:
-    """Preorder operator codes; arities are fixed, so this determines p."""
-    return tuple(s.op for s in subprograms(p))
-
-
-def order_key(p: Program) -> tuple[int, tuple[int, ...]]:
-    """Sort key for the total order: size first, then preorder op codes."""
-    return (size(p), opcodes(p))
-
-
-def compare(p: Program, q: Program) -> int:
-    """Total order on programs: -1, 0 or 1.  0 iff structurally equal."""
-    kp, kq = order_key(p), order_key(q)
-    return (kp > kq) - (kp < kq)
 
 
 def depends_on(p: Program, var: Op) -> bool:

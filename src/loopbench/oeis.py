@@ -21,6 +21,8 @@ from .lang import ParseError, Program, parse, to_text, Op, depends_on
 log = logging.getLogger(__name__)
 
 _ANUM_RE = re.compile(r"^A\d+$")
+# A problem id names its exported script, so it must be a plain file name.
+_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 @dataclass(frozen=True)
@@ -210,6 +212,8 @@ def problem_from_json(line: str) -> ProblemRecord:
     if not isinstance(d, dict):
         raise ValueError(f"row must be a JSON object, got {type(d).__name__}")
     pid = _field(d, "id", str)
+    if not _ID_RE.fullmatch(pid):
+        raise ValueError(f"field 'id' must be a plain file name, got {pid!r}")
     anums = _field(d, "anums", list)
     if not all(isinstance(a, str) for a in anums):
         raise ValueError(f"field 'anums' must list strings, got {anums!r}")

@@ -19,7 +19,7 @@ from loopbench.interp import (
     EvalConfig,
     VERIFY_CONFIG,
     evaluate,
-    seq_values,
+    generate_seq,
 )
 from loopbench.lang import parse
 from loopbench.oeis import ProblemRecord, build_problems
@@ -53,9 +53,10 @@ def _pass(n, msg):
 
 def _timed_terms(text, n):
     start = time.monotonic()
-    values = seq_values(parse(text), n)
+    outcomes = generate_seq(parse(text), n)
     elapsed = time.monotonic() - start
-    return values, elapsed
+    assert all(o.ok for o in outcomes)
+    return [o.value for o in outcomes], elapsed
 
 
 def test_criterion_1_pinned_term_lists(problems_by_id):

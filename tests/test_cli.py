@@ -676,6 +676,30 @@ def test_repeated_manifest_id_is_an_error_and_nothing_is_written(capsys, corpus,
     ]
 
 
+@pytest.mark.parametrize("command", ["verify", "filter", "export"])
+@pytest.mark.parametrize("pid", ["../escaped", "a/b", "A1\tx", ".."])
+def test_manifest_id_must_be_a_plain_file_name(capsys, corpus, command, pid):
+    # The id names the exported script: "../escaped" would be written
+    # beside the outdir, and a tab would break index.tsv.
+    manifest = _built(capsys, corpus)
+    rows = manifest.read_text().splitlines()
+    rows[0] = json.dumps({**json.loads(rows[0]), "id": pid})
+    manifest.write_text("".join(row + "\n" for row in rows))
+    before = manifest.read_text()
+    outputs = {
+        "verify": ["--reports", str(corpus / "r"), "--nonverified", str(corpus / "n")],
+        "filter": ["--syn", str(corpus / "syn"), "--sem", str(corpus / "sem")],
+        "export": ["--outdir", str(corpus / "out" / "base")],
+    }
+    code, out, err = run(capsys, command, "--problems", str(manifest), *outputs[command])
+    assert (code, out) == (1, "")
+    assert err == f"error: {manifest}:1: field 'id' must be a plain file name, got {pid!r}\n"
+    assert manifest.read_text() == before
+    assert sorted(p.name for p in corpus.iterdir()) == [
+        "problems.jsonl", "solutions.tsv", "stripped"
+    ]
+
+
 def _log_readers(tmp_path, log):
     """argv of `run` and `report` over a one-script export and this log."""
     (tmp_path / "A1.smt2").write_text("(check-sat)\n")

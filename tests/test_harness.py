@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import logging
 import re
@@ -348,6 +350,15 @@ def test_aggregate_counts_and_union():
     csv = table.render_csv()
     assert csv.splitlines()[0] == "row,s1/base,s2/base,All"
     assert csv.splitlines()[1] == "NoFilt,2,2,3"
+
+
+def test_report_csv_quotes_a_name_holding_a_comma_or_quote():
+    results = [_result("A1", "z3,4.8", Verdict.PROVED), _result("A1", 'say "hi"', Verdict.UNKNOWN)]
+    table = aggregate(results, ["A1"], [], [], [])
+    rows = list(csv.reader(io.StringIO(table.render_csv())))
+    assert rows[0] == ["row", 'say "hi"/base', "z3,4.8/base", "All"]
+    assert rows[1] == ["NoFilt", "0", "1", "1"]
+    assert all(len(row) == len(rows[0]) for row in rows)
 
 
 def test_aggregate_flags_countersat_on_verified_problems(caplog):

@@ -10,7 +10,6 @@ from loopbench.induction import (
     CYCLE_SKIP,
     MAX_PERIOD,
     WINDOW,
-    Side,
     acyclic_on,
     classify,
     classify_all,
@@ -33,21 +32,14 @@ def test_window_constants():
     assert MAX_PERIOD == 15
 
 
-def _pairs(tops):
-    return [(t.subprogram, t.side) for t in tops]
-
-
 def test_select_top_loops_fixture(problems_by_id):
     a79 = problems_by_id["A79"]
-    assert _pairs(select_top_loops(*_sides(a79))) == [
-        (a79.small, Side.SMALL),
-        (a79.fast, Side.FAST),
-    ]
+    assert select_top_loops(*_sides(a79)) == [a79.small, a79.fast]
 
     a45 = problems_by_id["A45-A77373"]
-    assert _pairs(select_top_loops(*_sides(a45))) == [
-        (a45.small, Side.SMALL),
-        (parse("loop2(x + y, x, x - 2, 1, 1)"), Side.FAST),  # inside the conditional
+    assert select_top_loops(*_sides(a45)) == [
+        a45.small,
+        parse("loop2(x + y, x, x - 2, 1, 1)"),  # inside the conditional
     ]
 
 
@@ -57,18 +49,18 @@ def _sides(problem):
 
 def test_select_top_loops_excludes_nested_occurrences():
     small = parse("loop(loop(x + y, x, 0), x, 1)")
-    assert _pairs(select_top_loops(small, parse("x"))) == [(small, Side.SMALL)]
+    assert select_top_loops(small, parse("x")) == [small]
     # Every top loop of a side, in preorder, at any argument position.
     first, second = parse("loop(x * y, x, 1)"), parse("compr(x + y, x)")
     fast = parse("(x + loop(x * x, x, 1)) * loop(compr(x + y, x), x, 2)")
-    assert _pairs(select_top_loops(first, fast)) == [
-        (first, Side.SMALL),
-        (parse("loop(x * x, x, 1)"), Side.FAST),
-        (parse("loop(compr(x + y, x), x, 2)"), Side.FAST),
+    assert select_top_loops(first, fast) == [
+        first,
+        parse("loop(x * x, x, 1)"),
+        parse("loop(compr(x + y, x), x, 2)"),
     ]
-    assert _pairs(select_top_loops(second, parse("loop2(x, y, x, 0, 1) + 1"))) == [
-        (second, Side.SMALL),
-        (parse("loop2(x, y, x, 0, 1)"), Side.FAST),
+    assert select_top_loops(second, parse("loop2(x, y, x, 0, 1) + 1")) == [
+        second,
+        parse("loop2(x, y, x, 0, 1)"),
     ]
 
 
@@ -84,7 +76,7 @@ def test_select_top_loops_counts_nested_duplicates():
     # The duplicate hides inside another loop's body on the fast side.
     small = parse("loop(x + y, x, 0)")
     fast = parse("loop(loop(x + y, x, 0), x, 1) + 1")
-    assert _pairs(select_top_loops(small, fast)) == [(fast.args[0], Side.FAST)]
+    assert select_top_loops(small, fast) == [fast.args[0]]
 
 
 def test_syntactic_test_loop():
@@ -196,7 +188,7 @@ def test_semantic_test_pins(problems_by_id):
     assert not semantic_test(parse("loop(2 * (x * y), x, 1)"))
     # The parity-bound loop cycles along x.
     (top,) = select_top_loops(*_sides(problems_by_id["A180713"]))
-    assert not semantic_test(top.subprogram)
+    assert not semantic_test(top)
 
 
 def _script_acyclic(monkeypatch, failing=(), cfg=DEFAULT_CONFIG):

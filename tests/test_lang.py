@@ -16,10 +16,7 @@ from loopbench.lang import (
     Op,
     ParseError,
     Program,
-    compare,
     depends_on,
-    opcodes,
-    order_key,
     parse,
     size,
     subprograms,
@@ -170,40 +167,6 @@ def test_depends_on_pins():
     assert depends_on(parse("loop2(1, 1, x, 1, 0)"), Op.X)
     assert not depends_on(parse("compr(x + y, 2)"), Op.X)
     assert depends_on(parse("compr(1, y)"), Op.Y)
-
-
-def test_order_pins():
-    assert compare(X, X) == 0
-    assert compare(ZERO, ONE) < 0
-    assert compare(X, parse("x + x")) < 0  # smaller first
-    assert compare(parse("x + y"), parse("x * y")) < 0  # same size: op codes
-    assert compare(parse("x * y"), parse("x + y")) > 0
-
-
-@settings(max_examples=200)
-@given(programs(), programs())
-def test_order_is_total_and_injective(p, q):
-    c = compare(p, q)
-    assert c == -compare(q, p)
-    assert (c == 0) == (p == q)
-    assert (order_key(p) == order_key(q)) == (p == q)
-    if size(p) < size(q):
-        assert c < 0
-
-
-@settings(max_examples=100)
-@given(programs(), programs(), programs())
-def test_order_is_transitive(p, q, r):
-    chain = sorted([p, q, r], key=order_key)
-    assert compare(chain[0], chain[1]) <= 0
-    assert compare(chain[1], chain[2]) <= 0
-    assert compare(chain[0], chain[2]) <= 0
-
-
-def test_opcodes_determine_program():
-    p = parse("loop(x + y, x, 0)")
-    q = parse("loop(x, x + y, 0)")
-    assert opcodes(p) != opcodes(q)
 
 
 @settings(max_examples=300)

@@ -1,7 +1,9 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and the
+package exports exactly its public names."""
 
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import loopbench
@@ -38,3 +40,15 @@ def test_every_module_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names | {"loopbench", "__main__"}
     }
     assert outside == set()
+
+
+def test_all_lists_exactly_the_public_names():
+    namespace = {}
+    exec("from loopbench import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(loopbench.__all__)
+    public = {
+        name
+        for name, value in vars(loopbench).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(loopbench.__all__) == public | {"__version__"}
