@@ -18,9 +18,9 @@ import shlex
 import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -42,18 +42,36 @@ DEFAULT_TOKENS = {
 }
 
 
-@dataclass(frozen=True)
-class SolverSpec:
+class _SolverFields(NamedTuple):
     name: str
     command: str
-    timeout: float = DEFAULT_TIMEOUT
-    tokens: dict[str, Verdict] = field(default_factory=lambda: dict(DEFAULT_TOKENS))
+    timeout: float
+    tokens: dict[str, Verdict]
 
-    def __post_init__(self) -> None:
+
+class SolverSpec(_SolverFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        name: str,
+        command: str,
+        timeout: float = DEFAULT_TIMEOUT,
+        tokens: dict[str, Verdict] | None = None,
+    ) -> SolverSpec:
         # Named by its config field: load_solver_config puts the path and
         # the solver's position in front.
-        if self.command.count("{file}") != 1:
+        if command.count("{file}") != 1:
             raise ValueError("field 'cmd' must contain {file} exactly once")
+        # Each spec gets a map of its own.
+        if tokens is None:
+            tokens = dict(DEFAULT_TOKENS)
+        return tuple.__new__(cls, (name, command, timeout, tokens))
+
+    @classmethod
+    def _make(cls, fields) -> SolverSpec:
+        # _replace builds its copy here: check it as a new spec.
+        return cls(*fields)
 
 
 def load_solver_config(path: str | Path) -> list[SolverSpec]:
@@ -106,15 +124,14 @@ def load_solver_config(path: str | Path) -> list[SolverSpec]:
         except ValueError as exc:
             raise ValueError(f"{where}: field 'tokens': {exc}") from None
         try:
-            spec = SolverSpec(entry["name"], entry["cmd"], timeout, tokens or dict(DEFAULT_TOKENS))
+            spec = SolverSpec(entry["name"], entry["cmd"], timeout, tokens or None)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
         specs.append(spec)
     return specs
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     problem_id: str
     solver: str
     variant: str
@@ -258,8 +275,7 @@ def run_campaign(
     return results
 
 
-@dataclass
-class ReportTable:
+class ReportTable(NamedTuple):
     """Solved-problem counts per population row and solver/variant column."""
 
     rows: list[str]

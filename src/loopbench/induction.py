@@ -13,7 +13,6 @@ the loop's own windows along x to be acyclic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 from .interp import Budget, EvalConfig, DEFAULT_CONFIG, evaluate
@@ -174,7 +173,7 @@ def classify_all(
     for problem in problems:
         if problem.released:
             syn, sem = classify(problem, cfg, mode)
-            problem = replace(problem, syn_pass=syn, sem_pass=sem)
+            problem = problem._replace(syn_pass=syn, sem_pass=sem)
         classified.append(problem)
     return classified
 

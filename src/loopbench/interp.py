@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from typing import Callable, NamedTuple
@@ -91,24 +90,37 @@ _code_keys: dict[tuple[int, int], int] = {}
 _next_code_key = itertools.count()
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    per_call_limit: int = CHECK_LIMIT
-    value_bound: int = VALUE_BOUND
-    big_value_threshold: int = BIG_VALUE_THRESHOLD
+class _Limits(NamedTuple):
+    per_call_limit: int
+    value_bound: int
+    big_value_threshold: int
 
-    def __post_init__(self) -> None:
-        for name in ("per_call_limit", "value_bound", "big_value_threshold"):
-            if getattr(self, name) < 0:
+
+class EvalConfig(_Limits):
+    def __new__(
+        cls,
+        per_call_limit: int = CHECK_LIMIT,
+        value_bound: int = VALUE_BOUND,
+        big_value_threshold: int = BIG_VALUE_THRESHOLD,
+    ) -> EvalConfig:
+        self = tuple.__new__(cls, (per_call_limit, value_bound, big_value_threshold))
+        for name, value in zip(self._fields, self):
+            if value < 0:
                 raise ValueError(f"{name} must not be negative")
-        bounds = (self.value_bound, self.big_value_threshold)
-        key = _code_keys.setdefault(bounds, next(_next_code_key))
-        object.__setattr__(self, "_code_key", key)
+        self._code_key = _code_keys.setdefault(
+            (value_bound, big_value_threshold), next(_next_code_key)
+        )
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> EvalConfig:
+        # _replace builds its copy here: the copy needs its own key.
+        return cls(*fields)
 
     def __reduce__(self):
-        # Rebuilt through __init__, so that an unpickled config takes
+        # Rebuilt through __new__, so that an unpickled config takes
         # this process's key for its bounds.
-        return EvalConfig, (self.per_call_limit, self.value_bound, self.big_value_threshold)
+        return EvalConfig, tuple(self)
 
 
 DEFAULT_CONFIG = EvalConfig()

@@ -12,9 +12,8 @@ lowering in smt all take their spellings from it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class Op(IntEnum):
@@ -56,24 +55,34 @@ LOOPING_OPS = (Op.LOOP, Op.LOOP2, Op.COMPR)
 BODY_SLOTS = {Op.LOOP: (0,), Op.LOOP2: (0, 1), Op.COMPR: (0,)}
 
 
-@dataclass(frozen=True)
-class Program:
+class _Syntax(NamedTuple):
     op: Op
-    args: tuple["Program", ...] = ()
+    args: tuple[Program, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.args) != ARITY[self.op]:
-            raise ValueError(
-                f"{self.op.name} takes {ARITY[self.op]} arguments, got {len(self.args)}"
-            )
+
+class Program(_Syntax):
+    """A term: an operator and its arguments.
+
+    Programs compare, hash and pickle by their syntax alone.  The
+    evaluator keeps compiled code in the instance dict, and that code
+    goes with this object alone.
+    """
+
+    def __new__(cls, op: Op, args: tuple[Program, ...] = ()) -> Program:
+        if len(args) != ARITY[op]:
+            raise ValueError(f"{op.name} takes {ARITY[op]} arguments, got {len(args)}")
+        return tuple.__new__(cls, (op, args))
+
+    @classmethod
+    def _make(cls, fields) -> Program:
+        # _replace builds its copy here: check it as a new program.
+        return cls(*fields)
 
     def __repr__(self) -> str:
         return f"<{to_text(self)}>"
 
-    def __getstate__(self) -> dict:
-        # Only the syntax: the evaluator keeps compiled code in the
-        # instance dict, and that code goes with this object alone.
-        return {"op": self.op, "args": self.args}
+    def __reduce__(self):
+        return Program, (self.op, self.args)
 
 
 # The leaves, shared singletons: parse returns these objects.

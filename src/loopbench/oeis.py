@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .interp import EvalConfig, DEFAULT_CONFIG, generate_seq
 from .lang import ParseError, Program, parse, to_text, Op, depends_on
@@ -25,14 +25,12 @@ _ANUM_RE = re.compile(r"^A\d+$")
 _ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
-@dataclass(frozen=True)
-class SequenceRecord:
+class SequenceRecord(NamedTuple):
     anum: str
     terms: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
+class SolutionRecord(NamedTuple):
     anum: str
     small: Program
     fast: Program
@@ -43,21 +41,37 @@ UNVERIFIED, VERIFIED, NONVERIFIED, REFUTED = "unverified", "verified", "nonverif
 STATUSES = (UNVERIFIED, VERIFIED, NONVERIFIED, REFUTED)
 
 
-@dataclass(frozen=True)
-class ProblemRecord:
+class _ProblemFields(NamedTuple):
     id: str
     anums: tuple[str, ...]
     terms: tuple[int, ...]
     small: Program
     fast: Program
-    status: str = UNVERIFIED
-    syn_pass: bool = False
-    sem_pass: bool = False
+    status: str
+    syn_pass: bool
+    sem_pass: bool
 
-    def __post_init__(self) -> None:
+
+class ProblemRecord(_ProblemFields):
+    def __new__(
+        cls,
+        id: str,
+        anums: tuple[str, ...],
+        terms: tuple[int, ...],
+        small: Program,
+        fast: Program,
+        status: str = UNVERIFIED,
+        syn_pass: bool = False,
+        sem_pass: bool = False,
+    ) -> ProblemRecord:
         # Tuples, so that records the stages copy share nothing mutable.
-        object.__setattr__(self, "anums", tuple(self.anums))
-        object.__setattr__(self, "terms", tuple(self.terms))
+        fields = (id, tuple(anums), tuple(terms), small, fast, status, syn_pass, sem_pass)
+        return tuple.__new__(cls, fields)
+
+    @classmethod
+    def _make(cls, fields) -> ProblemRecord:
+        # _replace builds its copy here: lists become tuples in it too.
+        return cls(*fields)
 
     @property
     def released(self) -> bool:

@@ -26,8 +26,8 @@ declarations and assertions are lowered and rendered on its first
 `emit` and kept on its record; a variant's conjecture line is rendered
 once and kept on the variant.  So exporting the same records under
 several variants lowers each problem once.  Reuse is exact: records,
-programs and variants are immutable, and `dataclasses.replace` gives a
-record without the kept text.
+programs and variants are immutable, and their `_replace` method gives a
+copy without the kept text.
 
 div and mod in the emitted scripts are SMT-LIB's Euclidean operations.
 They can differ from the interpreter's floor semantics only when the
@@ -38,9 +38,8 @@ than patched around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 from .lang import BINARY_OPS, BODY_SLOTS, NAMES, Op, Program, depends_on, to_text
 from .oeis import ProblemRecord
@@ -59,18 +58,20 @@ def render(s: Sexp) -> str:
     return "(" + " ".join(render(x) for x in s) + ")"
 
 
-@dataclass(frozen=True)
-class LoweredDef:
+class LoweredDef(NamedTuple):
     name: str
     params: tuple[str, ...]
     body: Sexp
 
 
-@dataclass(frozen=True)
-class Variant:
+class _VariantFields(NamedTuple):
     kind: str  # "base" | "succ" | "twox" | "strong"
     k: int = 0
     appendix_twox: bool = False
+
+
+class Variant(_VariantFields):
+    """A conjecture shape; its instance dict keeps the rendered line."""
 
     def label(self) -> str:
         if self.kind == "succ":
@@ -263,8 +264,7 @@ def conjecture(variant: Variant) -> Sexp:
     return ("exists", (("c", "Int"),), ("and", (">=", "c", "0"), claim))
 
 
-@dataclass(frozen=True)
-class SmtScript:
+class SmtScript(NamedTuple):
     header: tuple[str, ...]
     logic: str
     declarations: tuple[str, ...]
@@ -369,13 +369,18 @@ def export_all(
 
 
 def read_index(path: str | Path) -> list[tuple[str, str]]:
-    """The (id, filename) rows of an index.tsv; a bad row raises ValueError naming path:line."""
+    """The (id, filename) rows of an index.tsv; a bad row or a repeated id
+    raises ValueError naming path:line."""
     rows = []
+    first_lines: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         cells = tuple(line.split("\t"))
         if len(cells) != 2 or not all(cells):
             raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields")
+        first = first_lines.setdefault(cells[0], lineno)
+        if first != lineno:
+            raise ValueError(f"{path}:{lineno}: repeated id {cells[0]!r} (first on line {first})")
         rows.append(cells)
     return rows

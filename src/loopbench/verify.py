@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .induction import write_manifest
 from .interp import Budget, EvalConfig, VERIFY_CONFIG, evaluate
 from .oeis import NONVERIFIED, REFUTED, VERIFIED, ProblemRecord
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     problem_id: str
     status: str
     checked_upto: int
@@ -55,7 +54,7 @@ def verify_all(
     new status, and the reports, both in manifest order.  The given
     records are left as they are."""
     reports = [verify100(problem, cfg) for problem in problems]
-    verified = [replace(p, status=r.status) for p, r in zip(problems, reports)]
+    verified = [p._replace(status=r.status) for p, r in zip(problems, reports)]
     return verified, reports
 
 

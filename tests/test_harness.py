@@ -42,6 +42,12 @@ def test_default_timeout_is_one_minute():
     assert SolverSpec("s", "solver {file}").timeout == 60.0
 
 
+def test_each_spec_gets_its_own_default_tokens():
+    a, b = SolverSpec("a", "a {file}"), SolverSpec("b", "b {file}")
+    assert a.tokens == b.tokens == DEFAULT_TOKENS
+    assert a.tokens is not b.tokens and a.tokens is not DEFAULT_TOKENS
+
+
 def test_spec_requires_single_file_placeholder():
     with pytest.raises(ValueError):
         SolverSpec("s", "solver")

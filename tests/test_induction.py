@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,6 +137,10 @@ def test_acyclic_on_pins():
     assert acyclic_on(parse("2 - x"), Op.X)
     # ...but clamped at zero it flatlines.
     assert not acyclic_on(parse("2 - x"), Op.X, map_negatives=True)
+    # -1 up to x = 9, then 1: a step from the clamp value 0 to 1 at the
+    # first index the cycle test reads, and no cycle; clamped to 1 it
+    # would be flat.
+    assert acyclic_on(parse("cond((x - (2 * (2 * 2))) - 1, 0 - 1, 1)"), Op.X, map_negatives=True)
 
 
 def test_acyclic_on_other_axis():
@@ -287,7 +289,7 @@ def test_classify_mode_picks_the_loops_the_semantic_test_samples(monkeypatch, mo
     assert calls == [(b, Op.X, True) for b in bounds]
 
     calls.clear()
-    no_loop_passes = replace(problem, fast=parse("loop(x * y, 1, 1)"))
+    no_loop_passes = problem._replace(fast=parse("loop(x * y, 1, 1)"))
     assert classify(no_loop_passes, mode=mode) == (False, False)
     assert calls == []
 
@@ -317,9 +319,9 @@ def test_classify_modes_agree_on_fixture(problems):
 def test_classify_all_fixture(problems):
     # The refuted problem carries stale flags from an earlier run.
     given = [
-        replace(p, status="refuted", syn_pass=True, sem_pass=True)
+        p._replace(status="refuted", syn_pass=True, sem_pass=True)
         if p.id == "A999999"
-        else replace(p, status="verified")
+        else p._replace(status="verified")
         for p in problems
     ]
     classified = classify_all(given)
@@ -337,7 +339,7 @@ def test_classify_all_fixture(problems):
     assert [p.id for p in classified] == [p.id for p in given]
     assert classified[-1] is given[-1]
     assert not any(p.syn_pass or p.sem_pass for p in given[:-1])
-    assert [replace(p, syn_pass=False, sem_pass=False) for p in classified[:-1]] == given[:-1]
+    assert [p._replace(syn_pass=False, sem_pass=False) for p in classified[:-1]] == given[:-1]
 
 
 def test_manifest_round_trip(tmp_path):

@@ -267,7 +267,9 @@ def test_interpreter_matches_reference(p, x, y):
 def test_compiled_code_goes_with_the_program():
     p = parse("loop(x + y, x, 0)")
     assert evaluate(p, 4).value == 10
-    ref = weakref.ref(p)
+    # A program is a tuple, which takes no weak reference; its compiled
+    # function does, and nothing but the program holds it.
+    ref = weakref.ref(_code(p)[0])
     del p
     gc.collect()
     assert ref() is None

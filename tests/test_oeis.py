@@ -1,7 +1,6 @@
 import logging
 import random
 import re
-from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -163,8 +162,8 @@ def test_problem_json_round_trip(problems):
 def test_save_and_load_problems(tmp_path, problems):
     path = tmp_path / "problems.jsonl"
     problems = [
-        replace(problems[0], status="verified"),
-        replace(problems[1], syn_pass=True),
+        problems[0]._replace(status="verified"),
+        problems[1]._replace(syn_pass=True),
         *problems[2:],
     ]
     save_problems(problems, path)
@@ -217,20 +216,20 @@ def test_problem_record_defaults():
 def test_problem_record_is_frozen():
     pr = ProblemRecord("A1", ["A000001"], [1, 2], parse("x"), parse("x + 0"))
     for field, value in (("status", "verified"), ("syn_pass", True), ("sem_pass", True)):
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(pr, field, value)
     assert pr.status == "unverified"
     # Only refuted problems leave the released benchmark.
     assert pr.released
-    assert [replace(pr, status=s).released for s in STATUSES] == [True, True, True, False]
+    assert [pr._replace(status=s).released for s in STATUSES] == [True, True, True, False]
 
 
 def test_problem_record_holds_tuples_and_hashes(problems):
     # Built from lists, as a caller may still do: the record keeps tuples,
-    # so copies made with replace() share nothing that can change.
+    # so copies made with _replace() share nothing that can change.
     pr = ProblemRecord("A1", ["A000001"], [1, 2], parse("x"), parse("x + 0"))
     assert (pr.anums, pr.terms) == (("A000001",), (1, 2))
-    assert replace(pr, status="verified").terms is pr.terms
+    assert pr._replace(status="verified").terms is pr.terms
     assert hash(pr) == hash(ProblemRecord("A1", ("A000001",), (1, 2), parse("x"), parse("x + 0")))
     for problem in [*problems, problem_from_json(problem_to_json(pr))]:
         assert type(problem.anums) is tuple and type(problem.terms) is tuple

@@ -1,7 +1,6 @@
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 from typing import NamedTuple
 
 import pytest
@@ -275,7 +274,7 @@ def test_emit_is_deterministic(problems_by_id, tmp_path):
 
 
 def test_export_all_skips_refuted_and_writes_index(problems, tmp_path):
-    problems = [replace(p, status="refuted") if p.id == "A999999" else p for p in problems]
+    problems = [p._replace(status="refuted") if p.id == "A999999" else p for p in problems]
     index = export_all(problems, tmp_path, BASE)
     ids = [pid for pid, _ in index]
     assert ids == sorted(ids)
@@ -286,11 +285,21 @@ def test_export_all_skips_refuted_and_writes_index(problems, tmp_path):
     assert smt.read_index(tmp_path / "index.tsv") == index
 
 
-@pytest.mark.parametrize("row", ["A1", "A1\tA1.smt2\textra", "A1\t", "\tA1.smt2"])
-def test_read_index_names_the_line_of_a_row_that_is_not_two_fields(tmp_path, row):
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("A1", "expected 2 tab-separated fields"),
+        ("A1\tA1.smt2\textra", "expected 2 tab-separated fields"),
+        ("A1\t", "expected 2 tab-separated fields"),
+        ("\tA1.smt2", "expected 2 tab-separated fields"),
+        # run would log two results under one (problem, solver, variant) key.
+        ("A0\tother.smt2", "repeated id 'A0' (first on line 1)"),
+    ],
+)
+def test_read_index_names_the_line_of_a_bad_row(tmp_path, row, message):
     path = tmp_path / "index.tsv"
     path.write_text(f"A0\tA0.smt2\n\n{row}\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: expected 2 tab-separated"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
         smt.read_index(path)
 
 
@@ -301,11 +310,11 @@ def test_read_index_names_the_line_of_a_row_that_is_not_two_fields(tmp_path, row
 def test_emit_after_every_other_variant_matches_a_fresh_record(problems):
     for problem in problems:
         for variant in EVERY_VARIANT:
-            used = replace(problem)
+            used = problem._replace()
             for other in EVERY_VARIANT:
                 if other != variant:
                     emit(used, other)
-            fresh = emit(replace(problem), replace(variant)).text()
+            fresh = emit(problem._replace(), variant._replace()).text()
             script = emit(used, variant)
             assert script.text() == fresh, (problem.id, variant)
             assert script.conjecture == render(("assert", conjecture(variant)))
@@ -334,7 +343,7 @@ def test_emission_leaves_records_equal_hashed_and_saved_alike(problems, tmp_path
     for problem in problems:
         for variant in EVERY_VARIANT:
             emit(problem, variant)
-    assert problems == [replace(p) for p in problems]
+    assert problems == [p._replace() for p in problems]
     assert [hash(p) for p in problems] == hashes
     after = tmp_path / "after.jsonl"
     save_problems(problems, after)

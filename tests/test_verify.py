@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -36,7 +35,7 @@ def test_fixture_statuses(problems):
     # copies that differ from the given ones in their status only.
     assert [r.problem_id for r in reports] == [p.id for p in problems]
     assert [p.status for p in verified] == [r.status for r in reports]
-    assert [replace(p, status="unverified") for p in verified] == problems
+    assert [p._replace(status="unverified") for p in verified] == problems
     assert all(p.status == "unverified" for p in problems)
 
 
