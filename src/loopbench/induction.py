@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from pathlib import Path
 
-from .interp import Budget, EvalConfig, DEFAULT_CONFIG, evaluate
+from .interp import Budget, EvalConfig, DEFAULT_CONFIG, evaluate, release
 from .lang import LOOPING_OPS, Op, Program, depends_on, subprograms
 from .oeis import ProblemRecord
 
@@ -148,16 +148,20 @@ def classify(
 
     In the default per-loop mode a single loop must pass both tests for
     sem_pass; in per-test mode different loops may satisfy each test.
-    Either way sem_pass implies syn_pass.
+    Either way sem_pass implies syn_pass.  The evaluator state of both
+    sides is released on return.
     """
     if mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {mode!r}")
-    tops = select_top_loops(problem.small, problem.fast)
-    syn_loops = [p for p in tops if syntactic_test(p)]
-    if not syn_loops:
-        return False, False
-    tested = syn_loops if mode == PER_LOOP else tops
-    return True, any(semantic_test(p, cfg) for p in tested)
+    try:
+        tops = select_top_loops(problem.small, problem.fast)
+        syn_loops = [p for p in tops if syntactic_test(p)]
+        if not syn_loops:
+            return False, False
+        tested = syn_loops if mode == PER_LOOP else tops
+        return True, any(semantic_test(p, cfg) for p in tested)
+    finally:
+        release(problem.small, problem.fast)
 
 
 def classify_all(
@@ -167,7 +171,8 @@ def classify_all(
 ) -> list[ProblemRecord]:
     """Classify a manifest: copies of the problems with their syn_pass
     and sem_pass flags set, in manifest order; the given records are
-    left as they are.  Refuted problems are not part of the released
+    left as they are, and this call leaves no evaluator state on their
+    programs.  Refuted problems are not part of the released
     benchmark and come back as given, stale flags included."""
     classified = []
     for problem in problems:

@@ -15,18 +15,18 @@ recursion adds one unit of control overhead, which guarantees diverging
 iterations exhaust the budget.  Producing a value with magnitude above
 the value bound aborts the run instead.
 
-A program is compiled once into nested closures, one per operator node,
-each called as run(x, y, budget).  A closure checks the value bound
-before it charges, raises division by zero before it charges, and a
-timeout leaves the budget at 0, so the outcome of a run, its cost
-included, does not depend on how the program is executed.  The compiled
-closures are kept on the program object itself, in a dict created on
-first use, so that they live exactly as long as the program.  The dict
-is keyed by a small int that each EvalConfig looks up once for its
-(value bound, big-value threshold), so configurations differing only in
-their per-call limit share the code, and a call hashes one int instead
-of a tuple of two large ones.  The dict is not part of the program's
-value: programs compare, hash and pickle by their syntax alone.
+A program is compiled on first use into nested closures, one per
+operator node, each called as run(x, y, budget).  A closure checks the
+value bound before it charges, raises division by zero before it
+charges, and a timeout leaves the budget at 0, so the outcome of a run,
+its cost included, does not depend on how the program is executed.  The
+compiled closures are kept on the program object itself, in a dict
+created on first use.  The dict is keyed by a small int that each
+EvalConfig looks up once for its (value bound, big-value threshold), so
+configurations differing only in their per-call limit share the code,
+and a call hashes one int instead of a tuple of two large ones.  The
+dict is not part of the program's value: programs compare, hash and
+pickle by their syntax alone.
 
 Each call returns an EvalOutcome, a named tuple of the value (None on an
 error), the cost charged and the error kind (None on success).
@@ -53,12 +53,20 @@ one.
 At compilation, evaluate also notes whether p reads x and y outside its
 loop bodies.  A call at a point where a variable p does not read is
 nonzero runs exactly as the call with that variable set to 0, so such a
-call replays the stored (value, cost) of that point, charging the cost
-if it fits the budget and timing out with the whole budget otherwise,
-for the reasons above.  Only successes at such points are stored, so a
-sequence or a verify sweep, which keeps y = 0, stores nothing, while
-the filter's windows along x at y = 1..9 are run once for a program
-that ignores y.
+call replays the stored outcome of that point: if its cost fits the
+budget, it charges the cost and returns that same outcome, and otherwise
+it times out with the whole budget, for the reasons above.  Only
+successes at such points are stored, so a sequence or a verify sweep,
+which keeps y = 0, stores nothing, while the filter's windows along x at
+y = 1..9 are run once for a program that ignores y.
+
+The compiled code, its loop records and the stored points live as long
+as the program, or until release drops them from a program and its
+subprograms.  verify100 and classify release the two programs of the
+problem they check before they return, so a manifest keeps the code of
+one problem at a time.  A released program compiles again when it is
+next evaluated, and since every replay is exact, no outcome depends on
+what was released.
 """
 
 from __future__ import annotations
@@ -69,7 +77,7 @@ from enum import Enum
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .lang import Op, Program, depends_on
+from .lang import Op, Program, depends_on, subprograms
 
 CHECK_LIMIT = 100_000
 VERIFY_LIMIT = 1_000_000
@@ -539,20 +547,27 @@ def evaluate(
         point = x if reads_x else y if reads_y else 0
         known = points.get(point)
         if known is not None:
-            value, cost = known
-            if cost > start:
+            if known.cost > start:
                 budget.remaining = 0
                 return _outcome(EvalOutcome, (None, start, ErrorKind.TIMEOUT))
-            budget.remaining = start - cost
-            return _outcome(EvalOutcome, (value, cost, None))
+            budget.remaining = start - known.cost
+            return known
     try:
         value = run(x, y, budget)
     except _Fail as failure:
         return _outcome(EvalOutcome, (None, start - budget.remaining, failure.kind))
-    cost = start - budget.remaining
+    outcome = _outcome(EvalOutcome, (value, start - budget.remaining, None))
     if point is not None:
-        points[point] = (value, cost)
-    return _outcome(EvalOutcome, (value, cost, None))
+        points[point] = outcome
+    return outcome
+
+
+def release(*programs: Program) -> None:
+    """Drop the evaluator state kept on these programs and on every
+    subprogram of theirs: compiled code, loop memos and stored points."""
+    for p in programs:
+        for q in subprograms(p):
+            q.__dict__.pop("_code", None)
 
 
 def generate_seq(p: Program, n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> list[EvalOutcome]:

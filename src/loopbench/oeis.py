@@ -89,8 +89,10 @@ def _anum_value(anum: str) -> int:
 
 
 def load_stripped(path: str | Path) -> dict[str, SequenceRecord]:
-    """Read an OEIS stripped-format file into anum -> record."""
+    """Read an OEIS stripped-format file into anum -> record; a bad line
+    or a repeated A-number raises ValueError naming path:line."""
     records: dict[str, SequenceRecord] = {}
+    first_lines: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -111,6 +113,9 @@ def load_stripped(path: str | Path) -> dict[str, SequenceRecord]:
             terms = tuple(int(t) for t in parts)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-integer term in {anum}")
+        first = first_lines.setdefault(anum, lineno)
+        if first != lineno:
+            raise ValueError(f"{path}:{lineno}: repeated A-number {anum!r} (first on line {first})")
         records[anum] = SequenceRecord(anum, terms)
     return records
 

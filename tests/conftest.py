@@ -3,7 +3,8 @@ from pathlib import Path
 import pytest
 
 from loopbench import oeis
-from loopbench.interp import DEFAULT_CONFIG
+from loopbench.interp import DEFAULT_CONFIG, evaluate
+from loopbench.lang import subprograms
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -53,3 +54,34 @@ def carried_budgets(calls: list[tuple], limit: int) -> list[int]:
         granted.append(limit + left)
         left = limit + left - outcome.cost
     return granted
+
+
+def fresh_problems():
+    """The fixture problems from a new load: no other test holds their
+    programs, apart from the shared leaves."""
+    return oeis.build_problems(
+        oeis.load_solutions(FIXTURES / "solutions.tsv"), oeis.load_stripped(FIXTURES / "stripped")
+    )
+
+
+def warm(records) -> None:
+    """Evaluate every subprogram of the records' programs along x at
+    y = 0 and y = 3, leaving compiled code, loop records and, where a
+    subprogram ignores y, stored points on each."""
+    for r in records:
+        for side in (r.small, r.fast):
+            for q in subprograms(side):
+                for x in range(12):
+                    evaluate(q, x)
+                    evaluate(q, x, 3)
+
+
+def kept_code(records) -> list:
+    """The subprograms of the records' programs that hold evaluator state."""
+    return [
+        q
+        for r in records
+        for side in (r.small, r.fast)
+        for q in subprograms(side)
+        if "_code" in vars(q)
+    ]

@@ -676,6 +676,26 @@ def test_repeated_manifest_id_is_an_error_and_nothing_is_written(capsys, corpus,
     ]
 
 
+@pytest.mark.parametrize("command", ["build", "cover", "pipeline"])
+def test_repeated_anum_in_the_stripped_file_is_an_error(capsys, corpus, command):
+    stripped = corpus / "stripped"
+    lines = stripped.read_text().splitlines()
+    assert lines[1].startswith("A000045 ")
+    stripped.write_text("".join(line + "\n" for line in lines) + "A000045 ,1,2,3,\n")
+    before = stripped.read_text()
+    args = {
+        "build": ["--solutions", str(corpus / "solutions.tsv"), "--out", str(corpus / "p.jsonl")],
+        "cover": ["loop(x + y, x, 0)", "--anum", "A000045"],
+        "pipeline": ["--solutions", str(corpus / "solutions.tsv"), "--outdir", str(corpus / "out")],
+    }
+    code, out, err = run(capsys, command, "--stripped", str(stripped), *args[command])
+    assert (code, out) == (1, "")
+    line = len(lines) + 1
+    assert err == f"error: {stripped}:{line}: repeated A-number 'A000045' (first on line 2)\n"
+    assert stripped.read_text() == before
+    assert sorted(p.name for p in corpus.iterdir()) == ["solutions.tsv", "stripped"]
+
+
 @pytest.mark.parametrize("command", ["verify", "filter", "export"])
 @pytest.mark.parametrize("pid", ["../escaped", "a/b", "A1\tx", ".."])
 def test_manifest_id_must_be_a_plain_file_name(capsys, corpus, command, pid):

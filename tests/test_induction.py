@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import carried_budgets, record_evaluate
+from conftest import carried_budgets, fresh_problems, kept_code, record_evaluate, warm
 from loopbench import induction
 from loopbench.induction import (
     CYCLE_SKIP,
+    FILTER_MODES,
     MAX_PERIOD,
     WINDOW,
     acyclic_on,
@@ -21,6 +22,7 @@ from loopbench.induction import (
 from loopbench.interp import DEFAULT_CONFIG, Budget, ErrorKind, EvalConfig, evaluate
 from loopbench.lang import Op, parse, to_text
 from loopbench.oeis import ProblemRecord
+from loopbench.verify import verify_all
 from oracles import brute_cyclic
 
 
@@ -340,6 +342,50 @@ def test_classify_all_fixture(problems):
     assert classified[-1] is given[-1]
     assert not any(p.syn_pass or p.sem_pass for p in given[:-1])
     assert [p._replace(syn_pass=False, sem_pass=False) for p in classified[:-1]] == given[:-1]
+
+
+FIXTURE_FLAGS = {
+    "A165": (True, True),
+    "A180713": (True, False),
+    "A217": (True, True),
+    "A45-A77373": (True, True),
+    "A537": (True, True),
+    "A79": (True, True),
+    "A999999": (False, False),
+}
+
+
+def test_classify_leaves_no_evaluator_state_on_the_programs():
+    problems = fresh_problems()
+    warm(problems)
+    for mode in FILTER_MODES:
+        for problem in problems:
+            classify(problem, mode=mode)
+            assert kept_code([problem]) == []
+        warm(problems)
+    verified, _ = verify_all(problems)
+    warm(p for p in verified if p.released)
+    classified = classify_all(verified)
+    assert kept_code(problems) == kept_code(verified) == kept_code(classified) == []
+
+
+def test_classify_all_flags_do_not_depend_on_kept_state(monkeypatch):
+    def flags(records):
+        return {p.id: (p.syn_pass, p.sem_pass) for p in classify_all(records)}
+
+    verified, _ = verify_all(fresh_problems())
+    assert flags(verified) == FIXTURE_FLAGS
+    statuses = [p.status for p in verified]
+    fresh = [p._replace(status=s) for p, s in zip(fresh_problems(), statuses)]
+    assert flags(fresh) == FIXTURE_FLAGS
+    warmed = [p._replace(status=s) for p, s in zip(fresh_problems(), statuses)]
+    warm(warmed)
+    assert flags(warmed) == FIXTURE_FLAGS
+    # Nor when every problem's state is kept for the next one.
+    monkeypatch.setattr(induction, "release", lambda *programs: None)
+    warm(warmed)
+    assert flags(warmed) == flags(warmed) == FIXTURE_FLAGS
+    assert kept_code(warmed)
 
 
 def test_manifest_round_trip(tmp_path):

@@ -454,31 +454,34 @@ def test_alternating_initial_values_keep_a_record_each():
 def test_points_off_the_read_variables_replay_their_zero_point():
     p = parse("loop(x + y, x, 0)")
     assert _pinned_at(p, 6, 3) == EvalOutcome(21, 26)
-    assert _code(p)[1:] == (True, False, {6: (21, 26)})
-    assert _pinned_at(p, 6, 0 - 4) == EvalOutcome(21, 26)
+    assert _code(p)[1:] == (True, False, {6: EvalOutcome(21, 26)})
+    stored = _code(p)[3][6]
+    assert _pinned_at(p, 6, 0 - 4) is stored
     q = parse("loop(x + 1, y, 2)")
     assert _pinned_at(q, 5, 3) == EvalOutcome(5, 14)
-    assert _code(q)[1:] == (False, True, {3: (5, 14)})
+    assert _code(q)[1:] == (False, True, {3: EvalOutcome(5, 14)})
     r = parse("loop(x + y, 2 + 2, 1)")
     for x, y in [(1, 0), (0, 1), (2, 3)]:
         assert _pinned_at(r, x, y) == EvalOutcome(11, 20)
-    assert _code(r)[1:] == (False, False, {0: (11, 20)})
+    assert _code(r)[1:] == (False, False, {0: EvalOutcome(11, 20)})
     # Points where every variable p ignores is 0 store nothing, so
     # sequences and verify's sweeps keep no points.
     generate_seq(p, 20)
-    assert list(_code(p)[3]) == [6]
+    assert _code(p)[3] == {6: stored}
 
 
 def test_point_replay_past_the_budget_times_out():
     p = parse("loop(x + y, x, 0)")
-    assert evaluate(p, 6, 1) == EvalOutcome(21, 26)
+    stored = evaluate(p, 6, 1)
+    assert stored == EvalOutcome(21, 26)
     for left, want in ((26, EvalOutcome(21, 26)), (25, EvalOutcome(None, 25, ErrorKind.TIMEOUT))):
         # p replays the stored point; an equal fresh program runs.
         for q in (p, parse("loop(x + y, x, 0)")):
             budget = Budget(left)
             assert evaluate(q, 6, 2, budget) == want
             assert budget.remaining == 0
-    assert _code(p)[3] == {6: (21, 26)}
+    assert evaluate(p, 6, 2, Budget(26)) is stored
+    assert _code(p)[3] == {6: EvalOutcome(21, 26)}
 
 
 def test_failed_points_are_not_stored():
@@ -490,7 +493,7 @@ def test_failed_points_are_not_stored():
         assert budget.remaining == 0
     assert _code(p)[3] == {}
     assert _pinned_at(p, 3, 1) == EvalOutcome(1, 9)
-    assert _code(p)[3] == {3: (1, 9)}
+    assert _code(p)[3] == {3: EvalOutcome(1, 9)}
 
 
 def _pinned_at(p, x, y):

@@ -55,6 +55,14 @@ def test_load_stripped_rejects_malformed_lines(tmp_path, line):
     assert ":1:" in str(info.value)
 
 
+def test_load_stripped_rejects_a_repeated_anum(tmp_path):
+    path = tmp_path / "stripped"
+    path.write_text("A000001 ,1,2,3,\n# note\nA000002 ,1,\nA000001 ,4,5,6,\n")
+    with pytest.raises(ValueError) as info:
+        load_stripped(path)
+    assert str(info.value) == f"{path}:4: repeated A-number 'A000001' (first on line 1)"
+
+
 def test_load_stripped_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "stripped"
     path.write_text("# header\n\nA000001 ,1,-2,3,\n")

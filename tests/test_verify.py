@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import record_evaluate
+from conftest import fresh_problems, kept_code, record_evaluate, warm
 from loopbench import verify
 from loopbench.interp import EvalConfig
 from loopbench.lang import parse
@@ -102,6 +102,21 @@ def test_verify100_calls_evaluate_once_per_side_and_point(monkeypatch, small, fa
     verify100(pr, cfg)
     points = [(side, x, 0, 1_000) for x in range(100) for side in (pr.small, pr.fast)]
     assert [call[:4] for call in recorded] == points[:calls]
+
+
+def test_verify_leaves_no_evaluator_state_on_the_programs():
+    problems = fresh_problems()
+    warm(problems)
+    assert kept_code(problems)
+    for problem in problems[:3]:
+        verify100(problem)
+        assert kept_code([problem]) == []
+    verified, reports = verify_all(problems)
+    assert kept_code(problems) == kept_code(verified) == []
+    # Records that held no state when they were given come out alike.
+    fresh = fresh_problems()
+    assert verify_all(fresh) == (verified, reports)
+    assert kept_code(fresh) == []
 
 
 def test_emit_nonverified(tmp_path, problems):
