@@ -98,17 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("export", help="write SMT-LIB scripts for a problem manifest")
     p.add_argument("--problems", required=True, type=Path)
     p.add_argument("--outdir", required=True, type=Path)
-    p.add_argument("--variant", default="base", help="base, c1..c8, c2x or strong")
-    p.add_argument(
-        "--c2x-appendix",
-        action="store_true",
-        help="use the 2c / 2(c+1) form of the c2x conjecture",
-    )
+    p.add_argument("--variant", default="base", help="base, c1..c8, c2x, c2x-appendix, strong")
 
     p = subs.add_parser("run", help="run solvers over an exported directory")
     p.add_argument("--config", required=True, type=Path)
-    p.add_argument("--dir", required=True, type=Path)
-    p.add_argument("--variant", default="base")
+    p.add_argument("--dir", required=True, type=Path, help="export: scripts, index.tsv, variant")
     p.add_argument("--log", required=True, type=Path)
     p.add_argument("--jobs", type=int, default=1, help="solver runs at a time")
 
@@ -126,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solutions", required=True, type=Path)
     p.add_argument("--outdir", required=True, type=Path)
     p.add_argument("--variant", default="base")
-    p.add_argument("--c2x-appendix", action="store_true")
     p.add_argument("--filter-mode", choices=induction.FILTER_MODES, default=induction.PER_LOOP)
     p.add_argument(
         "--dry-run",
@@ -215,15 +208,15 @@ def _cmd_filter(args) -> int:
 
 def _cmd_export(args) -> int:
     problems = oeis.load_problems(args.problems)
-    variant = smt.parse_variant(args.variant, appendix_twox=args.c2x_appendix)
+    variant = smt.parse_variant(args.variant)
     index = smt.export_all(problems, args.outdir, variant)
     print(f"{len(index)} scripts -> {args.outdir}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    variant = smt.parse_variant(args.variant)
     solvers = harness.load_solver_config(args.config)
+    variant = smt.read_variant(args.dir)
     files = [(pid, args.dir / name) for pid, name in smt.read_index(args.dir / "index.tsv")]
     results = harness.run_campaign(solvers, files, variant.label(), args.log, args.jobs)
     print(f"{len(results)} new results -> {args.log}")
@@ -249,7 +242,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    variant = smt.parse_variant(args.variant, appendix_twox=args.c2x_appendix)
+    variant = smt.parse_variant(args.variant)
     verify_cfg, filter_cfg = _cfg(args, "verify_limit"), _cfg(args)
     sequences = oeis.load_stripped(args.stripped)
     solutions = oeis.load_solutions(args.solutions)

@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import shlex
+import shutil
 import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -241,10 +242,18 @@ def run_campaign(
     (problem, solver, variant) triples already present in the log are
     skipped, so a rerun after an interruption resumes cleanly.  Workers
     only execute solvers; all results funnel through this thread for the
-    append.
+    append.  A missing file or solver program raises ValueError before
+    the log is opened: logged as an error row, it would never be retried.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    for pid, path in files:
+        if not path.is_file():
+            raise ValueError(f"{path}: no such file for problem {pid}")
+    for spec in solvers:
+        program = shlex.split(spec.command)[0]
+        if "{file}" not in program and shutil.which(program) is None:
+            raise ValueError(f"solver {spec.name!r}: program {program!r} not found")
     log_path = Path(log_path)
     logged, intact = _read_log(log_path)
     done = {(r.problem_id, r.solver, r.variant) for r in logged}

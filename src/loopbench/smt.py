@@ -19,7 +19,8 @@ exactly when its source subprogram depends on that variable, while the
 recursive helpers always carry the full loop state.  The two sides
 become unary functions small and fast, and the script asserts the
 negation of their equality on non-negative inputs, in one of several
-conjecture shapes.
+conjecture shapes.  An export directory holds the scripts, `index.tsv`
+and a `variant` file with the shape's label, which `read_variant` reads.
 
 Only the conjecture depends on the variant.  A problem's header,
 declarations and assertions are lowered and rendered on its first
@@ -77,28 +78,21 @@ class Variant(_VariantFields):
         if self.kind == "succ":
             return f"c{self.k}"
         if self.kind == "twox":
-            return "c2x"
+            return "c2x-appendix" if self.appendix_twox else "c2x"
         return self.kind
 
 
 BASE = Variant("base")
 
 
-def parse_variant(text: str, appendix_twox: bool = False) -> Variant:
-    """Variant from its CLI name: base, c1..c8, c2x, strong.  Only c2x
-    has an appendix form."""
-    if appendix_twox and text != "c2x":
-        raise ValueError(f"--c2x-appendix applies only to variant c2x, not {text!r}")
-    if text == "base":
-        return Variant("base")
-    if text == "c2x":
-        return Variant("twox", appendix_twox=appendix_twox)
-    if text == "strong":
-        return Variant("strong")
-    if text.startswith("c") and text[1:].isdigit():
-        k = int(text[1:])
-        if 1 <= k <= 8:
-            return Variant("succ", k)
+def parse_variant(text: str) -> Variant:
+    """The variant labelled text: base, c1..c8, c2x, c2x-appendix or strong."""
+    if text in ("base", "strong"):
+        return Variant(text)
+    if text in ("c2x", "c2x-appendix"):
+        return Variant("twox", appendix_twox=text == "c2x-appendix")
+    if text in [f"c{k}" for k in range(1, 9)]:
+        return Variant("succ", int(text[1:]))
     raise ValueError(f"unknown conjecture variant {text!r}")
 
 
@@ -343,7 +337,7 @@ def export_all(
     outdir: str | Path,
     variant: Variant = BASE,
 ) -> list[tuple[str, str]]:
-    """Write one .smt2 per non-refuted problem plus an index manifest.
+    """Write one .smt2 per non-refuted problem, index.tsv and a variant file.
 
     Returns the (id, filename) index.  Output is deterministic: problems
     are sorted by id and the emitter is pure.  Every script is built
@@ -365,7 +359,17 @@ def export_all(
     (outdir / "index.tsv").write_text(
         "".join(f"{pid}\t{fname}\n" for pid, fname in index)
     )
+    (outdir / "variant").write_text(variant.label() + "\n")
     return index
+
+
+def read_variant(directory: str | Path) -> Variant:
+    """The variant export_all wrote to directory; a bad label names the file."""
+    path = Path(directory) / "variant"
+    try:
+        return parse_variant(path.read_text().strip())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_index(path: str | Path) -> list[tuple[str, str]]:

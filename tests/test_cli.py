@@ -37,6 +37,17 @@ def _built(capsys, corpus):
     return manifest
 
 
+def _export(directory, rows=(("A1", "A1.smt2", "unsat\n"),), variant="base"):
+    """An export made by hand: each (id, file name, text) row's script,
+    index.tsv and the variant file."""
+    directory.mkdir(exist_ok=True)
+    for _, name, text in rows:
+        (directory / name).write_text(text)
+    (directory / "index.tsv").write_text("".join(f"{pid}\t{name}\n" for pid, name, _ in rows))
+    (directory / "variant").write_text(variant + "\n")
+    return directory
+
+
 def test_seq(capsys):
     code, out, err = run(capsys, "seq", "loop(x + y, x, 0)", "5")
     assert code == 0
@@ -110,9 +121,7 @@ def _env_session(capsys, root):
     root.mkdir()
     shutil.copy(FIXTURES / "stripped", root / "stripped")
     shutil.copy(FIXTURES / "solutions.tsv", root / "solutions.tsv")
-    (root / "smt").mkdir()
-    (root / "smt" / "A1.smt2").write_text("unsat\n")
-    (root / "smt" / "index.tsv").write_text("A1\tA1.smt2\n")
+    _export(root / "smt")
     config = root / "solvers.json"
     config.write_text(json.dumps({"solvers": [{"name": "cat", "cmd": "cat {file}"}]}))
     inputs = ["--stripped", str(root / "stripped"), "--solutions", str(root / "solutions.tsv")]
@@ -216,8 +225,7 @@ def test_run_rejects_a_malformed_solver_config(capsys, tmp_path):
 
 
 def test_run_rejects_a_cmd_that_does_not_split_before_any_solver_runs(capsys, tmp_path):
-    (tmp_path / "A1.smt2").write_text("(check-sat)\n")
-    (tmp_path / "index.tsv").write_text("A1\tA1.smt2\n")
+    _export(tmp_path)
     config = tmp_path / "solvers.json"
     config.write_text(json.dumps({"solvers": [
         {"name": "good", "cmd": "echo unsat {file}"},
@@ -235,8 +243,7 @@ def test_run_rejects_a_cmd_that_does_not_split_before_any_solver_runs(capsys, tm
 def test_run_rejects_a_repeated_solver_name_before_any_solver_runs(capsys, tmp_path):
     # Results are keyed by solver name: two solvers named z would share one
     # report column, and a resume would count either one's result as both.
-    (tmp_path / "A1.smt2").write_text("(check-sat)\n")
-    (tmp_path / "index.tsv").write_text("A1\tA1.smt2\n")
+    _export(tmp_path)
     config = tmp_path / "solvers.json"
     config.write_text(json.dumps({"solvers": [
         {"name": "z", "cmd": "echo unsat {file}"},
@@ -250,8 +257,7 @@ def test_run_rejects_a_repeated_solver_name_before_any_solver_runs(capsys, tmp_p
 
 def test_run_takes_each_script_from_the_index(capsys, tmp_path):
     # The index names the file; the solver reads it and finds its verdict.
-    (tmp_path / "renamed.smt2").write_text("unsat\n")
-    (tmp_path / "index.tsv").write_text("A1\trenamed.smt2\n")
+    _export(tmp_path, [("A1", "renamed.smt2", "unsat\n")])
     config = tmp_path / "solvers.json"
     config.write_text(json.dumps({"solvers": [{"name": "cat", "cmd": "cat {file}"}]}))
     log = tmp_path / "l.jsonl"
@@ -266,8 +272,7 @@ def test_run_takes_each_script_from_the_index(capsys, tmp_path):
     ids=["flag-0", "flag-negative"],
 )
 def test_run_rejects_fewer_than_one_job_before_opening_the_log(capsys, tmp_path, flag, shown):
-    (tmp_path / "A1.smt2").write_text("(check-sat)\n")
-    (tmp_path / "index.tsv").write_text("A1\tA1.smt2\n")
+    _export(tmp_path)
     config = tmp_path / "solvers.json"
     config.write_text(json.dumps({"solvers": [{"name": "s", "cmd": "echo unsat {file}"}]}))
     log = tmp_path / "l.jsonl"
@@ -278,26 +283,82 @@ def test_run_rejects_fewer_than_one_job_before_opening_the_log(capsys, tmp_path,
     assert not log.exists()
 
 
-def _one_script_run(capsys, tmp_path, variant):
-    (tmp_path / "A1.smt2").write_text("unsat\n")
-    (tmp_path / "index.tsv").write_text("A1\tA1.smt2\n")
+def _stub_config(tmp_path, cmd="cat {file}"):
     config = tmp_path / "solvers.json"
-    config.write_text(json.dumps({"solvers": [{"name": "cat", "cmd": "cat {file}"}]}))
+    config.write_text(json.dumps({"solvers": [{"name": "stub", "cmd": cmd}]}))
+    return config
+
+
+def test_run_logs_the_variant_the_scripts_were_exported_as(capsys, corpus):
+    manifest = _built(capsys, corpus)
+    smt2 = corpus / "smt2"
+    assert run(capsys, "export", "--problems", str(manifest), "--outdir", str(smt2),
+               "--variant", "c3")[0] == 0
+    assert (smt2 / "variant").read_text() == "c3\n"
+    config, log = _stub_config(corpus, "echo unsat {file}"), corpus / "l.jsonl"
+    argv = ["--config", str(config), "--dir", str(smt2), "--log", str(log)]
+    assert run(capsys, "run", *argv) == (0, f"7 new results -> {log}\n", "")
+    assert {json.loads(line)["variant"] for line in log.read_text().splitlines()} == {"c3"}
+
+
+@pytest.mark.parametrize(
+    "text, shown",
+    [(None, "[Errno 2] No such file or directory: '{path}'"),
+     ("c99\n", "{path}: unknown conjecture variant 'c99'"),
+     ("c08\n", "{path}: unknown conjecture variant 'c08'"),
+     ("base\tc3\n", "{path}: unknown conjecture variant 'base\\tc3'")],
+    ids=["missing", "unknown", "not-a-label", "two-labels"],
+)
+def test_run_rejects_a_missing_or_unknown_variant_file_before_opening_the_log(
+    capsys, tmp_path, text, shown
+):
+    path = _export(tmp_path / "smt2") / "variant"
+    if text is None:
+        path.unlink()
+    else:
+        path.write_text(text)
     log = tmp_path / "l.jsonl"
-    argv = ["--config", str(config), "--dir", str(tmp_path), "--log", str(log)]
-    return run(capsys, "run", *argv, "--variant", variant), log
-
-
-def test_run_logs_the_variant_it_names(capsys, tmp_path):
-    (code, out, err), log = _one_script_run(capsys, tmp_path, "c2x")
-    assert (code, out, err) == (0, f"1 new results -> {log}\n", "")
-    assert json.loads(log.read_text())["variant"] == "c2x"
-
-
-def test_run_rejects_an_unknown_variant_before_opening_the_log(capsys, tmp_path):
-    (code, out, err), log = _one_script_run(capsys, tmp_path, "c99")
-    assert (code, out, err) == (1, "", "error: unknown conjecture variant 'c99'\n")
+    code, out, err = run(capsys, "run", "--config", str(_stub_config(tmp_path)),
+                         "--dir", str(tmp_path / "smt2"), "--log", str(log))
+    assert (code, out, err) == (1, "", f"error: {shown.format(path=path)}\n")
     assert not log.exists()
+
+
+def test_run_rejects_an_indexed_script_that_does_not_exist_before_opening_the_log(
+    capsys, tmp_path
+):
+    # Logged as an error row, the missing script would never be retried.
+    smt2 = _export(tmp_path / "smt2", [("A1", "A1.smt2", "unsat\n"), ("A2", "A2.smt2", "")])
+    (smt2 / "A2.smt2").unlink()
+    log = tmp_path / "l.jsonl"
+    code, out, err = run(capsys, "run", "--config", str(_stub_config(tmp_path)),
+                         "--dir", str(smt2), "--log", str(log))
+    assert (code, out, err) == (1, "", f"error: {smt2 / 'A2.smt2'}: no such file for problem A2\n")
+    assert not log.exists()
+
+
+def test_run_rejects_a_solver_program_that_is_not_found_before_opening_the_log(
+    capsys, tmp_path
+):
+    _export(tmp_path / "smt2")
+    log = tmp_path / "l.jsonl"
+    config = _stub_config(tmp_path, "loopbench-no-such-prover {file}")
+    code, out, err = run(capsys, "run", "--config", str(config),
+                         "--dir", str(tmp_path / "smt2"), "--log", str(log))
+    assert (code, out) == (1, "")
+    assert err == "error: solver 'stub': program 'loopbench-no-such-prover' not found\n"
+    assert not log.exists()
+
+
+def test_no_flag_restates_the_variant_of_an_export(capsys):
+    for argv in (["export", "--problems", "p", "--outdir", "o", "--c2x-appendix"],
+                 ["pipeline", "--stripped", "s", "--solutions", "t", "--outdir", "o",
+                  "--c2x-appendix"],
+                 ["run", "--config", "c", "--dir", "d", "--log", "l", "--variant", "c3"]):
+        with pytest.raises(SystemExit) as exit:
+            main(argv)
+        assert exit.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_fmt(capsys):
@@ -438,18 +499,6 @@ def test_export_rejects_unknown_variant(capsys, corpus):
     assert "unknown conjecture variant" in err
 
 
-def test_export_rejects_the_appendix_form_of_a_variant_other_than_c2x(capsys, corpus):
-    manifest = _built(capsys, corpus)
-    outdir = corpus / "x"
-    code, out, err = run(
-        capsys, "export", "--problems", str(manifest), "--outdir", str(outdir),
-        "--variant", "base", "--c2x-appendix",
-    )
-    assert (code, out) == (1, "")
-    assert err == "error: --c2x-appendix applies only to variant c2x, not 'base'\n"
-    assert not outdir.exists()
-
-
 def test_export_names_a_problem_that_does_not_lower_and_writes_nothing(capsys, corpus):
     manifest = _built(capsys, corpus)
     rows = [json.loads(line) for line in manifest.read_text().splitlines()]
@@ -479,24 +528,6 @@ def test_pipeline_rejects_unknown_variant_before_any_work(capsys, corpus, mode):
     assert code == 1
     assert "error: unknown conjecture variant 'c99'" in err
     assert out == ""
-    assert not outdir.exists()
-
-
-@pytest.mark.parametrize("mode", [[], ["--dry-run"]], ids=["write", "dry-run"])
-def test_pipeline_rejects_the_appendix_form_of_a_variant_other_than_c2x(capsys, corpus, mode):
-    outdir = corpus / "out"
-    code, out, err = run(
-        capsys,
-        "pipeline",
-        "--stripped", str(corpus / "stripped"),
-        "--solutions", str(corpus / "solutions.tsv"),
-        "--outdir", str(outdir),
-        "--variant", "c3",
-        "--c2x-appendix",
-        *mode,
-    )
-    assert (code, out) == (1, "")
-    assert err == "error: --c2x-appendix applies only to variant c2x, not 'c3'\n"
     assert not outdir.exists()
 
 
@@ -568,7 +599,7 @@ def test_stage_commands_write_the_same_bytes_as_pipeline(capsys, corpus):
     piped_tree = _tree(piped)
     assert sorted(map(str, piped_tree)) == sorted(
         ["problems.jsonl", "verify_reports.jsonl", "all_nonverified100", "aind_syn",
-         "aind_sem", "base/index.tsv"]
+         "aind_sem", "base/index.tsv", "base/variant"]
         + [f"base/{pid}.smt2" for pid in ("A165", "A180713", "A217", "A45-A77373", "A537", "A79")]
     )
     assert _tree(staged) == piped_tree
@@ -596,7 +627,6 @@ def test_run_and_report(capsys, corpus, tmp_path):
         "run",
         "--config", str(config),
         "--dir", str(outdir / "base"),
-        "--variant", "base",
         "--log", str(log),
         "--jobs", "2",
     )
@@ -623,6 +653,30 @@ def test_run_and_report(capsys, corpus, tmp_path):
     assert rows["NonVer"] == ["1", "1"]
     assert (tmp_path / "report.txt").read_text() == out
     assert (tmp_path / "report.csv").read_text().splitlines()[1] == "NoFilt,6,6"
+
+
+def test_report_keeps_c2x_and_its_appendix_form_apart(capsys, corpus, tmp_path):
+    outdir, log = corpus / "out", tmp_path / "results.jsonl"
+    config = _stub_config(tmp_path, "sh -c 'echo unsat' {file}")
+    for variant in ("c2x", "c2x-appendix"):
+        assert run(capsys, "pipeline", "--stripped", str(corpus / "stripped"),
+                   "--solutions", str(corpus / "solutions.tsv"), "--outdir", str(outdir),
+                   "--variant", variant)[0] == 0
+        assert run(capsys, "run", "--config", str(config), "--dir", str(outdir / variant),
+                   "--log", str(log))[0] == 0
+    code, out, err = run(
+        capsys, "report", "--results", str(log), "--index", str(outdir / "c2x" / "index.tsv"),
+        "--syn", str(outdir / "aind_syn"), "--sem", str(outdir / "aind_sem"),
+        "--nonverified", str(outdir / "all_nonverified100"),
+    )
+    assert (code, err) == (0, "")
+    assert [line.split() for line in out.splitlines()] == [
+        ["stub/c2x", "stub/c2x-appendix", "All"],
+        ["NoFilt", "6", "6", "6"],
+        ["SynFilt", "6", "6", "6"],
+        ["SemFilt", "5", "5", "5"],
+        ["NonVer", "1", "1", "1"],
+    ]
 
 
 def test_entry_point_is_installed():
@@ -722,8 +776,7 @@ def test_manifest_id_must_be_a_plain_file_name(capsys, corpus, command, pid):
 
 def _log_readers(tmp_path, log):
     """argv of `run` and `report` over a one-script export and this log."""
-    (tmp_path / "A1.smt2").write_text("(check-sat)\n")
-    (tmp_path / "index.tsv").write_text("A1\tA1.smt2\n")
+    _export(tmp_path)
     config = tmp_path / "solvers.json"
     config.write_text('{"solvers": [{"name": "stub", "cmd": "echo unsat {file}"}]}')
     return {

@@ -276,6 +276,16 @@ def test_run_campaign_rejects_fewer_than_one_job(tmp_path, jobs):
     assert not log.exists()
 
 
+def test_a_script_that_runs_itself_is_checked_as_a_file_not_a_program(tmp_path):
+    # cmd "{file}" names no program to look up: the script is the solver.
+    script = _script(tmp_path, "A1.smt2", "echo unsat\n")
+    log = tmp_path / "results.jsonl"
+    results = run_campaign([SolverSpec("self", "{file}")], [("A1", script)], "base", log)
+    assert [r.verdict for r in results] == [Verdict.PROVED]
+    with pytest.raises(ValueError, match="no such file for problem A2$"):
+        run_campaign([SolverSpec("self", "{file}")], [("A2", tmp_path / "A2.smt2")], "base", log)
+
+
 def _result(pid, solver, verdict, variant="base"):
     return RunResult(pid, solver, variant, verdict, 0.1)
 

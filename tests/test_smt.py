@@ -186,14 +186,19 @@ def test_parse_variant():
     assert parse_variant("c1") == Variant("succ", 1)
     assert parse_variant("c8") == Variant("succ", 8)
     assert parse_variant("c2x") == Variant("twox")
-    assert parse_variant("c2x", appendix_twox=True) == Variant("twox", appendix_twox=True)
+    assert parse_variant("c2x-appendix") == Variant("twox", appendix_twox=True)
     assert parse_variant("strong") == Variant("strong")
-    for bad in ("c0", "c9", "c2y", "succ", ""):
-        with pytest.raises(ValueError):
+    for bad in ("c0", "c9", "c08", "c2y", "succ", "twox", "C1", " c1", "c2x-Appendix", ""):
+        message = f"unknown conjecture variant {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_variant(bad)
-    for other in ("base", "c1", "strong"):
-        with pytest.raises(ValueError, match="applies only to variant c2x"):
-            parse_variant(other, appendix_twox=True)
+
+
+def test_each_variant_has_one_label_that_parses_back_to_it():
+    labels = [variant.label() for variant in EVERY_VARIANT]
+    assert len(set(labels)) == len(EVERY_VARIANT) == 12
+    for variant in EVERY_VARIANT + ALL_VARIANTS:
+        assert parse_variant(variant.label()) == variant
 
 
 def test_lower_rejects_top_level_y():
@@ -283,6 +288,7 @@ def test_export_all_skips_refuted_and_writes_index(problems, tmp_path):
     index_lines = (tmp_path / "index.tsv").read_text().splitlines()
     assert index_lines == [f"{pid}\t{fname}" for pid, fname in index]
     assert smt.read_index(tmp_path / "index.tsv") == index
+    assert (tmp_path / "variant").read_text() == "base\n"
 
 
 @pytest.mark.parametrize(
@@ -332,6 +338,7 @@ def test_export_lowers_each_problem_once_across_variants(problems, tmp_path, mon
     for variant in EVERY_VARIANT:
         index = export_all(problems, tmp_path / variant.label(), variant)
         assert len(index) == len(problems)
+        assert smt.read_variant(tmp_path / variant.label()) == variant
     by_id = sorted(problems, key=lambda p: p.id)
     assert lowered == [(p.small, p.fast) for p in by_id]
 
