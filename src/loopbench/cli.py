@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problems", required=True, type=Path)
     p.add_argument("--syn", required=True, type=Path, help="aind_syn manifest output")
     p.add_argument("--sem", required=True, type=Path, help="aind_sem manifest output")
-    p.add_argument("--filter-mode", choices=induction.FILTER_MODES, default=induction.PER_LOOP)
     _add_limit_flags(p, "--limit", "--value-bound")
 
     p = subs.add_parser("export", help="write SMT-LIB scripts for a problem manifest")
@@ -120,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solutions", required=True, type=Path)
     p.add_argument("--outdir", required=True, type=Path)
     p.add_argument("--variant", default="base")
-    p.add_argument("--filter-mode", choices=induction.FILTER_MODES, default=induction.PER_LOOP)
     p.add_argument(
         "--dry-run",
         action="store_true",
@@ -197,7 +195,7 @@ def _filter_ids(problems: list[oeis.ProblemRecord]) -> tuple[list[str], list[str
 
 def _cmd_filter(args) -> int:
     cfg = _cfg(args)
-    problems = induction.classify_all(oeis.load_problems(args.problems), cfg, args.filter_mode)
+    problems = induction.classify_all(oeis.load_problems(args.problems), cfg)
     oeis.save_problems(problems, args.problems)
     syn_ids, sem_ids = _filter_ids(problems)
     induction.write_manifest(syn_ids, args.syn)
@@ -249,7 +247,7 @@ def _cmd_pipeline(args) -> int:
     problems = oeis.build_problems(solutions, sequences)
 
     problems, reports = verify_mod.verify_all(problems, verify_cfg)
-    problems = induction.classify_all(problems, filter_cfg, args.filter_mode)
+    problems = induction.classify_all(problems, filter_cfg)
     syn_ids, sem_ids = _filter_ids(problems)
 
     statuses = Counter(p.status for p in problems)
@@ -300,6 +298,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        resumes = "; a rerun resumes" if args.command == "run" else ""
+        print(f"error: interrupted{resumes}", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -18,8 +18,9 @@ import shlex
 import shutil
 import subprocess
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -87,7 +88,7 @@ def load_solver_config(path: str | Path) -> list[SolverSpec]:
     """
     try:
         data = json.loads(Path(path).read_text())
-    except ValueError as exc:  # not JSON, or not decodable text
+    except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
         raise ValueError(f"{path}: {exc}") from None
     entries = data.get("solvers") if isinstance(data, dict) else data
     if not isinstance(entries, list):
@@ -192,12 +193,14 @@ def _read_log(path: Path) -> tuple[list[RunResult], str]:
         except json.JSONDecodeError:
             log.warning("%s: skipping a partial last line: %s", path, tail)
             text = text[: len(text) - len(tail)]
+        except RecursionError:  # nested too deep: a bad row, named below
+            pass
     results = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         try:
             if line.strip():
                 results.append(result_from_json(line))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return results, text
 
@@ -270,17 +273,21 @@ def run_campaign(
         sink.truncate(len(intact.encode()))
         if intact and not intact.endswith("\n"):
             sink.write("\n")
-        futures = {
-            pool.submit(run_solver, spec, path): (spec, pid)
-            for spec, pid, path in tasks
-        }
-        for future in as_completed(futures):
-            spec, pid = futures[future]
-            verdict, wall = future.result()
-            result = RunResult(pid, spec.name, variant, verdict, wall)
-            sink.write(result.to_json() + "\n")
-            sink.flush()
-            results.append(result)
+        # At most jobs calls are submitted at a time, so an interrupt
+        # leaves no queued call to run before the pool shuts down.
+        queue, running = iter(tasks), {}
+        while True:
+            for spec, pid, path in islice(queue, jobs - len(running)):
+                running[pool.submit(run_solver, spec, path)] = (spec, pid)
+            if not running:
+                break
+            for future in wait(running, return_when=FIRST_COMPLETED).done:
+                spec, pid = running.pop(future)
+                verdict, wall = future.result()
+                result = RunResult(pid, spec.name, variant, verdict, wall)
+                sink.write(result.to_json() + "\n")
+                sink.flush()
+                results.append(result)
     return results
 
 

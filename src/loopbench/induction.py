@@ -23,7 +23,6 @@ WINDOW = 40
 CYCLE_SKIP = 9  # indices before this are ignored by the cycle test
 MAX_PERIOD = 15
 SWEEP = 10  # values of the off-axis variable
-PER_LOOP, PER_TEST = FILTER_MODES = ("per-loop", "per-test")
 
 
 def select_top_loops(small: Program, fast: Program) -> list[Program]:
@@ -139,35 +138,21 @@ def semantic_test(p: Program, cfg: EvalConfig = DEFAULT_CONFIG) -> bool:
     ) and acyclic_on(p, Op.X, cfg=cfg)
 
 
-def classify(
-    problem: ProblemRecord,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    mode: str = PER_LOOP,
-) -> tuple[bool, bool]:
-    """(syn_pass, sem_pass) for a problem.
-
-    In the default per-loop mode a single loop must pass both tests for
-    sem_pass; in per-test mode different loops may satisfy each test.
-    Either way sem_pass implies syn_pass.  The evaluator state of both
-    sides is released on return.
+def classify(problem: ProblemRecord, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[bool, bool]:
+    """(syn_pass, sem_pass) for a problem: syn_pass when a top loop passes
+    the syntactic test, sem_pass when one of those loops also passes the
+    semantic test.  The evaluator state of both sides is released on
+    return.
     """
-    if mode not in FILTER_MODES:
-        raise ValueError(f"unknown filter mode {mode!r}")
     try:
-        tops = select_top_loops(problem.small, problem.fast)
-        syn_loops = [p for p in tops if syntactic_test(p)]
-        if not syn_loops:
-            return False, False
-        tested = syn_loops if mode == PER_LOOP else tops
-        return True, any(semantic_test(p, cfg) for p in tested)
+        syn_loops = [p for p in select_top_loops(problem.small, problem.fast) if syntactic_test(p)]
+        return bool(syn_loops), any(semantic_test(p, cfg) for p in syn_loops)
     finally:
         release(problem.small, problem.fast)
 
 
 def classify_all(
-    problems: list[ProblemRecord],
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    mode: str = PER_LOOP,
+    problems: list[ProblemRecord], cfg: EvalConfig = DEFAULT_CONFIG
 ) -> list[ProblemRecord]:
     """Classify a manifest: copies of the problems with their syn_pass
     and sem_pass flags set, in manifest order; the given records are
@@ -177,7 +162,7 @@ def classify_all(
     classified = []
     for problem in problems:
         if problem.released:
-            syn, sem = classify(problem, cfg, mode)
+            syn, sem = classify(problem, cfg)
             problem = problem._replace(syn_pass=syn, sem_pass=sem)
         classified.append(problem)
     return classified

@@ -269,7 +269,7 @@ def load_problems(path: str | Path) -> list[ProblemRecord]:
             continue
         try:
             problem = problem_from_json(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         first = first_lines.setdefault(problem.id, lineno)
         if first != lineno:

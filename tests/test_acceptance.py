@@ -127,9 +127,8 @@ def test_criterion_5_filters(problems_by_id):
             continue
         pairs += 1
         pr = ProblemRecord(f"R{pairs}", ["A000001"], [], small, fast)
-        for mode in ("per-loop", "per-test"):
-            syn, sem = classify(pr, cfg, mode)
-            assert syn or not sem, (pr.small, pr.fast, mode)
+        syn, sem = classify(pr, cfg)
+        assert syn or not sem, (pr.small, pr.fast)
         syn_count += syn
         sem_count += sem
     assert syn_count > 0 and sem_count > 0  # the sample exercises both filters

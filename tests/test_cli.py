@@ -5,7 +5,7 @@ import stat
 import pytest
 
 from conftest import FIXTURES
-from loopbench import induction
+from loopbench import harness
 from loopbench.cli import main
 from loopbench.lang import MAX_DEPTH
 
@@ -84,29 +84,6 @@ def test_eval_respects_limit_flag(capsys):
     code, _, err = run(capsys, "eval", "--limit", "5", "loop(x + y, x, 0)", "9", "0")
     assert code == 1
     assert "timeout" in err
-
-
-def test_filter_mode_defaults_to_per_loop_and_the_flag_reaches_classify_all(
-    capsys, monkeypatch, corpus
-):
-    outputs = ["--syn", str(corpus / "syn"), "--sem", str(corpus / "sem")]
-    modes = []
-    real = induction.classify_all
-
-    def recording(problems, cfg, mode):
-        modes.append(mode)
-        return real(problems, cfg, mode)
-
-    monkeypatch.setattr(induction, "classify_all", recording)
-    manifest = _built(capsys, corpus)
-    flag = ["--filter-mode", "per-test"]
-    assert run(capsys, "filter", "--problems", str(manifest), *outputs)[0] == 0
-    assert run(capsys, "filter", "--problems", str(manifest), *flag, *outputs)[0] == 0
-    pipeline = ["--stripped", str(corpus / "stripped"), "--solutions",
-                str(corpus / "solutions.tsv"), "--outdir", str(corpus / "out"), "--dry-run"]
-    assert run(capsys, "pipeline", *pipeline)[0] == 0
-    assert run(capsys, "pipeline", *pipeline, *flag)[0] == 0
-    assert modes == ["per-loop", "per-test", "per-loop", "per-test"]
 
 
 # The names that once mirrored the flags; every setting now comes from
@@ -350,11 +327,16 @@ def test_run_rejects_a_solver_program_that_is_not_found_before_opening_the_log(
     assert not log.exists()
 
 
-def test_no_flag_restates_the_variant_of_an_export(capsys):
+def test_removed_flags_are_usage_errors(capsys):
+    # No flag restates the variant an export records, and the induction
+    # filters have one rule.
+    pipeline = ["pipeline", "--stripped", "s", "--solutions", "t", "--outdir", "o"]
     for argv in (["export", "--problems", "p", "--outdir", "o", "--c2x-appendix"],
-                 ["pipeline", "--stripped", "s", "--solutions", "t", "--outdir", "o",
-                  "--c2x-appendix"],
-                 ["run", "--config", "c", "--dir", "d", "--log", "l", "--variant", "c3"]):
+                 [*pipeline, "--c2x-appendix"],
+                 ["run", "--config", "c", "--dir", "d", "--log", "l", "--variant", "c3"],
+                 ["filter", "--problems", "p", "--syn", "s", "--sem", "t",
+                  "--filter-mode", "per-loop"],
+                 [*pipeline, "--filter-mode", "per-loop"]):
         with pytest.raises(SystemExit) as exit:
             main(argv)
         assert exit.value.code == 2
@@ -796,6 +778,71 @@ def test_bad_results_log_row_is_an_error_not_a_traceback(capsys, tmp_path, comma
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {log}:2: ")
     assert log.read_text() == good + "\n" + row + "\n"
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command", ["verify", "filter", "export", "run-config", "run-log", "run-torn-log", "report"]
+)
+def test_too_deeply_nested_json_is_an_error_not_a_traceback(capsys, tmp_path, command):
+    log = tmp_path / "results.jsonl"
+    if command in ("verify", "filter", "export"):
+        bad = tmp_path / "problems.jsonl"
+        bad.write_text(DEEP + "\n")
+        argv = [command, "--problems", str(bad), *{
+            "verify": ["--reports", str(tmp_path / "r"), "--nonverified", str(tmp_path / "n")],
+            "filter": ["--syn", str(tmp_path / "syn"), "--sem", str(tmp_path / "sem")],
+            "export": ["--outdir", str(tmp_path / "out")],
+        }[command]]
+    elif command == "run-config":
+        _export(tmp_path / "smt2")
+        bad = tmp_path / "solvers.json"
+        bad.write_text('{"solvers": ' + DEEP + "}")
+        argv = ["run", "--config", str(bad), "--dir", str(tmp_path / "smt2"), "--log", str(log)]
+    else:
+        # A deep last line with no newline is not taken for a torn write.
+        bad, reader = log, command.split("-")[0]
+        log.write_text(DEEP + ("" if command == "run-torn-log" else "\n"))
+        argv = [reader, *_log_readers(tmp_path, log)[reader]]
+    before = sorted(tmp_path.rglob("*")), bad.read_text()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}") and err.count("\n") == 1, err
+    assert "maximum recursion depth exceeded" in err
+    assert (sorted(tmp_path.rglob("*")), bad.read_text()) == before
+
+
+def test_an_interrupted_run_starts_no_queued_call_and_a_rerun_resumes(
+    capsys, monkeypatch, tmp_path
+):
+    smt2 = _export(tmp_path / "smt2", [(f"A{i}", f"A{i}.smt2", "") for i in range(6)])
+    log = tmp_path / "results.jsonl"
+    config = _stub_config(tmp_path, "sh -c 'echo unsat' {file}")
+    argv = ["run", "--config", str(config), "--dir", str(smt2), "--log", str(log), "--jobs", "1"]
+    calls = []
+
+    def interrupted_on_call_2(spec, file):
+        calls.append(file)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return harness.Verdict.PROVED, 0.0
+
+    real = harness.run_solver
+    monkeypatch.setattr(harness, "run_solver", interrupted_on_call_2)
+    try:
+        outcome = run(capsys, *argv)
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped main")
+    assert outcome == (130, "", "error: interrupted; a rerun resumes\n")
+    assert len(calls) == 2
+    assert len(log.read_text().splitlines()) == 1
+
+    monkeypatch.setattr(harness, "run_solver", real)
+    assert run(capsys, *argv) == (0, f"5 new results -> {log}\n", "")
+    ids = [json.loads(line)["id"] for line in log.read_text().splitlines()]
+    assert sorted(ids) == [f"A{i}" for i in range(6)]
 
 
 @pytest.mark.parametrize("command", ["run", "report"])

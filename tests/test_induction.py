@@ -6,7 +6,6 @@ from conftest import carried_budgets, fresh_problems, kept_code, record_evaluate
 from loopbench import induction
 from loopbench.induction import (
     CYCLE_SKIP,
-    FILTER_MODES,
     MAX_PERIOD,
     WINDOW,
     acyclic_on,
@@ -275,24 +274,20 @@ def test_semantic_test_rejects_non_loops():
         semantic_test(parse("x + y"))
 
 
-@pytest.mark.parametrize(
-    "mode, bounds",
-    [("per-loop", ["x + 1"]), ("per-test", ["2", "x + 1"])],
-)
-def test_classify_mode_picks_the_loops_the_semantic_test_samples(monkeypatch, mode, bounds):
+def test_classify_samples_only_the_loops_that_pass_the_syntactic_test(monkeypatch):
     # The small side's loop fails the syntactic test (constant bound), the
-    # fast side's passes it.  Every sampled piece fails, so each loop's
-    # semantic test samples its bound only.
+    # fast side's passes it.  Every sampled piece fails, so the fast
+    # side's semantic test samples its bound only.
     problem = ProblemRecord(
         "A1", ["A000001"], [], parse("loop(x + y, 2, 0)"), parse("loop(x * y, x + 1, 1)")
     )
     calls = _script_acyclic(monkeypatch, failing={("2", Op.X), ("x + 1", Op.X)})
-    assert classify(problem, mode=mode) == (True, False)
-    assert calls == [(b, Op.X, True) for b in bounds]
+    assert classify(problem) == (True, False)
+    assert calls == [("x + 1", Op.X, True)]
 
     calls.clear()
     no_loop_passes = problem._replace(fast=parse("loop(x * y, 1, 1)"))
-    assert classify(no_loop_passes, mode=mode) == (False, False)
+    assert classify(no_loop_passes) == (False, False)
     assert calls == []
 
 
@@ -309,13 +304,6 @@ def test_classify_pins(problems_by_id):
     )
     assert classify(constant_bound) == (False, False)
     assert classify(problems_by_id["A180713"]) == (True, False)
-
-
-def test_classify_modes_agree_on_fixture(problems):
-    for problem in problems:
-        assert classify(problem, mode="per-loop") == classify(problem, mode="per-test")
-    with pytest.raises(ValueError):
-        classify(problems[0], mode="per-problem")
 
 
 def test_classify_all_fixture(problems):
@@ -358,11 +346,10 @@ FIXTURE_FLAGS = {
 def test_classify_leaves_no_evaluator_state_on_the_programs():
     problems = fresh_problems()
     warm(problems)
-    for mode in FILTER_MODES:
-        for problem in problems:
-            classify(problem, mode=mode)
-            assert kept_code([problem]) == []
-        warm(problems)
+    for problem in problems:
+        classify(problem)
+        assert kept_code([problem]) == []
+    warm(problems)
     verified, _ = verify_all(problems)
     warm(p for p in verified if p.released)
     classified = classify_all(verified)
