@@ -27,6 +27,9 @@ from typing import NamedTuple
 log = logging.getLogger(__name__)
 
 DEFAULT_TIMEOUT = 60.0
+# The longest solver timeout a config may give, in seconds; subprocess
+# cannot wait much past 2**31 ms.
+MAX_TIMEOUT = 10**6
 
 
 class Verdict(Enum):
@@ -81,8 +84,8 @@ def load_solver_config(path: str | Path) -> list[SolverSpec]:
 
     A solver needs a string name that no earlier solver has (results
     are keyed by it) and a cmd that shlex can split, with one {file}
-    placeholder; timeout (a JSON number of seconds, finite and above 0)
-    and tokens (a map from stdout line to verdict) are optional.
+    placeholder; timeout (a JSON number of seconds, above 0 and at most
+    MAX_TIMEOUT) and tokens (a map from stdout line to verdict) are optional.
     Raises ValueError starting with the path and naming the solver's
     position and the field that is missing or ill-typed.
     """
@@ -115,9 +118,17 @@ def load_solver_config(path: str | Path) -> list[SolverSpec]:
         # bool is an int subclass, but true is not a timeout.
         if type(timeout) not in (int, float):
             raise ValueError(f"{where}: field 'timeout' must be a number, got {timeout!r}")
-        timeout = float(timeout)
+        try:
+            timeout = float(timeout)
+        except OverflowError:  # an integer that no float holds
+            raise ValueError(
+                f"{where}: field 'timeout' must be above 0 and at most {MAX_TIMEOUT} seconds,"
+                f" got an integer of {len(str(abs(timeout)))} digits"
+            ) from None
         if not (math.isfinite(timeout) and timeout > 0):
             raise ValueError(f"{where}: field 'timeout' must be finite and above 0, got {timeout}")
+        if timeout > MAX_TIMEOUT:
+            raise ValueError(f"{where}: field 'timeout' must be at most {MAX_TIMEOUT} seconds, got {timeout}")
         raw_tokens = entry.get("tokens", {})
         if not isinstance(raw_tokens, dict):
             raise ValueError(f"{where}: field 'tokens' must map lines to verdicts")

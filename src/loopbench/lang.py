@@ -64,8 +64,11 @@ class Program(_Syntax):
     """A term: an operator and its arguments.
 
     Programs compare, hash and pickle by their syntax alone.  The
-    evaluator keeps compiled code in the instance dict, and that code
-    goes with this object alone.
+    evaluator keeps compiled code in the instance dict, on this object
+    alone.  A parsed program may share one object among its equal
+    subterms, and a load shares it among the records it reads (see
+    parse), so several records can use one object's code; release drops
+    it for all of them, and the next evaluate compiles it again.
     """
 
     def __new__(cls, op: Op, args: tuple[Program, ...] = ()) -> Program:
@@ -170,11 +173,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, table: dict[tuple[int, ...], Program]):
         self.tokens = _tokenize(text)
         self.i = 0
         self.nesting = 0
-        # Depth of each compound node built so far; leaves have depth 1.
+        # Compound nodes built so far, keyed by operator and argument ids.
+        # The nodes keep their arguments alive, so the ids stay valid for
+        # as long as the table lives.
+        self.table = table
+        # Depth of each compound node returned so far; leaves have depth 1.
         self.depths: dict[int, int] = {}
 
     def peek(self) -> tuple[str, str, int]:
@@ -204,13 +211,19 @@ class _Parser:
     def node(self, op: Op, args: tuple[Program, ...], pos: int) -> Program:
         depths = self.depths
         deepest = 0
+        parts = [op]  # the table key: op and the ids of the arguments
         for a in args:
-            d = depths.get(id(a), 1)
+            i = id(a)
+            parts.append(i)
+            d = depths.get(i, 1)
             if d > deepest:
                 deepest = d
         if deepest >= MAX_DEPTH:
             raise ParseError(f"program deeper than {MAX_DEPTH} levels", pos)
-        p = Program(op, args)
+        key = tuple(parts)
+        p = self.table.get(key)
+        if p is None:
+            p = self.table[key] = Program(op, args)
         depths[id(p)] = deepest + 1
         return p
 
@@ -290,10 +303,16 @@ class _Parser:
         return args
 
 
-def parse(text: str) -> Program:
+def parse(text: str, table: dict[tuple[int, ...], Program] | None = None) -> Program:
     """Parse program text.  Raises ParseError with a position on bad input,
-    which includes nesting deeper than MAX_DEPTH."""
-    parser = _Parser(text)
+    which includes nesting deeper than MAX_DEPTH.
+
+    Structurally equal compound subterms come back as one object: within
+    the text always, and across texts parsed with the same table, which
+    a caller keeps for one load and no longer (a Program takes no weak
+    reference, so nothing else drops its entries).
+    """
+    parser = _Parser(text, {} if table is None else table)
     prog = parser.parse_expr()
     tok = parser.peek()
     if tok[0] != "eof":

@@ -125,9 +125,11 @@ def load_solutions(path: str | Path) -> list[SolutionRecord]:
 
     Rows whose programs depend on y are skipped with a warning (one input
     is the sequence index; the other must be unused at top level).  On a
-    duplicate A-number the last row wins, with a warning.
+    duplicate A-number the last row wins, with a warning.  Equal subterms
+    of the file's programs are one object (see lang.parse).
     """
     by_anum: dict[str, SolutionRecord] = {}
+    table: dict = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -138,8 +140,8 @@ def load_solutions(path: str | Path) -> list[SolutionRecord]:
         if not _ANUM_RE.match(anum):
             raise ValueError(f"{path}:{lineno}: bad A-number {anum!r}")
         try:
-            small = parse(small_text)
-            fast = parse(fast_text)
+            small = parse(small_text, table)
+            fast = parse(fast_text, table)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}")
         if depends_on(small, Op.Y) or depends_on(fast, Op.Y):
@@ -217,16 +219,18 @@ def _field(d: dict, name: str, kind: type, default=None):
     return value
 
 
-def _program_field(d: dict, name: str) -> Program:
+def _program_field(d: dict, name: str, table: dict | None) -> Program:
     text = _field(d, name, str)
     try:
-        return parse(text)
+        return parse(text, table)
     except ParseError as exc:
         raise ValueError(f"field {name!r}: {exc}") from None
 
 
-def problem_from_json(line: str) -> ProblemRecord:
-    """One manifest row; a ValueError names the missing or ill-typed field."""
+def problem_from_json(line: str, table: dict | None = None) -> ProblemRecord:
+    """One manifest row; a ValueError names the missing or ill-typed field.
+    Its programs share equal subterms with those parsed with the same
+    table (see lang.parse)."""
     d = json.loads(line)
     if not isinstance(d, dict):
         raise ValueError(f"row must be a JSON object, got {type(d).__name__}")
@@ -248,8 +252,8 @@ def problem_from_json(line: str) -> ProblemRecord:
         id=pid,
         anums=anums,
         terms=terms,
-        small=_program_field(d, "small"),
-        fast=_program_field(d, "fast"),
+        small=_program_field(d, "small", table),
+        fast=_program_field(d, "fast", table),
         status=status,
         syn_pass=_field(d, "syn_pass", bool, False),
         sem_pass=_field(d, "sem_pass", bool, False),
@@ -261,14 +265,16 @@ def save_problems(problems: list[ProblemRecord], path: str | Path) -> None:
 
 
 def load_problems(path: str | Path) -> list[ProblemRecord]:
-    """Read a manifest; a bad row or a repeated id raises ValueError naming path:line."""
+    """Read a manifest; a bad row or a repeated id raises ValueError naming
+    path:line.  Equal subterms of its programs are one object."""
     problems = []
+    table: dict = {}
     first_lines: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            problem = problem_from_json(line)
+            problem = problem_from_json(line, table)
         except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         first = first_lines.setdefault(problem.id, lineno)

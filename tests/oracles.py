@@ -3,13 +3,14 @@
 Everything here is deliberately written from the definitions rather than
 imported from the package under test: a naive recursive interpreter, a
 free-variable computation, a slicing-based cycle detector, a random
-program generator, a standalone SMT-LIB surface checker, and a direct
-evaluator of lowered definitions.  The exceptions are the types the cost
-oracle and the definition evaluator take and return, and the table of
-loop body slots that free_vars reads.  The cost oracle, a tree-walking
-evaluator that charges the cost model node by node, keeps its count in
-the package's Budget but states the timeout rule itself (_charge): a
-cost that does not fit times out and leaves the budget at 0.
+program generator, a census of node objects, a standalone SMT-LIB
+surface checker, and a direct evaluator of lowered definitions.  The
+exceptions are the types the cost oracle and the definition evaluator
+take and return, and the table of loop body slots that free_vars reads.
+The cost oracle, a tree-walking evaluator that charges the cost model
+node by node, keeps its count in the package's Budget but states the
+timeout rule itself (_charge): a cost that does not fit times out and
+leaves the budget at 0.
 
 For a fixed program, cost_eval is a pure function of (x, y, config,
 starting budget), and the budget it leaves is the start less the cost.
@@ -301,6 +302,18 @@ def random_program(rng: random.Random, depth: int = 3) -> Program:
     op = rng.choice(list(_ARITY))
     args = tuple(random_program(rng, depth - 1) for _ in range(_ARITY[op]))
     return Program(op, args)
+
+
+def compound_census(progs) -> tuple[int, int]:
+    """(compound node objects, distinct compound subterms) among progs."""
+    objects: dict[int, Program] = {}
+    stack = list(progs)
+    while stack:
+        p = stack.pop()
+        if p.args:
+            objects[id(p)] = p
+            stack.extend(p.args)
+    return len(objects), len(set(objects.values()))
 
 
 def programs(max_leaves: int = 8) -> st.SearchStrategy[Program]:

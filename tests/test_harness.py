@@ -127,6 +127,8 @@ def test_load_solver_config(tmp_path):
     assert specs[1].tokens == {"Proof found": Verdict.PROVED}
     config.write_text(json.dumps([{"name": "c", "cmd": "c {file}"}]))
     assert load_solver_config(config)[0].name == "c"
+    config.write_text(json.dumps([{"name": "d", "cmd": "d {file}", "timeout": 10**6}]))
+    assert load_solver_config(config)[0].timeout == 1e6
 
 
 @pytest.mark.parametrize(
@@ -148,6 +150,17 @@ def test_load_solver_config(tmp_path):
         ([{"name": "a", "cmd": "a {file} {file}"}], "solver 0: field 'cmd' must contain {file} exactly once"),
         ([{"name": "a", "cmd": "a {file}", "timeout": float("inf")}], "solver 0: field 'timeout' must be finite"),
         ([{"name": "a", "cmd": "a {file}", "timeout": float("nan")}], "solver 0: field 'timeout' must be finite and above 0, got nan"),
+        ([{"name": "a", "cmd": "a {file}", "timeout": 1e9}], "solver 0: field 'timeout' must be at most 1000000 seconds, got 1000000000.0"),
+        ([{"name": "a", "cmd": "a {file}", "timeout": 1e308}], "solver 0: field 'timeout' must be at most 1000000 seconds, got 1e+308"),
+        ([{"name": "a", "cmd": "a {file}", "timeout": 10**6 + 1}], "solver 0: field 'timeout' must be at most 1000000 seconds, got 1000001.0"),
+        (
+            [{"name": "a", "cmd": "a {file}"}, {"name": "b", "cmd": "b {file}", "timeout": 10**400}],
+            "solver 1: field 'timeout' must be above 0 and at most 1000000 seconds, got an integer of 401 digits",
+        ),
+        (
+            [{"name": "a", "cmd": "a {file}", "timeout": -(10**400)}],
+            "solver 0: field 'timeout' must be above 0 and at most 1000000 seconds, got an integer of 401 digits",
+        ),
         ([{"name": "a", "cmd": "a {file}", "tokens": ["unsat"]}], "field 'tokens' must map"),
         ([{"name": "a", "cmd": "a {file}", "tokens": {"ok": "yes"}}], "field 'tokens': 'yes'"),
         ({"provers": []}, "expected a list of solvers"),

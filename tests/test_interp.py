@@ -627,6 +627,32 @@ def test_evaluate_matches_cost_oracle_on_drawn_programs(pool):
                 _sweep(p, oracle, orders[order], cfg, grant, rng)
 
 
+# The literals 1 and 2 fall outside the small range only when the value
+# bound or the threshold is below 2, which no drawn config reaches.  A
+# threshold of 1 alone charges the literal 2 one digit, as the small range
+# does, so only a value bound below 2 tells the two charges apart: there a
+# literal beyond it overflows.
+LITERAL_PROGRAMS = [
+    "1", "2", "0 - 1", "x + 1", "2 - 1", "(1 + 1) * x", "x * 2", "cond(x, 1, 2)",
+    "loop(x + 1, x, 1)", "loop(y - 1, x, 0)", "compr(x - 1, x)", "loop2(x, 1, x, 0, 2)",
+]
+
+
+@pytest.mark.parametrize("value_bound", [1, 0])
+def test_literals_beyond_the_value_bound_match_the_cost_oracle(value_bound):
+    cfg = EvalConfig(per_call_limit=2_000, value_bound=value_bound)
+    errors = set()
+    for text in LITERAL_PROGRAMS:
+        p = parse(text)
+        for x in range(-2, 4):
+            for y in (0, 1):
+                want = cost_eval(p, x, y, cfg=cfg)
+                assert evaluate(p, x, y, cfg=cfg) == want, (text, x, y)
+                errors.add(want.error)
+    # Both the small path and the literal's overflow ran.
+    assert {None, ErrorKind.OVERFLOW} <= errors
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     programs(max_leaves=10),

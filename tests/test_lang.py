@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from loopbench.lang import (
     ONE,
     TWO,
 )
-from oracles import free_vars, programs
+from oracles import compound_census, free_vars, programs, random_program
 
 
 def test_operator_codes_are_stable():
@@ -117,6 +118,45 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as info:
         parse("x + ^")
     assert info.value.pos == 4
+
+
+def test_equal_subterms_of_one_text_are_one_object():
+    p = parse("(2 + 1) * (2 + 1)")
+    assert p.args[0] is p.args[1]
+    p = parse("loop(x + 1, x + 1, cond(x + 1, 1, x + 1))")
+    assert compound_census([p]) == (3, 3)
+
+
+def test_a_shared_table_returns_one_object_per_distinct_subterm():
+    table = {}
+    first = parse("loop((x * 2) + 1, x, 0)", table)
+    assert parse("loop((x * 2) + 1, x, 0)", table) is first
+    again = parse("((x * 2) + 1) - (x*2)", table)
+    assert again.args[0] is first.args[0]
+    assert again.args[1] is first.args[0].args[0]
+    # Without the table each parse builds its own nodes.
+    assert parse("loop((x * 2) + 1, x, 0)") is not first
+
+
+def test_a_shared_table_parses_each_text_as_a_fresh_parse_does():
+    rng = random.Random(2310)
+    texts = [to_text(random_program(rng, depth=4)) for _ in range(400)]
+    table = {}
+    shared = [parse(text, table) for text in texts]
+    for text, p in zip(texts, shared):
+        assert p == parse(text)
+        assert to_text(p) == text
+        assert parse(text, table) is p
+    objects, distinct = compound_census(shared)
+    assert objects == distinct < compound_census(parse(text) for text in texts)[0]
+
+
+def test_a_shared_table_keeps_the_nesting_bound():
+    table = {}
+    inner = "x" + " + 1" * (MAX_DEPTH - 1)
+    parse(inner, table)
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse(f"({inner}) * 2", table)
 
 
 def test_printer_pins():

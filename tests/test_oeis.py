@@ -1,6 +1,7 @@
 import logging
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,9 @@ from loopbench.oeis import (
     save_problems,
     short_anum,
 )
+from oracles import compound_census
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_short_anum():
@@ -98,12 +102,33 @@ def test_load_solutions_last_duplicate_wins(tmp_path, caplog):
 
 def test_load_solutions_rejects_bad_rows(tmp_path):
     path = tmp_path / "solutions.tsv"
-    path.write_text("A000001\tx\n")
-    with pytest.raises(ValueError):
-        load_solutions(path)
-    path.write_text("A000001\tx\tnotaprogram(\n")
-    with pytest.raises(ValueError):
-        load_solutions(path)
+    for text, message in [
+        ("A000001\tx\n", "1: expected 3 tab-separated fields"),
+        ("A000001\tx\tnotaprogram(\n", "1: unknown identifier 'notaprogram' (at position 0)"),
+        ("A000001\tx\tx\n\nB1\tx\tx + 1\n", "3: bad A-number 'B1'"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_solutions(path)
+        assert str(info.value) == f"{path}:{message}"
+
+
+def test_load_solutions_skips_blank_lines(tmp_path):
+    rows = ["A000001\tx\tx + 1", "A000002\tx * 2\tx + x", "A000003\t1\t2 - 1"]
+    plain, blank = tmp_path / "plain.tsv", tmp_path / "blank.tsv"
+    plain.write_text("".join(row + "\n" for row in rows))
+    blank.write_text("\n" + "\n  \n".join(rows) + "\n\n")
+    assert load_solutions(blank) == load_solutions(plain)
+    assert len(load_solutions(plain)) == 3
+
+
+def test_a_loaded_file_keeps_one_object_per_distinct_subterm():
+    # The bench corpus's 180 rows repeat their subterms: 2,648 compound
+    # node occurrences, 690 of them distinct (2,336 in the manifest).
+    solutions = load_solutions(BENCH / "corpus" / "solutions.tsv")
+    problems = load_problems(BENCH / "expected" / "problems.jsonl")
+    for records in (solutions, problems):
+        assert compound_census(p for r in records for p in (r.small, r.fast)) == (690, 690)
 
 
 def test_covers(sequences):
