@@ -3,9 +3,10 @@
 Subcommands cover the whole flow: fmt/eval/seq for single programs,
 cover/build/verify/filter/export for benchmark construction, run/report
 for the solver harness, and pipeline to compose build through export.
-Every setting comes from the command line: each flag has its default in
-the parser.  A negative limit or value bound is rejected by EvalConfig
-before any work.
+Every command evaluates under the budgets of the README's cost model:
+interp.DEFAULT_CONFIG for checking and filtering, interp.VERIFY_CONFIG
+for verification.  Other budgets go through the Python API, as an
+EvalConfig passed to the library functions these commands call.
 """
 
 from __future__ import annotations
@@ -16,36 +17,8 @@ from collections import Counter
 from pathlib import Path
 
 from . import harness, induction, oeis, smt, verify as verify_mod
-from .interp import (
-    CHECK_LIMIT,
-    VERIFY_LIMIT,
-    VALUE_BOUND,
-    Budget,
-    EvalConfig,
-    evaluate,
-    generate_seq,
-)
+from .interp import evaluate, generate_seq
 from .lang import parse, to_text
-
-
-def _cfg(args: argparse.Namespace, limit_attr: str = "limit") -> EvalConfig:
-    return EvalConfig(
-        per_call_limit=getattr(args, limit_attr),
-        value_bound=args.value_bound,
-    )
-
-
-_LIMIT_FLAGS = {
-    "--limit": (CHECK_LIMIT, "abstract time budget per call"),
-    "--verify-limit": (VERIFY_LIMIT, "abstract time budget per call during verification"),
-    "--value-bound": (VALUE_BOUND, "largest value magnitude before overflow"),
-}
-
-
-def _add_limit_flags(sub: argparse.ArgumentParser, *flags: str) -> None:
-    for flag in flags:
-        default, bounds = _LIMIT_FLAGS[flag]
-        sub.add_argument(flag, type=int, default=default, help=f"{bounds} (default {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,18 +37,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program")
     p.add_argument("x", type=int)
     p.add_argument("y", type=int)
-    _add_limit_flags(p, "--limit", "--value-bound")
 
     p = subs.add_parser("seq", help="print the first n values of a program")
     p.add_argument("program")
     p.add_argument("n", type=int)
-    _add_limit_flags(p, "--limit", "--value-bound")
 
     p = subs.add_parser("cover", help="check that a program generates a sequence's terms")
     p.add_argument("program")
     p.add_argument("--anum", required=True)
     p.add_argument("--stripped", required=True, type=Path)
-    _add_limit_flags(p, "--limit", "--value-bound")
 
     p = subs.add_parser("build", help="group solutions into a problem manifest")
     p.add_argument("--stripped", required=True, type=Path)
@@ -86,13 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problems", required=True, type=Path)
     p.add_argument("--reports", type=Path, help="verify report JSON-lines output")
     p.add_argument("--nonverified", type=Path, help="all_nonverified100 manifest output")
-    _add_limit_flags(p, "--verify-limit", "--value-bound")
 
     p = subs.add_parser("filter", help="apply the induction-likelihood filters")
     p.add_argument("--problems", required=True, type=Path)
     p.add_argument("--syn", required=True, type=Path, help="aind_syn manifest output")
     p.add_argument("--sem", required=True, type=Path, help="aind_sem manifest output")
-    _add_limit_flags(p, "--limit", "--value-bound")
 
     p = subs.add_parser("export", help="write SMT-LIB scripts for a problem manifest")
     p.add_argument("--problems", required=True, type=Path)
@@ -111,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--syn", required=True, type=Path)
     p.add_argument("--sem", required=True, type=Path)
     p.add_argument("--nonverified", required=True, type=Path)
-    p.add_argument("--out", type=Path, help="write the text table here as well")
     p.add_argument("--csv", type=Path, help="write a CSV copy here")
 
     p = subs.add_parser("pipeline", help="compose build, verify, filter and export")
@@ -124,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the stage counts without writing anything",
     )
-    _add_limit_flags(p, "--limit", "--verify-limit", "--value-bound")
 
     return top
 
@@ -135,8 +101,7 @@ def _cmd_fmt(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _cfg(args)
-    outcome = evaluate(parse(args.program), args.x, args.y, Budget(cfg.per_call_limit), cfg)
+    outcome = evaluate(parse(args.program), args.x, args.y)
     if not outcome.ok:
         raise ValueError(outcome.error.value)
     print(f"{outcome.value} (cost {outcome.cost})")
@@ -146,7 +111,7 @@ def _cmd_eval(args) -> int:
 def _cmd_seq(args) -> int:
     if args.n < 0:
         raise ValueError(f"n must be at least 0, got {args.n}")
-    outcomes = generate_seq(parse(args.program), args.n, _cfg(args))
+    outcomes = generate_seq(parse(args.program), args.n)
     values = [o.value for o in outcomes if o.ok]
     if values:
         print(" ".join(str(v) for v in values))
@@ -160,7 +125,7 @@ def _cmd_cover(args) -> int:
     sequences = oeis.load_stripped(args.stripped)
     if args.anum not in sequences:
         raise ValueError(f"no sequence {args.anum} in {args.stripped}")
-    ok = oeis.covers(parse(args.program), sequences[args.anum], _cfg(args))
+    ok = oeis.covers(parse(args.program), sequences[args.anum])
     print("true" if ok else "false")
     return 0 if ok else 1
 
@@ -175,8 +140,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _cfg(args, "verify_limit")
-    problems, reports = verify_mod.verify_all(oeis.load_problems(args.problems), cfg)
+    problems, reports = verify_mod.verify_all(oeis.load_problems(args.problems))
     oeis.save_problems(problems, args.problems)
     if args.reports:
         verify_mod.save_reports(reports, args.reports)
@@ -194,8 +158,7 @@ def _filter_ids(problems: list[oeis.ProblemRecord]) -> tuple[list[str], list[str
 
 
 def _cmd_filter(args) -> int:
-    cfg = _cfg(args)
-    problems = induction.classify_all(oeis.load_problems(args.problems), cfg)
+    problems = induction.classify_all(oeis.load_problems(args.problems))
     oeis.save_problems(problems, args.problems)
     syn_ids, sem_ids = _filter_ids(problems)
     induction.write_manifest(syn_ids, args.syn)
@@ -230,10 +193,7 @@ def _cmd_report(args) -> int:
         sem_ids=induction.read_manifest(args.sem),
         nonver_ids=induction.read_manifest(args.nonverified),
     )
-    text = table.render_text()
-    print(text, end="")
-    if args.out:
-        args.out.write_text(text)
+    print(table.render_text(), end="")
     if args.csv:
         args.csv.write_text(table.render_csv())
     return 0
@@ -241,13 +201,12 @@ def _cmd_report(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     variant = smt.parse_variant(args.variant)
-    verify_cfg, filter_cfg = _cfg(args, "verify_limit"), _cfg(args)
     sequences = oeis.load_stripped(args.stripped)
     solutions = oeis.load_solutions(args.solutions)
     problems = oeis.build_problems(solutions, sequences)
 
-    problems, reports = verify_mod.verify_all(problems, verify_cfg)
-    problems = induction.classify_all(problems, filter_cfg)
+    problems, reports = verify_mod.verify_all(problems)
+    problems = induction.classify_all(problems)
     syn_ids, sem_ids = _filter_ids(problems)
 
     statuses = Counter(p.status for p in problems)

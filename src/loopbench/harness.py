@@ -93,9 +93,9 @@ def load_solver_config(path: str | Path) -> list[SolverSpec]:
         data = json.loads(Path(path).read_text())
     except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
         raise ValueError(f"{path}: {exc}") from None
-    entries = data.get("solvers") if isinstance(data, dict) else data
+    entries = data.get("solvers") if isinstance(data, dict) else None
     if not isinstance(entries, list):
-        raise ValueError(f"{path}: expected a list of solvers or {{\"solvers\": [...]}}")
+        raise ValueError(f"{path}: expected {{\"solvers\": [...]}}")
     specs = []
     positions: dict[str, int] = {}
     for i, entry in enumerate(entries):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import shutil
 import stat
@@ -5,8 +6,9 @@ import stat
 import pytest
 
 from conftest import FIXTURES
-from loopbench import harness
+from loopbench import cli, harness, induction, oeis, verify
 from loopbench.cli import main
+from loopbench.interp import EvalConfig
 from loopbench.lang import MAX_DEPTH
 
 
@@ -80,14 +82,64 @@ def test_eval_error_exit(capsys):
     assert "div_by_zero" in err
 
 
-def test_eval_respects_limit_flag(capsys):
-    code, _, err = run(capsys, "eval", "--limit", "5", "loop(x + y, x, 0)", "9", "0")
-    assert code == 1
-    assert "timeout" in err
+def test_eval_times_out_under_the_check_budget(capsys):
+    # compr(1, x) looks for a c with 1 <= 0, which no c has: the search
+    # spends the 100,000-unit checking budget of the cost model.
+    assert run(capsys, "eval", "compr(1, x)", "2", "0") == (1, "", "error: timeout\n")
 
 
-# The names that once mirrored the flags; every setting now comes from
-# the command line alone.
+# The README's cost model: 100,000 units per checking call, 1,000,000 per
+# verify call, values up to 10^285.
+CHECK_BUDGETS = EvalConfig(per_call_limit=100_000, value_bound=10**285)
+VERIFY_BUDGETS = EvalConfig(per_call_limit=1_000_000, value_bound=10**285)
+
+
+@pytest.mark.parametrize(
+    "command,module,name,expected",
+    [
+        ("eval", cli, "evaluate", CHECK_BUDGETS),
+        ("seq", cli, "generate_seq", CHECK_BUDGETS),
+        ("cover", oeis, "covers", CHECK_BUDGETS),
+        ("verify", verify, "verify_all", VERIFY_BUDGETS),
+        ("filter", induction, "classify_all", CHECK_BUDGETS),
+        ("pipeline", verify, "verify_all", VERIFY_BUDGETS),
+        ("pipeline", induction, "classify_all", CHECK_BUDGETS),
+    ],
+    ids=["eval", "seq", "cover", "verify", "filter", "pipeline-verify", "pipeline-filter"],
+)
+def test_each_command_runs_the_budgets_of_the_cost_model(
+    capsys, monkeypatch, corpus, command, module, name, expected
+):
+    real = getattr(module, name)
+    seen = []
+
+    def record(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments["cfg"])
+        return real(*args, **kwargs)
+
+    manifest = _built(capsys, corpus) if command in ("verify", "filter") else None
+    monkeypatch.setattr(module, name, record)
+    operands = {
+        "eval": ["loop(x + y, x, 0)", "3", "0"],
+        "seq": ["loop(x + y, x, 0)", "3"],
+        "cover": ["loop(x + y, x, 0)", "--anum", "A000217", "--stripped",
+                  str(corpus / "stripped")],
+        "verify": ["--problems", str(manifest)],
+        "filter": ["--problems", str(manifest), "--syn", str(corpus / "syn"),
+                   "--sem", str(corpus / "sem")],
+        "pipeline": ["--stripped", str(corpus / "stripped"),
+                     "--solutions", str(corpus / "solutions.tsv"),
+                     "--outdir", str(corpus / "out")],
+    }
+    code, _, err = run(capsys, command, *operands[command])
+    assert (code, err) == (0, "")
+    assert seen == [expected]
+
+
+# The names that once mirrored the flags; no environment variable
+# changes a command.
 ENV_NAMES = ["LOOPBENCH_LIMIT", "LOOPBENCH_VERIFY_LIMIT", "LOOPBENCH_VALUE_BOUND",
              "LOOPBENCH_FILTER_MODE", "LOOPBENCH_JOBS"]
 
@@ -137,57 +189,6 @@ def test_no_environment_variable_changes_a_command(capsys, monkeypatch, tmp_path
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     assert _env_session(capsys, tmp_path / "set") == unset
-
-
-@pytest.mark.parametrize(
-    "command, flags, field",
-    [
-        ("eval", ["--limit", "-1"], "per_call_limit"),
-        ("eval", ["--value-bound", "-1"], "value_bound"),
-        ("seq", ["--limit", "-1"], "per_call_limit"),
-        ("verify", ["--verify-limit", "-1"], "per_call_limit"),
-        ("filter", ["--value-bound", "-1"], "value_bound"),
-        ("pipeline", ["--verify-limit", "-1"], "per_call_limit"),
-        ("pipeline", ["--limit", "-1"], "per_call_limit"),
-    ],
-)
-def test_negative_limit_or_value_bound_is_an_error(capsys, corpus, command, flags, field):
-    manifest = _built(capsys, corpus) if command in ("verify", "filter") else None
-    before = manifest.read_text() if manifest else None
-    operands = {
-        "eval": ["x", "3", "0"],
-        "seq": ["x", "3"],
-        "verify": ["--problems", str(manifest)],
-        "filter": ["--problems", str(manifest), "--syn", str(corpus / "syn"),
-                   "--sem", str(corpus / "sem")],
-        "pipeline": ["--stripped", str(corpus / "stripped"),
-                     "--solutions", str(corpus / "solutions.tsv"),
-                     "--outdir", str(corpus / "out")],
-    }
-    code, out, err = run(capsys, command, *flags, *operands[command])
-    assert (code, out, err) == (1, "", f"error: {field} must not be negative\n")
-    if manifest:
-        assert manifest.read_text() == before
-    assert not any((corpus / name).exists() for name in ("syn", "sem", "out"))
-
-
-def test_verify_takes_no_limit_flag(capsys):
-    # verify evaluates only under --verify-limit; a --limit it ignored
-    # would accept even a negative value.
-    with pytest.raises(SystemExit) as exit:
-        main(["verify", "--problems", "p.jsonl", "--limit", "5"])
-    assert exit.value.code == 2
-    assert "unrecognized arguments: --limit 5" in capsys.readouterr().err
-    with pytest.raises(SystemExit):
-        main(["verify", "--help"])
-    help_text = capsys.readouterr().out
-    assert "--verify-limit" in help_text
-    assert "--limit" not in help_text
-
-
-def test_zero_limit_and_value_bound_are_allowed(capsys):
-    assert run(capsys, "eval", "--value-bound", "0", "0", "0", "0") == (0, "0 (cost 1)\n", "")
-    assert run(capsys, "eval", "--limit", "0", "x", "3", "0") == (1, "", "error: timeout\n")
 
 
 def test_run_rejects_a_malformed_solver_config(capsys, tmp_path):
@@ -328,15 +329,28 @@ def test_run_rejects_a_solver_program_that_is_not_found_before_opening_the_log(
 
 
 def test_removed_flags_are_usage_errors(capsys):
-    # No flag restates the variant an export records, and the induction
-    # filters have one rule.
+    # No flag restates the variant an export records, the induction
+    # filters have one rule, every command runs the budgets of the cost
+    # model, and report prints its table to stdout only.
     pipeline = ["pipeline", "--stripped", "s", "--solutions", "t", "--outdir", "o"]
+    filter_ = ["filter", "--problems", "p", "--syn", "s", "--sem", "t"]
+    budgets = [
+        (["eval", "x", "3", "0"], ["--limit", "--value-bound"]),
+        (["seq", "x", "3"], ["--limit", "--value-bound"]),
+        (["cover", "x", "--anum", "A1", "--stripped", "s"], ["--limit", "--value-bound"]),
+        (["verify", "--problems", "p"], ["--verify-limit", "--value-bound"]),
+        (filter_, ["--limit", "--value-bound"]),
+        (pipeline, ["--limit", "--verify-limit", "--value-bound"]),
+    ]
+    report = ["report", "--results", "r", "--index", "i", "--syn", "s", "--sem", "t",
+              "--nonverified", "n"]
     for argv in (["export", "--problems", "p", "--outdir", "o", "--c2x-appendix"],
                  [*pipeline, "--c2x-appendix"],
                  ["run", "--config", "c", "--dir", "d", "--log", "l", "--variant", "c3"],
-                 ["filter", "--problems", "p", "--syn", "s", "--sem", "t",
-                  "--filter-mode", "per-loop"],
-                 [*pipeline, "--filter-mode", "per-loop"]):
+                 [*filter_, "--filter-mode", "per-loop"],
+                 [*pipeline, "--filter-mode", "per-loop"],
+                 *([*command, flag, "5"] for command, flags in budgets for flag in flags),
+                 [*report, "--out", "report.txt"]):
         with pytest.raises(SystemExit) as exit:
             main(argv)
         assert exit.value.code == 2
@@ -623,7 +637,6 @@ def test_run_and_report(capsys, corpus, tmp_path):
         "--syn", str(outdir / "aind_syn"),
         "--sem", str(outdir / "aind_sem"),
         "--nonverified", str(outdir / "all_nonverified100"),
-        "--out", str(tmp_path / "report.txt"),
         "--csv", str(tmp_path / "report.csv"),
     )
     assert code == 0
@@ -633,7 +646,6 @@ def test_run_and_report(capsys, corpus, tmp_path):
     assert rows["SynFilt"] == ["6", "6"]
     assert rows["SemFilt"] == ["5", "5"]
     assert rows["NonVer"] == ["1", "1"]
-    assert (tmp_path / "report.txt").read_text() == out
     assert (tmp_path / "report.csv").read_text().splitlines()[1] == "NoFilt,6,6"
 
 

@@ -125,9 +125,9 @@ def test_load_solver_config(tmp_path):
     assert specs[0].tokens == DEFAULT_TOKENS
     assert specs[1].timeout == 5.0
     assert specs[1].tokens == {"Proof found": Verdict.PROVED}
-    config.write_text(json.dumps([{"name": "c", "cmd": "c {file}"}]))
+    config.write_text(json.dumps({"solvers": [{"name": "c", "cmd": "c {file}"}]}))
     assert load_solver_config(config)[0].name == "c"
-    config.write_text(json.dumps([{"name": "d", "cmd": "d {file}", "timeout": 10**6}]))
+    config.write_text(json.dumps({"solvers": [{"name": "d", "cmd": "d {file}", "timeout": 10**6}]}))
     assert load_solver_config(config)[0].timeout == 1e6
 
 
@@ -135,35 +135,36 @@ def test_load_solver_config(tmp_path):
     "data, message",
     [
         ({"solvers": [{"name": "z3"}]}, "solver 0: missing field 'cmd'"),
-        ([{"name": "a", "cmd": "a {file}"}, {"cmd": "b {file}"}], "solver 1: missing field 'name'"),
-        ([1], "solver 0: expected an object, got int"),
-        ([{"name": 3, "cmd": "a {file}"}], "solver 0: field 'name' must be a string"),
-        ([{"name": "a", "cmd": ["a", "{file}"]}], "solver 0: field 'cmd' must be a string"),
-        ([{"name": "a", "cmd": "a {file}", "timeout": "soon"}], "field 'timeout' must be a number"),
-        ([{"name": "a", "cmd": "a {file}", "timeout": 0}], "solver 0: field 'timeout' must be finite and above 0, got 0.0"),
-        ([{"name": "a", "cmd": "a {file}", "timeout": -1}], "solver 0: field 'timeout' must be finite and above 0, got -1.0"),
-        ([{"name": "a", "cmd": "a {file}", "timeout": "inf"}], "solver 0: field 'timeout' must be a number, got 'inf'"),
-        ([{"name": "a", "cmd": "a {file}", "timeout": "7"}], "solver 0: field 'timeout' must be a number, got '7'"),
-        ([{"name": "a", "cmd": "a {file}", "timeout": True}], "solver 0: field 'timeout' must be a number, got True"),
-        ([{"name": "a", "cmd": 'echo "{file}'}], "solver 0: field 'cmd' does not split into words: No closing quotation"),
-        ([{"name": "a", "cmd": "a"}], "solver 0: field 'cmd' must contain {file} exactly once"),
-        ([{"name": "a", "cmd": "a {file} {file}"}], "solver 0: field 'cmd' must contain {file} exactly once"),
-        ([{"name": "a", "cmd": "a {file}", "timeout": float("inf")}], "solver 0: field 'timeout' must be finite"),
-        ([{"name": "a", "cmd": "a {file}", "timeout": float("nan")}], "solver 0: field 'timeout' must be finite and above 0, got nan"),
-        ([{"name": "a", "cmd": "a {file}", "timeout": 1e9}], "solver 0: field 'timeout' must be at most 1000000 seconds, got 1000000000.0"),
-        ([{"name": "a", "cmd": "a {file}", "timeout": 1e308}], "solver 0: field 'timeout' must be at most 1000000 seconds, got 1e+308"),
-        ([{"name": "a", "cmd": "a {file}", "timeout": 10**6 + 1}], "solver 0: field 'timeout' must be at most 1000000 seconds, got 1000001.0"),
+        ({"solvers": [{"name": "a", "cmd": "a {file}"}, {"cmd": "b {file}"}]}, "solver 1: missing field 'name'"),
+        ({"solvers": [1]}, "solver 0: expected an object, got int"),
+        ({"solvers": [{"name": 3, "cmd": "a {file}"}]}, "solver 0: field 'name' must be a string"),
+        ({"solvers": [{"name": "a", "cmd": ["a", "{file}"]}]}, "solver 0: field 'cmd' must be a string"),
+        ({"solvers": [{"name": "a", "cmd": "a {file}", "timeout": "soon"}]}, "field 'timeout' must be a number"),
+        ({"solvers": [{"name": "a", "cmd": "a {file}", "timeout": 0}]}, "solver 0: field 'timeout' must be finite and above 0, got 0.0"),
+        ({"solvers": [{"name": "a", "cmd": "a {file}", "timeout": -1}]}, "solver 0: field 'timeout' must be finite and above 0, got -1.0"),
+        ({"solvers": [{"name": "a", "cmd": "a {file}", "timeout": "inf"}]}, "solver 0: field 'timeout' must be a number, got 'inf'"),
+        ({"solvers": [{"name": "a", "cmd": "a {file}", "timeout": "7"}]}, "solver 0: field 'timeout' must be a number, got '7'"),
+        ({"solvers": [{"name": "a", "cmd": "a {file}", "timeout": True}]}, "solver 0: field 'timeout' must be a number, got True"),
+        ({"solvers": [{"name": "a", "cmd": 'echo "{file}'}]}, "solver 0: field 'cmd' does not split into words: No closing quotation"),
+        ({"solvers": [{"name": "a", "cmd": "a"}]}, "solver 0: field 'cmd' must contain {file} exactly once"),
+        ({"solvers": [{"name": "a", "cmd": "a {file} {file}"}]}, "solver 0: field 'cmd' must contain {file} exactly once"),
+        ({"solvers": [{"name": "a", "cmd": "a {file}", "timeout": float("inf")}]}, "solver 0: field 'timeout' must be finite"),
+        ({"solvers": [{"name": "a", "cmd": "a {file}", "timeout": float("nan")}]}, "solver 0: field 'timeout' must be finite and above 0, got nan"),
+        ({"solvers": [{"name": "a", "cmd": "a {file}", "timeout": 1e9}]}, "solver 0: field 'timeout' must be at most 1000000 seconds, got 1000000000.0"),
+        ({"solvers": [{"name": "a", "cmd": "a {file}", "timeout": 1e308}]}, "solver 0: field 'timeout' must be at most 1000000 seconds, got 1e+308"),
+        ({"solvers": [{"name": "a", "cmd": "a {file}", "timeout": 10**6 + 1}]}, "solver 0: field 'timeout' must be at most 1000000 seconds, got 1000001.0"),
         (
-            [{"name": "a", "cmd": "a {file}"}, {"name": "b", "cmd": "b {file}", "timeout": 10**400}],
+            {"solvers": [{"name": "a", "cmd": "a {file}"}, {"name": "b", "cmd": "b {file}", "timeout": 10**400}]},
             "solver 1: field 'timeout' must be above 0 and at most 1000000 seconds, got an integer of 401 digits",
         ),
         (
-            [{"name": "a", "cmd": "a {file}", "timeout": -(10**400)}],
+            {"solvers": [{"name": "a", "cmd": "a {file}", "timeout": -(10**400)}]},
             "solver 0: field 'timeout' must be above 0 and at most 1000000 seconds, got an integer of 401 digits",
         ),
-        ([{"name": "a", "cmd": "a {file}", "tokens": ["unsat"]}], "field 'tokens' must map"),
-        ([{"name": "a", "cmd": "a {file}", "tokens": {"ok": "yes"}}], "field 'tokens': 'yes'"),
-        ({"provers": []}, "expected a list of solvers"),
+        ({"solvers": [{"name": "a", "cmd": "a {file}", "tokens": ["unsat"]}]}, "field 'tokens' must map"),
+        ({"solvers": [{"name": "a", "cmd": "a {file}", "tokens": {"ok": "yes"}}]}, "field 'tokens': 'yes'"),
+        ({"provers": []}, 'expected {"solvers": [...]}'),
+        ([{"name": "c", "cmd": "c {file}"}], 'expected {"solvers": [...]}'),
     ],
 )
 def test_malformed_solver_config_names_the_entry_and_field(tmp_path, data, message):

@@ -305,6 +305,12 @@ def test_negative_config_fields_are_rejected(field):
     assert getattr(EvalConfig(**{field: 0}), field) == 0
 
 
+def test_zero_limit_and_value_bound_are_allowed():
+    out = evaluate(parse("0"), 0, cfg=EvalConfig(value_bound=0))
+    assert (out.value, out.cost) == (0, 1)
+    assert evaluate(parse("x"), 3, cfg=EvalConfig(per_call_limit=0)).error == ErrorKind.TIMEOUT
+
+
 def test_configs_with_equal_bounds_share_a_code_key(monkeypatch):
     cfg = EvalConfig(per_call_limit=7, value_bound=5, big_value_threshold=3)
     same = [EvalConfig(value_bound=5, big_value_threshold=3), pickle.loads(pickle.dumps(cfg))]
