@@ -21,11 +21,11 @@ value bound before it charges, raises division by zero before it
 charges, and a timeout leaves the budget at 0, so the outcome of a run,
 its cost included, does not depend on how the program is executed.  The
 compiled closures are kept on the program object itself, in a dict
-created on first use.  The dict is keyed by a small int that each
-EvalConfig looks up once for its (value bound, big-value threshold), so
-configurations differing only in their per-call limit share the code,
-and a call hashes one int instead of a tuple of two large ones.  The
-dict is not part of the program's value: programs compare, hash and
+created on first use.  The dict is keyed by a string each EvalConfig
+spells once from its value bound and big-value threshold, so
+configurations with equal bounds share the code in any process, and a
+call hashes one interned string instead of a tuple of two large ints.
+The dict is not part of the program's value: programs compare, hash and
 pickle by their syntax alone.
 
 Each call returns an EvalOutcome, a named tuple of the value (None on an
@@ -71,8 +71,8 @@ what was released.
 
 from __future__ import annotations
 
-import itertools
 import math
+import sys
 from enum import Enum
 from functools import cache
 from typing import Callable, NamedTuple
@@ -89,13 +89,6 @@ class ErrorKind(Enum):
     TIMEOUT = "timeout"
     OVERFLOW = "overflow"
     DIV_BY_ZERO = "div_by_zero"
-
-
-# One small int per (value bound, threshold), keying the compiled-code
-# dicts: a dict lookup hashes it at once, where a tuple of the two ints
-# would be hashed again on every call.
-_code_keys: dict[tuple[int, int], int] = {}
-_next_code_key = itertools.count()
 
 
 class _Limits(NamedTuple):
@@ -115,20 +108,16 @@ class EvalConfig(_Limits):
         for name, value in zip(self._fields, self):
             if value < 0:
                 raise ValueError(f"{name} must not be negative")
-        self._code_key = _code_keys.setdefault(
-            (value_bound, big_value_threshold), next(_next_code_key)
-        )
+        # The key of the compiled code: hex has no digit limit, and an
+        # interned string hashes once, where a tuple of the two bounds
+        # would be hashed again on every call.
+        self._code_key = sys.intern(f"{value_bound:x} {big_value_threshold:x}")
         return self
 
     @classmethod
     def _make(cls, fields) -> EvalConfig:
         # _replace builds its copy here: the copy needs its own key.
         return cls(*fields)
-
-    def __reduce__(self):
-        # Rebuilt through __new__, so that an unpickled config takes
-        # this process's key for its bounds.
-        return EvalConfig, tuple(self)
 
 
 DEFAULT_CONFIG = EvalConfig()

@@ -124,12 +124,13 @@ def load_solutions(path: str | Path) -> list[SolutionRecord]:
     """Read anum/small/fast TSV rows.
 
     Rows whose programs depend on y are skipped with a warning (one input
-    is the sequence index; the other must be unused at top level).  On a
-    duplicate A-number the last row wins, with a warning.  Equal subterms
-    of the file's programs are one object (see lang.parse).
+    is the sequence index; the other must be unused at top level).  A bad
+    row or a repeated A-number raises ValueError naming path:line.  Equal
+    subterms of the file's programs are one object (see lang.parse).
     """
-    by_anum: dict[str, SolutionRecord] = {}
+    solutions = []
     table: dict = {}
+    first_lines: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -139,6 +140,9 @@ def load_solutions(path: str | Path) -> list[SolutionRecord]:
         anum, small_text, fast_text = cells
         if not _ANUM_RE.match(anum):
             raise ValueError(f"{path}:{lineno}: bad A-number {anum!r}")
+        first = first_lines.setdefault(anum, lineno)
+        if first != lineno:
+            raise ValueError(f"{path}:{lineno}: repeated A-number {anum!r} (first on line {first})")
         try:
             small = parse(small_text, table)
             fast = parse(fast_text, table)
@@ -147,10 +151,8 @@ def load_solutions(path: str | Path) -> list[SolutionRecord]:
         if depends_on(small, Op.Y) or depends_on(fast, Op.Y):
             log.warning("%s:%d: %s solution depends on y, skipped", path, lineno, anum)
             continue
-        if anum in by_anum:
-            log.warning("%s:%d: duplicate solution for %s, last wins", path, lineno, anum)
-        by_anum[anum] = SolutionRecord(anum, small, fast)
-    return list(by_anum.values())
+        solutions.append(SolutionRecord(anum, small, fast))
+    return solutions
 
 
 def covers(p: Program, seq: SequenceRecord, cfg: EvalConfig = DEFAULT_CONFIG) -> bool:

@@ -19,16 +19,17 @@ exactly when its source subprogram depends on that variable, while the
 recursive helpers always carry the full loop state.  The two sides
 become unary functions small and fast, and the script asserts the
 negation of their equality on non-negative inputs, in one of several
-conjecture shapes.  An export directory holds the scripts, `index.tsv`
-and a `variant` file with the shape's label, which `read_variant` reads.
+conjecture shapes, each a Variant named by one of VARIANTS.  An export
+directory holds the scripts, `index.tsv` and a `variant` file with the
+shape's name, which `read_variant` reads.
 
 Only the conjecture depends on the variant.  A problem's header,
 declarations and assertions are lowered and rendered on its first
-`emit` and kept on its record; a variant's conjecture line is rendered
-once and kept on the variant.  So exporting the same records under
-several variants lowers each problem once.  Reuse is exact: records,
-programs and variants are immutable, and their `_replace` method gives a
-copy without the kept text.
+`emit` and kept on its record; a conjecture line is rendered once per
+variant name.  So exporting the same records under several variants
+lowers each problem once.  Reuse is exact: records and programs are
+immutable, and their `_replace` method gives a copy without the kept
+text.
 
 div and mod in the emitted scripts are SMT-LIB's Euclidean operations.
 They can differ from the interpreter's floor semantics only when the
@@ -39,6 +40,7 @@ than patched around.
 
 from __future__ import annotations
 
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple, Union
 
@@ -65,35 +67,34 @@ class LoweredDef(NamedTuple):
     body: Sexp
 
 
+VARIANTS = ("base", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c2x", "c2x-appendix", "strong")
+
+
 class _VariantFields(NamedTuple):
-    kind: str  # "base" | "succ" | "twox" | "strong"
-    k: int = 0
-    appendix_twox: bool = False
+    kind: str  # one of VARIANTS
 
 
 class Variant(_VariantFields):
-    """A conjecture shape; its instance dict keeps the rendered line."""
+    """A conjecture shape, by its name in VARIANTS."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str) -> Variant:
+        if kind not in VARIANTS:
+            raise ValueError(f"unknown conjecture variant {kind!r}")
+        return tuple.__new__(cls, (kind,))
+
+    @classmethod
+    def _make(cls, fields) -> Variant:
+        # _replace builds its copy here: the copy's name is checked too.
+        return cls(*fields)
 
     def label(self) -> str:
-        if self.kind == "succ":
-            return f"c{self.k}"
-        if self.kind == "twox":
-            return "c2x-appendix" if self.appendix_twox else "c2x"
         return self.kind
 
 
 BASE = Variant("base")
-
-
-def parse_variant(text: str) -> Variant:
-    """The variant labelled text: base, c1..c8, c2x, c2x-appendix or strong."""
-    if text in ("base", "strong"):
-        return Variant(text)
-    if text in ("c2x", "c2x-appendix"):
-        return Variant("twox", appendix_twox=text == "c2x-appendix")
-    if text in [f"c{k}" for k in range(1, 9)]:
-        return Variant("succ", int(text[1:]))
-    raise ValueError(f"unknown conjecture variant {text!r}")
+parse_variant = Variant
 
 
 def _params_of(p: Program) -> tuple[str, ...]:
@@ -223,22 +224,17 @@ def _not_equal_at(arg: Sexp) -> Sexp:
 
 def conjecture(variant: Variant) -> Sexp:
     """Negated equality conjecture: a non-negative witness exists."""
-    if variant.kind == "base" or (variant.kind == "succ" and variant.k == 0):
+    kind = variant.kind
+    if kind == "base":
         claim = _not_equal_at("c")
-    elif variant.kind == "succ":
-        disjuncts = []
-        for i in range(variant.k, -1, -1):
-            arg: Sexp = ("+", "c", str(i)) if i > 0 else "c"
-            disjuncts.append(_not_equal_at(arg))
-        claim = ("or",) + tuple(disjuncts)
-    elif variant.kind == "twox":
+    elif kind in ("c2x", "c2x-appendix"):
         even: Sexp = ("*", "c", "2")
-        if variant.appendix_twox:
+        if kind == "c2x-appendix":
             odd: Sexp = ("*", "2", ("+", "c", "1"))
         else:
             odd = ("+", ("*", "c", "2"), "1")
         claim = ("or", _not_equal_at(even), _not_equal_at(odd))
-    elif variant.kind == "strong":
+    elif kind == "strong":
         prior = (
             "forall",
             (("d", "Int"),),
@@ -254,7 +250,12 @@ def conjecture(variant: Variant) -> Sexp:
             ("and", (">=", "c", "0"), prior, _not_equal_at("c")),
         )
     else:
-        raise ValueError(f"unknown variant kind {variant.kind!r}")
+        # ck, k = 1 .. 8: a witness among c, c+1, .., c+k.
+        disjuncts = []
+        for i in range(int(kind[1:]), -1, -1):
+            arg: Sexp = ("+", "c", str(i)) if i > 0 else "c"
+            disjuncts.append(_not_equal_at(arg))
+        claim = ("or",) + tuple(disjuncts)
     return ("exists", (("c", "Int"),), ("and", (">=", "c", "0"), claim))
 
 
@@ -315,13 +316,10 @@ def _lowered(problem: ProblemRecord) -> tuple[tuple[str, ...], ...]:
     return problem.__dict__.setdefault("_smt_parts", (header, declarations, assertions))
 
 
+@cache
 def _conjecture_line(variant: Variant) -> str:
-    """A variant's conjecture assertion, rendered on first use and kept on it."""
-    try:
-        return variant._smt_line
-    except AttributeError:
-        line = render(("assert", conjecture(variant)))
-        return variant.__dict__.setdefault("_smt_line", line)
+    """A variant's conjecture assertion, rendered once per name."""
+    return render(("assert", conjecture(variant)))
 
 
 def emit(problem: ProblemRecord, variant: Variant = BASE) -> SmtScript:
@@ -367,7 +365,7 @@ def read_variant(directory: str | Path) -> Variant:
     """The variant export_all wrote to directory; a bad label names the file."""
     path = Path(directory) / "variant"
     try:
-        return parse_variant(path.read_text().strip())
+        return Variant(path.read_text().strip())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

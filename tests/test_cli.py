@@ -673,6 +673,45 @@ def test_report_keeps_c2x_and_its_appendix_form_apart(capsys, corpus, tmp_path):
     ]
 
 
+def test_report_lists_anomalies_of_its_index_only_and_once(capsys, tmp_path):
+    _export(tmp_path, rows=(("A1", "A1.smt2", ""), ("A2", "A2.smt2", "")))
+    for name, text in (("syn", ""), ("sem", ""), ("nonver", "A2\n")):
+        (tmp_path / name).write_text(text)
+    log = tmp_path / "results.jsonl"
+
+    def report(*rows):
+        log.write_text("".join(
+            f'{{"id": "{pid}", "solver": "z3", "variant": "base", "verdict": "{verdict}", '
+            f'"wall_time": 0.1}}\n'
+            for pid, verdict in rows
+        ))
+        return run(
+            capsys, "report", "--results", str(log), "--index", str(tmp_path / "index.tsv"),
+            "--syn", str(tmp_path / "syn"), "--sem", str(tmp_path / "sem"),
+            "--nonverified", str(tmp_path / "nonver"),
+        )
+
+    # A log reused across exports of different manifests holds a
+    # countersat for A999, which this report's index does not list.
+    code, out, err = report(("A1", "proved"), ("A2", "countersat"), ("A999", "countersat"))
+    assert (code, err) == (0, "")
+    assert [line.split() for line in out.splitlines()] == [
+        ["z3/base", "All"],
+        ["NoFilt", "1", "1"],
+        ["SynFilt", "0", "0"],
+        ["SemFilt", "0", "0"],
+        ["NonVer", "0", "0"],
+    ]
+    # A countersat on a verified problem of the index is said once, in
+    # the table.
+    code, out, err = report(("A1", "countersat"))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == [
+        "anomalies: 1 countersat on verified problems",
+        "  A1 by z3/base",
+    ]
+
+
 def test_entry_point_is_installed():
     import subprocess
 
@@ -741,6 +780,29 @@ def test_repeated_anum_in_the_stripped_file_is_an_error(capsys, corpus, command)
     line = len(lines) + 1
     assert err == f"error: {stripped}:{line}: repeated A-number 'A000045' (first on line 2)\n"
     assert stripped.read_text() == before
+    assert sorted(p.name for p in corpus.iterdir()) == ["solutions.tsv", "stripped"]
+
+
+@pytest.mark.parametrize("command", ["build", "pipeline"])
+def test_repeated_anum_in_the_solutions_file_is_an_error(capsys, corpus, command):
+    # Keeping either row would drop the other's solution from the benchmark.
+    solutions = corpus / "solutions.tsv"
+    lines = solutions.read_text().splitlines()
+    anum = lines[0].split("\t")[0]
+    solutions.write_text("".join(line + "\n" for line in lines) + f"{anum}\tx\tx + 0\n")
+    before = solutions.read_text()
+    output = {
+        "build": ["--out", str(corpus / "p.jsonl")],
+        "pipeline": ["--outdir", str(corpus / "out")],
+    }
+    code, out, err = run(
+        capsys, command, "--stripped", str(corpus / "stripped"), "--solutions", str(solutions),
+        *output[command],
+    )
+    assert (code, out) == (1, "")
+    line = len(lines) + 1
+    assert err == f"error: {solutions}:{line}: repeated A-number {anum!r} (first on line 1)\n"
+    assert solutions.read_text() == before
     assert sorted(p.name for p in corpus.iterdir()) == ["solutions.tsv", "stripped"]
 
 

@@ -396,6 +396,17 @@ def test_aggregate_flags_countersat_on_verified_problems(caplog):
     table = aggregate(results, ["A1"], [], [], [])
     assert len(table.anomalies) == 1
     assert "anomalies" in table.render_text()
+    # Only the index's verified ids count: a log reused across exports
+    # holds rows for ids this report does not list.  The table is the
+    # one report of an anomaly, so nothing is logged.
+    results = [_result(pid, "z3", Verdict.COUNTERSAT) for pid in ("A1", "A2", "A999")]
+    table = aggregate(results, ["A1", "A2"], [], [], ["A2"])
+    assert [a.problem_id for a in table.anomalies] == ["A1"]
+    assert table.render_text().splitlines()[-2:] == [
+        "anomalies: 1 countersat on verified problems",
+        "  A1 by z3/base",
+    ]
+    assert caplog.records == []
 
 
 def test_aggregate_validates_manifests():

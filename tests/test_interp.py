@@ -311,18 +311,25 @@ def test_zero_limit_and_value_bound_are_allowed():
     assert evaluate(parse("x"), 3, cfg=EvalConfig(per_call_limit=0)).error == ErrorKind.TIMEOUT
 
 
-def test_configs_with_equal_bounds_share_a_code_key(monkeypatch):
+def test_configs_with_equal_bounds_share_a_code_key():
     cfg = EvalConfig(per_call_limit=7, value_bound=5, big_value_threshold=3)
-    same = [EvalConfig(value_bound=5, big_value_threshold=3), pickle.loads(pickle.dumps(cfg))]
+    same = [
+        EvalConfig(value_bound=5, big_value_threshold=3),
+        pickle.loads(pickle.dumps(cfg)),
+        DEFAULT_CONFIG._replace(value_bound=5, big_value_threshold=3),
+    ]
     assert {c._code_key for c in same} == {cfg._code_key}
-    assert cfg._code_key != DEFAULT_CONFIG._code_key == VERIFY_CONFIG._code_key
-    # An unpickled config takes the key its bounds have in the unpickling
-    # process, as in a fresh process whose keys were handed out otherwise.
-    data = pickle.dumps(cfg)
-    monkeypatch.setattr(interp, "_code_keys", {})
-    monkeypatch.setattr(interp, "_next_code_key", iter(range(100, 200)))
-    copy = pickle.loads(data)
-    assert copy == cfg and copy._code_key == 100
+    assert DEFAULT_CONFIG._code_key == VERIFY_CONFIG._code_key
+    others = [
+        DEFAULT_CONFIG,
+        EvalConfig(value_bound=3, big_value_threshold=5),
+        cfg._replace(value_bound=6),
+    ]
+    assert len({c._code_key for c in others + [cfg]}) == 4
+    # Hex spells a bound of any size: str() stops at 4,300 digits.
+    huge = EvalConfig(value_bound=10**5000)
+    copy = pickle.loads(pickle.dumps(huge))
+    assert huge._code_key == copy._code_key != DEFAULT_CONFIG._code_key
 
 
 def test_evaluated_program_pickles_hashes_and_compares_by_syntax():

@@ -90,22 +90,16 @@ def test_load_solutions_skips_y_dependent_rows(tmp_path, caplog):
     assert "depends on y" in caplog.text
 
 
-def test_load_solutions_last_duplicate_wins(tmp_path, caplog):
-    path = tmp_path / "solutions.tsv"
-    path.write_text("A000001\tx\tx + 1\nA000001\tx\tx + 2\n")
-    with caplog.at_level(logging.WARNING):
-        records = load_solutions(path)
-    assert len(records) == 1
-    assert records[0].fast == parse("x + 2")
-    assert "duplicate" in caplog.text
-
-
 def test_load_solutions_rejects_bad_rows(tmp_path):
     path = tmp_path / "solutions.tsv"
     for text, message in [
         ("A000001\tx\n", "1: expected 3 tab-separated fields"),
         ("A000001\tx\tnotaprogram(\n", "1: unknown identifier 'notaprogram' (at position 0)"),
         ("A000001\tx\tx\n\nB1\tx\tx + 1\n", "3: bad A-number 'B1'"),
+        # A repeated row is an error even where the first is skipped (it
+        # depends on y) or the second does not parse.
+        ("A1\tx\tx\nA2\tx\tx\nA1\tx\tx + 1\n", "3: repeated A-number 'A1' (first on line 1)"),
+        ("A1\ty\tx\nA1\tx\tnotaprogram(\n", "2: repeated A-number 'A1' (first on line 1)"),
     ]:
         path.write_text(text)
         with pytest.raises(ValueError) as info:

@@ -54,7 +54,7 @@ RECORDS = [
         "logic",
         "(set-logic ALL)",
     ),
-    (lambda: Variant("succ", 2), ("kind", "k", "appendix_twox"), "k", 3),
+    (lambda: Variant("c2"), ("kind",), "kind", "c3"),
     (
         lambda: RunResult("A1", "z3", "base", Verdict.PROVED, 0.5),
         ("problem_id", "solver", "variant", "verdict", "wall_time"),
@@ -98,6 +98,8 @@ def test_copies_are_checked_as_new_records():
         EvalConfig()._replace(value_bound=-1)
     with pytest.raises(ValueError, match=r"must contain \{file\} exactly once"):
         SolverSpec("z3", "z3 {file}")._replace(command="z3")
+    with pytest.raises(ValueError, match="unknown conjecture variant 'c9'"):
+        Variant("c2")._replace(kind="c9")
     problem = ProblemRecord("A1", ("A000001",), (0, 1), X, X)._replace(terms=[2, 3])
     assert type(problem.terms) is tuple
 
@@ -110,7 +112,6 @@ def test_copies_carry_no_kept_work():
     for copy in (p._replace(), pickle.loads(pickle.dumps(p))):
         assert copy == p and "_code" not in vars(copy)
     problem = ProblemRecord("A1", ("A000001",), (0, 1), X, parse("x + 0"))
-    variant = Variant("base")
-    emit(problem, variant)
-    assert "_smt_parts" in vars(problem) and "_smt_line" in vars(variant)
-    assert vars(problem._replace()) == vars(variant._replace()) == {}
+    emit(problem)
+    assert "_smt_parts" in vars(problem)
+    assert vars(problem._replace()) == {}
