@@ -36,7 +36,7 @@ from .oeis import (
 )
 from .verify import VerifyReport, verify100, verify_all
 from .induction import classify, classify_all, select_top_loops
-from .smt import SmtScript, Variant, emit, export_all, parse_variant
+from .smt import Variant, emit, export_all, parse_variant
 from .harness import RunResult, SolverSpec, aggregate, run_campaign
 
 __version__ = "0.1.0"
@@ -70,7 +70,6 @@ __all__ = [
     "classify",
     "classify_all",
     "select_top_loops",
-    "SmtScript",
     "Variant",
     "emit",
     "export_all",

@@ -66,8 +66,26 @@ class SolverSpec(_SolverFields):
     ) -> SolverSpec:
         # Named by its config field: load_solver_config puts the path and
         # the solver's position in front.
+        try:
+            shlex.split(command)
+        except ValueError as exc:
+            raise ValueError(f"field 'cmd' does not split into words: {exc}") from None
         if command.count("{file}") != 1:
             raise ValueError("field 'cmd' must contain {file} exactly once")
+        # bool is an int subclass, but true is not a timeout.
+        if type(timeout) not in (int, float):
+            raise ValueError(f"field 'timeout' must be a number, got {timeout!r}")
+        try:
+            timeout = float(timeout)
+        except OverflowError:  # an integer that no float holds
+            raise ValueError(
+                f"field 'timeout' must be above 0 and at most {MAX_TIMEOUT} seconds,"
+                f" got an integer of {len(str(abs(timeout)))} digits"
+            ) from None
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"field 'timeout' must be finite and above 0, got {timeout}")
+        if timeout > MAX_TIMEOUT:
+            raise ValueError(f"field 'timeout' must be at most {MAX_TIMEOUT} seconds, got {timeout}")
         # Each spec gets a map of its own.
         if tokens is None:
             tokens = dict(DEFAULT_TOKENS)
@@ -110,25 +128,6 @@ def load_solver_config(path: str | Path) -> list[SolverSpec]:
         first = positions.setdefault(entry["name"], i)
         if first != i:
             raise ValueError(f"{where}: name {entry['name']!r} repeats solver {first}")
-        try:
-            shlex.split(entry["cmd"])
-        except ValueError as exc:
-            raise ValueError(f"{where}: field 'cmd' does not split into words: {exc}") from None
-        timeout = entry.get("timeout", DEFAULT_TIMEOUT)
-        # bool is an int subclass, but true is not a timeout.
-        if type(timeout) not in (int, float):
-            raise ValueError(f"{where}: field 'timeout' must be a number, got {timeout!r}")
-        try:
-            timeout = float(timeout)
-        except OverflowError:  # an integer that no float holds
-            raise ValueError(
-                f"{where}: field 'timeout' must be above 0 and at most {MAX_TIMEOUT} seconds,"
-                f" got an integer of {len(str(abs(timeout)))} digits"
-            ) from None
-        if not (math.isfinite(timeout) and timeout > 0):
-            raise ValueError(f"{where}: field 'timeout' must be finite and above 0, got {timeout}")
-        if timeout > MAX_TIMEOUT:
-            raise ValueError(f"{where}: field 'timeout' must be at most {MAX_TIMEOUT} seconds, got {timeout}")
         raw_tokens = entry.get("tokens", {})
         if not isinstance(raw_tokens, dict):
             raise ValueError(f"{where}: field 'tokens' must map lines to verdicts")
@@ -137,7 +136,9 @@ def load_solver_config(path: str | Path) -> list[SolverSpec]:
         except ValueError as exc:
             raise ValueError(f"{where}: field 'tokens': {exc}") from None
         try:
-            spec = SolverSpec(entry["name"], entry["cmd"], timeout, tokens or None)
+            spec = SolverSpec(
+                entry["name"], entry["cmd"], entry.get("timeout", DEFAULT_TIMEOUT), tokens or None
+            )
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
         specs.append(spec)
@@ -352,6 +353,9 @@ def aggregate(
     is wrong); the table lists them, and nothing else reports them.
     """
     universe = set(all_ids)
+    # A log reused across exports holds rows for ids this report does
+    # not list; they make no column and count nowhere.
+    results = [r for r in results if r.problem_id in universe]
     syn, sem, nonver = set(syn_ids), set(sem_ids), set(nonver_ids)
     if not sem <= syn:
         raise ValueError(f"sem manifest is not a subset of syn: {sorted(sem - syn)}")

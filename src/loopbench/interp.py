@@ -119,6 +119,11 @@ class EvalConfig(_Limits):
         # _replace builds its copy here: the copy needs its own key.
         return cls(*fields)
 
+    def __reduce__(self):
+        # A pickle holds the three fields only: __new__ derives the key
+        # again, interned, under every protocol.
+        return type(self), tuple(self)
+
 
 DEFAULT_CONFIG = EvalConfig()
 VERIFY_CONFIG = EvalConfig(per_call_limit=VERIFY_LIMIT)

@@ -23,13 +23,14 @@ conjecture shapes, each a Variant named by one of VARIANTS.  An export
 directory holds the scripts, `index.tsv` and a `variant` file with the
 shape's name, which `read_variant` reads.
 
-Only the conjecture depends on the variant.  A problem's header,
-declarations and assertions are lowered and rendered on its first
-`emit` and kept on its record; a conjecture line is rendered once per
-variant name.  So exporting the same records under several variants
-lowers each problem once.  Reuse is exact: records and programs are
-immutable, and their `_replace` method gives a copy without the kept
-text.
+Only the conjecture depends on the variant.  A script is its text.
+The head of a problem's scripts (header, logic, declarations and
+assertions) is lowered and rendered on its first `emit` and kept on its
+record as one string; the conjecture line and `(check-sat)` are
+rendered once per variant name.  So exporting the same records under
+several variants lowers each problem once.  Reuse is exact: records and
+programs are immutable, and their `_replace` method gives a copy
+without the kept text.
 
 div and mod in the emitted scripts are SMT-LIB's Euclidean operations.
 They can differ from the interpreter's floor semantics only when the
@@ -259,23 +260,6 @@ def conjecture(variant: Variant) -> Sexp:
     return ("exists", (("c", "Int"),), ("and", (">=", "c", "0"), claim))
 
 
-class SmtScript(NamedTuple):
-    header: tuple[str, ...]
-    logic: str
-    declarations: tuple[str, ...]
-    assertions: tuple[str, ...]
-    conjecture: str
-
-    def text(self) -> str:
-        lines = list(self.header)
-        lines.append(self.logic)
-        lines.extend(self.declarations)
-        lines.extend(self.assertions)
-        lines.append(self.conjecture)
-        lines.append("(check-sat)")
-        return "\n".join(lines) + "\n"
-
-
 def _declaration(d: LoweredDef) -> str:
     doms = " ".join("Int" for _ in d.params)
     return f"(declare-fun {d.name} ({doms}) Int)"
@@ -289,15 +273,16 @@ def _assertion(d: LoweredDef) -> str:
     return render(("assert", ("forall", binders, ("=", head, d.body))))
 
 
-def _lowered(problem: ProblemRecord) -> tuple[tuple[str, ...], ...]:
-    """Header, sorted declarations and assertions of a problem's scripts.
+def _lowered(problem: ProblemRecord) -> str:
+    """The head of a problem's scripts: header, logic, sorted declarations
+    and assertions, one line each.
 
-    They do not depend on the variant, so they are lowered and rendered
-    on first use and kept on the record, which is immutable.  A lowering
+    It does not depend on the variant, so it is lowered and rendered on
+    first use and kept on the record, which is immutable.  A lowering
     error names the problem.
     """
     try:
-        return problem._smt_parts
+        return problem._smt_head
     except AttributeError:
         pass
     try:
@@ -305,29 +290,28 @@ def _lowered(problem: ProblemRecord) -> tuple[tuple[str, ...], ...]:
     except ValueError as exc:
         raise ValueError(f"{problem.id}: {exc}") from None
     defs = small_defs + fast_defs
-    header = (
+    lines = [
         f";; sequence(s): {problem.id}",
         f";; terms: {' '.join(str(t) for t in problem.terms[:HEADER_TERMS])}",
         f";; small program: {to_text(problem.small)}",
         f";; fast program: {to_text(problem.fast)}",
-    )
-    declarations = tuple(_declaration(d) for d in sorted(defs, key=lambda d: d.name))
-    assertions = tuple(_assertion(d) for d in defs)
-    return problem.__dict__.setdefault("_smt_parts", (header, declarations, assertions))
+        "(set-logic UFNIA)",
+    ]
+    lines += (_declaration(d) for d in sorted(defs, key=lambda d: d.name))
+    lines += (_assertion(d) for d in defs)
+    return problem.__dict__.setdefault("_smt_head", "\n".join(lines) + "\n")
 
 
 @cache
 def _conjecture_line(variant: Variant) -> str:
-    """A variant's conjecture assertion, rendered once per name."""
-    return render(("assert", conjecture(variant)))
+    """A variant's conjecture assertion and `(check-sat)`, rendered once
+    per name."""
+    return render(("assert", conjecture(variant))) + "\n(check-sat)\n"
 
 
-def emit(problem: ProblemRecord, variant: Variant = BASE) -> SmtScript:
+def emit(problem: ProblemRecord, variant: Variant = BASE) -> str:
     """Full SMT-LIB script for one problem under one conjecture variant."""
-    header, declarations, assertions = _lowered(problem)
-    return SmtScript(
-        header, "(set-logic UFNIA)", declarations, assertions, _conjecture_line(variant)
-    )
+    return _lowered(problem) + _conjecture_line(variant)
 
 
 def export_all(
@@ -352,7 +336,7 @@ def export_all(
     index: list[tuple[str, str]] = []
     for pid, script in scripts:
         filename = f"{pid}.smt2"
-        (outdir / filename).write_text(script.text())
+        (outdir / filename).write_text(script)
         index.append((pid, filename))
     (outdir / "index.tsv").write_text(
         "".join(f"{pid}\t{fname}\n" for pid, fname in index)

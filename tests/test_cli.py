@@ -724,6 +724,25 @@ def test_entry_point_is_installed():
     assert proc.stdout == "0 1 3 6 10\n"
 
 
+def test_module_runs_as_a_script():
+    import os
+    import subprocess
+    import sys
+
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "loopbench.cli", *argv], capture_output=True, text=True, env=env
+        )
+
+    proc = module("seq", "loop(x + y, x, 0)", "5")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 1 3 6 10\n", "")
+    proc = module("eval", "x div 0", "1", "0")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
 @pytest.mark.parametrize("command", ["verify", "filter", "export"])
 @pytest.mark.parametrize("row", ["{}", '{"id": "A1", "anum": "A1"}', "[1, 2]"])
 def test_bad_manifest_row_is_an_error_not_a_traceback(capsys, tmp_path, command, row):

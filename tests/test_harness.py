@@ -55,6 +55,25 @@ def test_spec_requires_single_file_placeholder():
         SolverSpec("s", "solver {file} {file}")
 
 
+@pytest.mark.parametrize(
+    "timeout",
+    [-1.0, 0, float("nan"), float("inf"), 10**6 + 1, 10**9, 10**400, True],
+    ids=["-1.0", "0", "nan", "inf", "10**6+1", "10**9", "10**400", "True"],
+)
+def test_spec_rejects_a_timeout_the_runner_cannot_keep(timeout):
+    # A negative timeout would log a timeout row that resume never
+    # retries, and one of 10**9 s overflows subprocess's wait.
+    with pytest.raises(ValueError, match="^field 'timeout' must be "):
+        SolverSpec("s", "sh -c 'echo unsat' {file}", timeout=timeout)
+
+
+def test_spec_command_splits_into_words_and_timeout_is_a_float():
+    with pytest.raises(ValueError, match="^field 'cmd' does not split into words: No closing quotation$"):
+        SolverSpec("s", 'echo "{file}')
+    spec = SolverSpec("s", "s {file}", timeout=10**6)
+    assert spec.timeout == 1e6 and type(spec.timeout) is float
+
+
 def test_verdict_tokens(tmp_path, smt_file):
     cases = {
         "echo unsat\n": Verdict.PROVED,
@@ -357,6 +376,9 @@ def test_aggregate_counts_and_union():
         _result("A2", "s2", Verdict.PROVED),
         _result("A3", "s2", Verdict.PROVED),
         _result("A4", "s2", Verdict.COUNTERSAT),
+        # A log reused across exports holds rows for ids outside the
+        # index: they count nowhere and make no column.
+        _result("A999", "s3", Verdict.PROVED, variant="c3"),
     ]
     table = aggregate(
         results,

@@ -326,6 +326,13 @@ def test_configs_with_equal_bounds_share_a_code_key():
         cfg._replace(value_bound=6),
     ]
     assert len({c._code_key for c in others + [cfg]}) == 4
+    # A pickle holds the fields only, and a loaded copy shares the
+    # interned key under every protocol.
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(DEFAULT_CONFIG, protocol)
+        assert b"_code_key" not in data
+        copy = pickle.loads(data)
+        assert copy == DEFAULT_CONFIG and copy._code_key is DEFAULT_CONFIG._code_key
     # Hex spells a bound of any size: str() stops at 4,300 digits.
     huge = EvalConfig(value_bound=10**5000)
     copy = pickle.loads(pickle.dumps(huge))

@@ -12,7 +12,6 @@ from loopbench import (
     Program,
     RunResult,
     SequenceRecord,
-    SmtScript,
     SolutionRecord,
     SolverSpec,
     Variant,
@@ -47,12 +46,6 @@ RECORDS = [
         ("problem_id", "status", "checked_upto", "failure"),
         "checked_upto",
         4,
-    ),
-    (
-        lambda: SmtScript((";; h",), "(set-logic UFNIA)", (), (), "(assert false)"),
-        ("header", "logic", "declarations", "assertions", "conjecture"),
-        "logic",
-        "(set-logic ALL)",
     ),
     (lambda: Variant("c2"), ("kind",), "kind", "c3"),
     (
@@ -98,6 +91,8 @@ def test_copies_are_checked_as_new_records():
         EvalConfig()._replace(value_bound=-1)
     with pytest.raises(ValueError, match=r"must contain \{file\} exactly once"):
         SolverSpec("z3", "z3 {file}")._replace(command="z3")
+    with pytest.raises(ValueError, match="timeout' must be finite and above 0, got -1.0"):
+        SolverSpec("z3", "z3 {file}")._replace(timeout=-1)
     with pytest.raises(ValueError, match="unknown conjecture variant 'c9'"):
         Variant("c2")._replace(kind="c9")
     problem = ProblemRecord("A1", ("A000001",), (0, 1), X, X)._replace(terms=[2, 3])
@@ -113,5 +108,5 @@ def test_copies_carry_no_kept_work():
         assert copy == p and "_code" not in vars(copy)
     problem = ProblemRecord("A1", ("A000001",), (0, 1), X, parse("x + 0"))
     emit(problem)
-    assert "_smt_parts" in vars(problem)
+    assert "_smt_head" in vars(problem)
     assert vars(problem._replace()) == {}
