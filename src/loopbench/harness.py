@@ -12,19 +12,16 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 import math
 import shlex
 import shutil
 import subprocess
+import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from enum import Enum
 from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
-
-log = logging.getLogger(__name__)
 
 DEFAULT_TIMEOUT = 60.0
 # The longest solver timeout a config may give, in seconds; subprocess
@@ -45,6 +42,14 @@ DEFAULT_TOKENS = {
     "sat": Verdict.COUNTERSAT,
     "unknown": Verdict.UNKNOWN,
 }
+
+
+def _digits(n: int) -> int:
+    """The decimal digits of n >= 1, counted without str(n), which refuses
+    integers of more than 4,300 digits."""
+    # 2**(bits - 1) <= n has this many digits, and n at most one more.
+    digits = int((n.bit_length() - 1) * math.log10(2)) + 1
+    return digits + (n >= 10**digits)
 
 
 class _SolverFields(NamedTuple):
@@ -80,7 +85,7 @@ class SolverSpec(_SolverFields):
         except OverflowError:  # an integer that no float holds
             raise ValueError(
                 f"field 'timeout' must be above 0 and at most {MAX_TIMEOUT} seconds,"
-                f" got an integer of {len(str(abs(timeout)))} digits"
+                f" got an integer of {_digits(abs(timeout))} digits"
             ) from None
         if not (math.isfinite(timeout) and timeout > 0):
             raise ValueError(f"field 'timeout' must be finite and above 0, got {timeout}")
@@ -203,7 +208,7 @@ def _read_log(path: Path) -> tuple[list[RunResult], str]:
         try:
             json.loads(tail)
         except json.JSONDecodeError:
-            log.warning("%s: skipping a partial last line: %s", path, tail)
+            print(f"{path}: skipping a partial last line: {tail}", file=sys.stderr)
             text = text[: len(text) - len(tail)]
         except RecursionError:  # nested too deep: a bad row, named below
             pass
@@ -260,6 +265,10 @@ def run_campaign(
     append.  A missing file or solver program raises ValueError before
     the log is opened: logged as an error row, it would never be retried.
     """
+    # Only a campaign needs the pool, and importing it also loads queue and
+    # logging: every other command would pay for them at start-up.
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     for pid, path in files:

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import logging
 import re
 import stat
 import time
@@ -65,6 +64,17 @@ def test_spec_rejects_a_timeout_the_runner_cannot_keep(timeout):
     # retries, and one of 10**9 s overflows subprocess's wait.
     with pytest.raises(ValueError, match="^field 'timeout' must be "):
         SolverSpec("s", "sh -c 'echo unsat' {file}", timeout=timeout)
+
+
+@pytest.mark.parametrize("timeout", [10**5000, -(10**5000)], ids=["10**5000", "-10**5000"])
+def test_spec_counts_the_digits_of_a_timeout_too_long_for_str(timeout):
+    # str() refuses an integer of more than 4,300 digits.
+    message = (
+        "field 'timeout' must be above 0 and at most 1000000 seconds,"
+        " got an integer of 5001 digits"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SolverSpec("s", "s {file}", timeout=timeout)
 
 
 def test_spec_command_splits_into_words_and_timeout_is_a_float():
@@ -323,16 +333,15 @@ def _result(pid, solver, verdict, variant="base"):
     return RunResult(pid, solver, variant, verdict, 0.1)
 
 
-def test_load_results_skips_only_a_partial_last_line(tmp_path, caplog):
+def test_load_results_skips_only_a_partial_last_line(tmp_path, capsys):
     log = tmp_path / "results.jsonl"
     whole = [_result("A1", "yes", Verdict.PROVED), _result("A2", "yes", Verdict.UNKNOWN)]
     text = "".join(r.to_json() + "\n" for r in whole)
     torn = '{"id": "A3", "solver'
 
     log.write_text(text + torn)
-    with caplog.at_level(logging.WARNING, logger="loopbench.harness"):
-        assert load_results(log) == whole
-    assert "partial last line" in caplog.text
+    assert load_results(log) == whole
+    assert capsys.readouterr().err == f"{log}: skipping a partial last line: {torn}\n"
 
     # A complete last line that lost only its newline still counts.
     log.write_text(text.rstrip("\n"))
@@ -413,14 +422,14 @@ def test_report_csv_quotes_a_name_holding_a_comma_or_quote():
     assert all(len(row) == len(rows[0]) for row in rows)
 
 
-def test_aggregate_flags_countersat_on_verified_problems(caplog):
+def test_aggregate_flags_countersat_on_verified_problems(capsys):
     results = [_result("A1", "s1", Verdict.COUNTERSAT)]
     table = aggregate(results, ["A1"], [], [], [])
     assert len(table.anomalies) == 1
     assert "anomalies" in table.render_text()
     # Only the index's verified ids count: a log reused across exports
     # holds rows for ids this report does not list.  The table is the
-    # one report of an anomaly, so nothing is logged.
+    # one report of an anomaly, so nothing is written to stderr.
     results = [_result(pid, "z3", Verdict.COUNTERSAT) for pid in ("A1", "A2", "A999")]
     table = aggregate(results, ["A1", "A2"], [], [], ["A2"])
     assert [a.problem_id for a in table.anomalies] == ["A1"]
@@ -428,7 +437,7 @@ def test_aggregate_flags_countersat_on_verified_problems(caplog):
         "anomalies: 1 countersat on verified problems",
         "  A1 by z3/base",
     ]
-    assert caplog.records == []
+    assert capsys.readouterr().err == ""
 
 
 def test_aggregate_validates_manifests():

@@ -25,6 +25,24 @@ print(" ".join(sorted(sys.modules)))
 # Slow to import, and what dataclasses loads: a start-up of any loopbench
 # command pays for them if one slips back in.
 COLD_START_FREE = {"dataclasses", "inspect", "ast", "dis"}
+# The solver campaign's thread pool and what it loads: only run_campaign
+# imports them, so that no other command pays for them.
+CAMPAIGN_ONLY = {"concurrent.futures", "queue", "logging"}
+
+# A two-job campaign over two stub solvers, under -S, printing its
+# verdicts and whether the pool was loaded before and after the call.
+CAMPAIGN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from pathlib import Path
+from loopbench.harness import SolverSpec, run_campaign
+before = "concurrent.futures" in sys.modules
+tmp = Path(sys.argv[2])
+solvers = [SolverSpec(name, "sh -c 'echo " + name + "' {file}") for name in ("unsat", "sat")]
+results = run_campaign(solvers, [("A1", tmp / "A1.smt2")], "base", tmp / "log.jsonl", jobs=2)
+print(before, "concurrent.futures" in sys.modules)
+print(" ".join(sorted(r.verdict.value for r in results)))
+"""
 
 
 def test_every_module_imports_only_the_standard_library():
@@ -47,6 +65,20 @@ def test_every_module_imports_only_the_standard_library():
     }
     assert outside == set()
     assert COLD_START_FREE.isdisjoint(out)
+    assert CAMPAIGN_ONLY.isdisjoint(out)
+
+
+def test_a_campaign_loads_its_thread_pool_itself(tmp_path):
+    (tmp_path / "A1.smt2").write_text("(check-sat)\n")
+    src = str(Path(loopbench.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", CAMPAIGN, src, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["False True", "countersat proved"]
 
 
 def test_all_lists_exactly_the_public_names():
