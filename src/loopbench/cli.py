@@ -5,8 +5,9 @@ cover/build/verify/filter/export for benchmark construction, run/report
 for the solver harness, and pipeline to compose build through export.
 Every command evaluates under the budgets of the README's cost model:
 interp.DEFAULT_CONFIG for checking and filtering, interp.VERIFY_CONFIG
-for verification.  Other budgets go through the Python API, as an
-EvalConfig passed to the library functions these commands call.
+for verification.  Other per-call limits go through the Python API, as
+an EvalConfig passed to the library functions these commands call; the
+value bound and the big-value threshold are constants of the cost model.
 """
 
 from __future__ import annotations

@@ -13,20 +13,19 @@ operand size), so that runs on fast-growing sequences pay for the bignum
 arithmetic they cause.  Each unfolding step of a loop, loop2 or compr
 recursion adds one unit of control overhead, which guarantees diverging
 iterations exhaust the budget.  Producing a value with magnitude above
-the value bound aborts the run instead.
+the value bound of 10^285 aborts the run instead.  The two bounds are
+constants of the cost model, VALUE_BOUND and BIG_VALUE_THRESHOLD; an
+EvalConfig holds only the per-call limit.
 
 A program is compiled on first use into nested closures, one per
 operator node, each called as run(x, y, budget).  A closure checks the
 value bound before it charges, raises division by zero before it
 charges, and a timeout leaves the budget at 0, so the outcome of a run,
 its cost included, does not depend on how the program is executed.  The
-compiled closures are kept on the program object itself, in a dict
-created on first use.  The dict is keyed by a string each EvalConfig
-spells once from its value bound and big-value threshold, so
-configurations with equal bounds share the code in any process, and a
-call hashes one interned string instead of a tuple of two large ints.
-The dict is not part of the program's value: programs compare, hash and
-pickle by their syntax alone.
+compiled closures are kept on the program object itself, in one entry
+stored on first use and shared by every EvalConfig.  The entry is not
+part of the program's value: programs compare, hash and pickle by their
+syntax alone.
 
 Each call returns an EvalOutcome, a named tuple of the value (None on an
 error), the cost charged and the error kind (None on success).
@@ -72,7 +71,6 @@ what was released.
 from __future__ import annotations
 
 import math
-import sys
 from enum import Enum
 from functools import cache
 from typing import Callable, NamedTuple
@@ -93,36 +91,18 @@ class ErrorKind(Enum):
 
 class _Limits(NamedTuple):
     per_call_limit: int
-    value_bound: int
-    big_value_threshold: int
 
 
 class EvalConfig(_Limits):
-    def __new__(
-        cls,
-        per_call_limit: int = CHECK_LIMIT,
-        value_bound: int = VALUE_BOUND,
-        big_value_threshold: int = BIG_VALUE_THRESHOLD,
-    ) -> EvalConfig:
-        self = tuple.__new__(cls, (per_call_limit, value_bound, big_value_threshold))
-        for name, value in zip(self._fields, self):
-            if value < 0:
-                raise ValueError(f"{name} must not be negative")
-        # The key of the compiled code: hex has no digit limit, and an
-        # interned string hashes once, where a tuple of the two bounds
-        # would be hashed again on every call.
-        self._code_key = sys.intern(f"{value_bound:x} {big_value_threshold:x}")
-        return self
+    def __new__(cls, per_call_limit: int = CHECK_LIMIT) -> EvalConfig:
+        if per_call_limit < 0:
+            raise ValueError("per_call_limit must not be negative")
+        return tuple.__new__(cls, (per_call_limit,))
 
     @classmethod
     def _make(cls, fields) -> EvalConfig:
-        # _replace builds its copy here: the copy needs its own key.
+        # _replace builds its copy here: check it as a new config.
         return cls(*fields)
-
-    def __reduce__(self):
-        # A pickle holds the three fields only: __new__ derives the key
-        # again, interned, under every protocol.
-        return type(self), tuple(self)
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -177,7 +157,7 @@ def _digit_count(m: int) -> int:
     k = floor((b-1) * log10 2) it has k+1 or k+2 digits: k+2 exactly when
     m >= 10^(k+1).  The product is computed in floating point; its error
     stays far below the distance of (b-1) * log10 2 from the nearest
-    integer for every b a value bound can reach.  For m = 0, int() rounds
+    integer for every b up to VALUE_BOUND's 947.  For m = 0, int() rounds
     -log10 2 toward zero, so k = 0 and the count is 1.  Both bounds are
     cached per bit length.
     """
@@ -195,14 +175,11 @@ def _timeout(budget: Budget) -> None:
     raise _Fail(ErrorKind.TIMEOUT)
 
 
-def _charge_big(value: int, quadratic: bool, budget: Budget, value_bound: int) -> None:
-    """Check and charge a value outside the small range of its closure.
-
-    The small range is |value| <= min(value bound, threshold), so a value
-    outside it either overflows or exceeds the threshold.
-    """
+def _charge_big(value: int, quadratic: bool, budget: Budget) -> None:
+    """Check and charge a value outside the small range of the closures,
+    |value| <= BIG_VALUE_THRESHOLD: it either overflows or costs its digits."""
     magnitude = abs(value)
-    if magnitude > value_bound:
+    if magnitude > VALUE_BOUND:
         raise _Fail(ErrorKind.OVERFLOW)
     cost = _digit_count(magnitude)
     if quadratic:
@@ -219,11 +196,10 @@ def _charge_big(value: int, quadratic: bool, budget: Budget, value_bound: int) -
 # rather than calling a helper for it: it runs once per operator node.
 
 
-@cache
-def _leaves(value_bound: int, threshold: int) -> dict[Op, _Run]:
-    """Closures for the five leaves, shared by every program compiled
-    for this value bound and threshold."""
-    small = min(value_bound, threshold)
+def _leaves() -> dict[Op, _Run]:
+    """Closures for the five leaves, shared by every compiled program."""
+    # small and neg are closure cells: a cell reads faster than a global.
+    small = BIG_VALUE_THRESHOLD
     neg = -small
 
     def read_x(x: int, y: int, budget: Budget) -> int:
@@ -233,7 +209,7 @@ def _leaves(value_bound: int, threshold: int) -> dict[Op, _Run]:
                 _timeout(budget)
             budget.remaining = r
         else:
-            _charge_big(x, False, budget, value_bound)
+            _charge_big(x, False, budget)
         return x
 
     def read_y(x: int, y: int, budget: Budget) -> int:
@@ -243,24 +219,17 @@ def _leaves(value_bound: int, threshold: int) -> dict[Op, _Run]:
                 _timeout(budget)
             budget.remaining = r
         else:
-            _charge_big(y, False, budget, value_bound)
+            _charge_big(y, False, budget)
         return y
 
     def constant(c: int) -> _Run:
-        if neg <= c <= small:
-
-            def run(x: int, y: int, budget: Budget) -> int:
-                r = budget.remaining - 1
-                if r < 0:
-                    _timeout(budget)
-                budget.remaining = r
-                return c
-
-        else:
-
-            def run(x: int, y: int, budget: Budget) -> int:
-                _charge_big(c, False, budget, value_bound)
-                return c
+        # The literals 0, 1 and 2 are always small.
+        def run(x: int, y: int, budget: Budget) -> int:
+            r = budget.remaining - 1
+            if r < 0:
+                _timeout(budget)
+            budget.remaining = r
+            return c
 
         return run
 
@@ -273,20 +242,22 @@ def _leaves(value_bound: int, threshold: int) -> dict[Op, _Run]:
     }
 
 
-def _compile(p: Program, value_bound: int, threshold: int) -> _Run:
+_LEAVES = _leaves()
+
+
+def _compile(p: Program) -> _Run:
     """Closure computing p with the exact charges of the cost model.
 
     Operands run left to right, each node checks and charges its own
     result after its operands, and loop steps charge one unit before
     their body runs.
     """
-    leaves = _leaves(value_bound, threshold)
-    small = min(value_bound, threshold)
+    small = BIG_VALUE_THRESHOLD  # closure cells, as in _leaves
     neg = -small
 
     def build(q: Program) -> _Run:
         op = q.op
-        leaf = leaves.get(op)
+        leaf = _LEAVES.get(op)
         if leaf is not None:
             return leaf
         args = [build(a) for a in q.args]
@@ -302,7 +273,7 @@ def _compile(p: Program, value_bound: int, threshold: int) -> _Run:
                         _timeout(budget)
                     budget.remaining = r
                 else:
-                    _charge_big(v, False, budget, value_bound)
+                    _charge_big(v, False, budget)
                 return v
 
         elif op == Op.SUB:
@@ -316,7 +287,7 @@ def _compile(p: Program, value_bound: int, threshold: int) -> _Run:
                         _timeout(budget)
                     budget.remaining = r
                 else:
-                    _charge_big(v, False, budget, value_bound)
+                    _charge_big(v, False, budget)
                 return v
 
         elif op == Op.MUL:
@@ -330,7 +301,7 @@ def _compile(p: Program, value_bound: int, threshold: int) -> _Run:
                         _timeout(budget)
                     budget.remaining = r
                 else:
-                    _charge_big(v, True, budget, value_bound)
+                    _charge_big(v, True, budget)
                 return v
 
         elif op == Op.DIV:
@@ -348,7 +319,7 @@ def _compile(p: Program, value_bound: int, threshold: int) -> _Run:
                         _timeout(budget)
                     budget.remaining = r
                 else:
-                    _charge_big(v, True, budget, value_bound)
+                    _charge_big(v, True, budget)
                 return v
 
         elif op == Op.MOD:
@@ -366,7 +337,7 @@ def _compile(p: Program, value_bound: int, threshold: int) -> _Run:
                         _timeout(budget)
                     budget.remaining = r
                 else:
-                    _charge_big(v, True, budget, value_bound)
+                    _charge_big(v, True, budget)
                 return v
 
         elif op == Op.COND:
@@ -383,7 +354,7 @@ def _compile(p: Program, value_bound: int, threshold: int) -> _Run:
                         _timeout(budget)
                     budget.remaining = r
                 else:
-                    _charge_big(v, False, budget, value_bound)
+                    _charge_big(v, False, budget)
                 return v
 
         elif op == Op.LOOP:
@@ -520,18 +491,12 @@ def evaluate(
     if budget is None:
         budget = Budget(cfg.per_call_limit)
     try:
-        run, reads_x, reads_y, points = p._code[cfg._code_key]
-    except (AttributeError, KeyError):
-        # First use of p under these bounds.  Threads compiling p at once
-        # all keep the first entry stored.
-        code = p.__dict__.setdefault("_code", {})
-        entry = (
-            _compile(p, cfg.value_bound, cfg.big_value_threshold),
-            depends_on(p, Op.X),
-            depends_on(p, Op.Y),
-            {},
-        )
-        run, reads_x, reads_y, points = code.setdefault(cfg._code_key, entry)
+        run, reads_x, reads_y, points = p._code
+    except AttributeError:
+        # First use of p.  Threads compiling p at once all keep the first
+        # entry stored.
+        entry = (_compile(p), depends_on(p, Op.X), depends_on(p, Op.Y), {})
+        run, reads_x, reads_y, points = p.__dict__.setdefault("_code", entry)
     start = budget.remaining
     point = None
     if (y and not reads_y) or (x and not reads_x):

@@ -61,19 +61,24 @@ class _Syntax(NamedTuple):
 
 
 class Program(_Syntax):
-    """A term: an operator and its arguments.
+    """A term: an operator and its arguments.  An operator outside Op,
+    or the wrong number of arguments for it, raises ValueError.
 
     Programs compare, hash and pickle by their syntax alone.  The
-    evaluator keeps compiled code in the instance dict, on this object
-    alone.  A parsed program may share one object among its equal
-    subterms, and a load shares it among the records it reads (see
-    parse), so several records can use one object's code; release drops
-    it for all of them, and the next evaluate compiles it again.
+    evaluator keeps one compiled entry, used under every EvalConfig, in
+    the instance dict, on this object alone.  A parsed program may share
+    one object among its equal subterms, and a load shares it among the
+    records it reads (see parse), so several records can use one
+    object's code; release drops it for all of them, and the next
+    evaluate compiles it again.
     """
 
     def __new__(cls, op: Op, args: tuple[Program, ...] = ()) -> Program:
-        if len(args) != ARITY[op]:
-            raise ValueError(f"{op.name} takes {ARITY[op]} arguments, got {len(args)}")
+        arity = ARITY.get(op)
+        if arity is None:
+            raise ValueError(f"unknown operator {op!r}")
+        if len(args) != arity:
+            raise ValueError(f"{Op(op).name} takes {arity} arguments, got {len(args)}")
         return tuple.__new__(cls, (op, args))
 
     @classmethod

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from the definitions rather than
 imported from the package under test: a naive recursive interpreter, a
-free-variable computation, a slicing-based cycle detector, a random
-program generator, a census of node objects, a standalone SMT-LIB
-surface checker, and a direct evaluator of lowered definitions.  The
+free-variable computation, a slicing-based cycle detector, the induction
+filters restated over those three, a random program generator, a census
+of node objects, a standalone SMT-LIB surface checker, and a direct
+evaluator of lowered definitions.  The
 exceptions are the types the cost oracle and the definition evaluator
 take and return, and the table of loop body slots that free_vars reads.
 The cost oracle, a tree-walking evaluator that charges the cost model
@@ -132,6 +133,10 @@ def ref_eval(p: Program, x: int, y: int, cap: int = 500_000) -> int:
 
 _COSTLY = (Op.DIV, Op.MOD)
 _QUADRATIC = (Op.MUL, Op.DIV, Op.MOD)
+# The cost model's two bounds, spelled here rather than imported, so that
+# a wrong constant in the package shows.
+_VALUE_BOUND = 10**285
+_BIG_VALUE_THRESHOLD = 2**64
 
 
 def _charge(budget: Budget, cost: int) -> None:
@@ -142,12 +147,12 @@ def _charge(budget: Budget, cost: int) -> None:
     budget.remaining -= cost
 
 
-def _produce(op: Op, value: int, budget: Budget, cfg: EvalConfig) -> int:
+def _produce(op: Op, value: int, budget: Budget) -> int:
     """Charge for one first-order application returning value."""
     magnitude = abs(value)
-    if magnitude > cfg.value_bound:
+    if magnitude > _VALUE_BOUND:
         raise _Fail(ErrorKind.OVERFLOW)
-    if magnitude > cfg.big_value_threshold:
+    if magnitude > _BIG_VALUE_THRESHOLD:
         digits = len(str(magnitude))
         cost = digits * digits if op in _QUADRATIC else digits
     else:
@@ -156,76 +161,76 @@ def _produce(op: Op, value: int, budget: Budget, cfg: EvalConfig) -> int:
     return value
 
 
-def _eval(p: Program, x: int, y: int, budget: Budget, cfg: EvalConfig) -> int:
+def _eval(p: Program, x: int, y: int, budget: Budget) -> int:
     op = p.op
     if op == Op.ZERO:
-        return _produce(op, 0, budget, cfg)
+        return _produce(op, 0, budget)
     if op == Op.ONE:
-        return _produce(op, 1, budget, cfg)
+        return _produce(op, 1, budget)
     if op == Op.TWO:
-        return _produce(op, 2, budget, cfg)
+        return _produce(op, 2, budget)
     if op == Op.X:
-        return _produce(op, x, budget, cfg)
+        return _produce(op, x, budget)
     if op == Op.Y:
-        return _produce(op, y, budget, cfg)
+        return _produce(op, y, budget)
 
     if op in (Op.ADD, Op.SUB, Op.MUL):
-        a = _eval(p.args[0], x, y, budget, cfg)
-        b = _eval(p.args[1], x, y, budget, cfg)
+        a = _eval(p.args[0], x, y, budget)
+        b = _eval(p.args[1], x, y, budget)
         if op == Op.ADD:
             v = a + b
         elif op == Op.SUB:
             v = a - b
         else:
             v = a * b
-        return _produce(op, v, budget, cfg)
+        return _produce(op, v, budget)
 
     if op in (Op.DIV, Op.MOD):
-        a = _eval(p.args[0], x, y, budget, cfg)
-        b = _eval(p.args[1], x, y, budget, cfg)
+        a = _eval(p.args[0], x, y, budget)
+        b = _eval(p.args[1], x, y, budget)
         if b == 0:
             raise _Fail(ErrorKind.DIV_BY_ZERO)
         v = a // b if op == Op.DIV else a % b
-        return _produce(op, v, budget, cfg)
+        return _produce(op, v, budget)
 
     if op == Op.COND:
-        guard = _eval(p.args[0], x, y, budget, cfg)
+        guard = _eval(p.args[0], x, y, budget)
         taken = p.args[1] if guard <= 0 else p.args[2]
-        v = _eval(taken, x, y, budget, cfg)
-        return _produce(op, v, budget, cfg)
+        v = _eval(taken, x, y, budget)
+        return _produce(op, v, budget)
 
     if op == Op.LOOP:
         f, a, b = p.args
-        n = _eval(a, x, y, budget, cfg)
-        acc = _eval(b, x, y, budget, cfg)
+        n = _eval(a, x, y, budget)
+        acc = _eval(b, x, y, budget)
         for i in range(1, n + 1):
             _charge(budget, 1)
-            acc = _eval(f, acc, i, budget, cfg)
+            acc = _eval(f, acc, i, budget)
         return acc
 
     if op == Op.LOOP2:
         f, g, a, b, c = p.args
-        n = _eval(a, x, y, budget, cfg)
-        u = _eval(b, x, y, budget, cfg)
-        v = _eval(c, x, y, budget, cfg)
+        n = _eval(a, x, y, budget)
+        u = _eval(b, x, y, budget)
+        v = _eval(c, x, y, budget)
         if n <= 0:
             return u
         for _ in range(n - 1):
             _charge(budget, 1)
-            u, v = _eval(f, u, v, budget, cfg), _eval(g, u, v, budget, cfg)
+            u, v = _eval(f, u, v, budget), _eval(g, u, v, budget)
         # The final step only needs the first component.
         _charge(budget, 1)
-        return _eval(f, u, v, budget, cfg)
+        return _eval(f, u, v, budget)
 
     if op == Op.COMPR:
         f, a = p.args
-        n = _eval(a, x, y, budget, cfg)
+        n = _eval(a, x, y, budget)
 
         def search(start: int) -> int:
             c = start
             while True:
                 _charge(budget, 1)
-                if _eval(f, c, 0, budget, cfg) <= 0:
+                if _eval(f, c, 0, budget) <= 0:
                     return c
                 c += 1
 
@@ -250,7 +255,7 @@ def cost_eval(
         budget = Budget(cfg.per_call_limit)
     start = budget.remaining
     try:
-        value = _eval(p, x, y, budget, cfg)
+        value = _eval(p, x, y, budget)
     except _Fail as failure:
         return EvalOutcome(None, start - budget.remaining, failure.kind)
     return EvalOutcome(value, start - budget.remaining)
@@ -277,6 +282,75 @@ def brute_cyclic(values: list[int]) -> bool:
     """Slicing-based restatement of the 40-value window cycle test."""
     assert len(values) == 40
     return any(values[9 : 40 - p] == values[9 + p : 40] for p in range(1, 16))
+
+
+# Filter oracle: the induction module's docstrings restated over cost_eval,
+# free_vars and brute_cyclic.
+
+_LOOPING = (Op.LOOP, Op.LOOP2, Op.COMPR)
+
+
+def _occurrences(p: Program) -> list[Program]:
+    """Every subterm occurrence of p, p included."""
+    return [p] + [q for a in p.args for q in _occurrences(a)]
+
+
+def _outermost_loops(p: Program) -> list[Program]:
+    """The looping occurrences of p that no looping occurrence encloses."""
+    if p.op in _LOOPING:
+        return [p]
+    return [q for a in p.args for q in _outermost_loops(a)]
+
+
+def _shape(loop: Program, bound_ok, body_ok) -> bool:
+    """The bound varies with x, and so does a loop's body, or one of a
+    loop2's two bodies with x and with y; a compr has its bound only."""
+    a = loop.args
+    if loop.op == Op.LOOP:
+        return bound_ok(a[1]) and body_ok(a[0], Op.X)
+    if loop.op == Op.LOOP2:
+        return bound_ok(a[2]) and any(body_ok(f, Op.X) and body_ok(f, Op.Y) for f in a[:2])
+    return bound_ok(a[1])
+
+
+def _windows_acyclic(p: Program, axis: Op, clamp: bool, cfg: EvalConfig) -> bool:
+    """p's ten 40-value windows along axis, the other variable at 0..9,
+    each run like a sequence, all succeed and none is cyclic; clamp reads
+    negative values as 0."""
+    for other in range(10):
+        budget = Budget(0)
+        window = []
+        for i in range(40):
+            budget.remaining += cfg.per_call_limit
+            x, y = (i, other) if axis == Op.X else (other, i)
+            out = cost_eval(p, x, y, budget, cfg)
+            if out.error is not None:
+                return False
+            window.append(max(out.value, 0) if clamp else out.value)
+        if brute_cyclic(window):
+            return False
+    return True
+
+
+def classify_ref(small: Program, fast: Program, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[bool, bool]:
+    """(syn_pass, sem_pass) of the problem small = fast: its top loops
+    are the outermost looping occurrences that occur once among all the
+    subterms of both sides; syn_pass when one has the loop shape by free
+    variables, sem_pass when one of those also has it by acyclic windows
+    and is itself acyclic along x."""
+    every = _occurrences(small) + _occurrences(fast)
+    tops = [q for side in (small, fast) for q in _outermost_loops(side) if every.count(q) == 1]
+    syn = [q for q in tops if _shape(q, lambda a: Op.X in free_vars(a), lambda f, v: v in free_vars(f))]
+    sem = any(
+        _shape(
+            q,
+            lambda a: _windows_acyclic(a, Op.X, True, cfg),
+            lambda f, v: _windows_acyclic(f, v, False, cfg),
+        )
+        and _windows_acyclic(q, Op.X, False, cfg)
+        for q in syn
+    )
+    return bool(syn), sem
 
 
 # Random program generation.

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,10 +21,10 @@ from loopbench.induction import (
     write_manifest,
 )
 from loopbench.interp import DEFAULT_CONFIG, Budget, ErrorKind, EvalConfig, evaluate
-from loopbench.lang import Op, parse, to_text
+from loopbench.lang import LOOPING_OPS, Op, parse, subprograms, to_text
 from loopbench.oeis import ProblemRecord
 from loopbench.verify import verify_all
-from oracles import brute_cyclic
+from oracles import brute_cyclic, classify_ref, random_program
 
 
 def test_window_constants():
@@ -341,6 +343,43 @@ FIXTURE_FLAGS = {
     "A79": (True, True),
     "A999999": (False, False),
 }
+
+
+# Problems a drawn pool seldom holds, each with its flags: one of each
+# classify rule that drawn programs hardly ever reach.
+HAND_BUILT = [
+    # The bound's window along x reads 3, -1, 3, -3, ...: no cycle until
+    # the clamp at 0 makes it 3, 0, 3, 0, ...
+    ("loop(x + y, cond(x mod 2, 2 + 1, 0 - x), x)", "x", (True, False)),
+    # Only loop2's first body reads both x and y.
+    ("loop2(x + y, x, x, 0, 1)", "x", (True, True)),
+    # The one loop occurs on both sides, so neither is a top loop.
+    ("loop(x + y, x, 0)", "loop(x + y, x, 0) + 0", (False, False)),
+    # Bound and body windows are acyclic, but the loop itself overflows
+    # along x at x = 10.
+    ("loop(x * x, x, 2)", "x", (True, False)),
+]
+
+
+def _drawn_problems(seed, count):
+    """count seeded problems of two drawn sides, at least one of them looping."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        small, fast = random_program(rng, depth=4), random_program(rng, depth=4)
+        if any(q.op in LOOPING_OPS for side in (small, fast) for q in subprograms(side)):
+            found.append(ProblemRecord("P", ("A1",), (), small, fast))
+    return found
+
+
+def test_classify_matches_the_filter_oracle(problems):
+    hand_built = [
+        ProblemRecord("P", ("A1",), (), parse(small), parse(fast)) for small, fast, _ in HAND_BUILT
+    ]
+    for problem in problems + hand_built + _drawn_problems(2308, 150):
+        want = classify_ref(problem.small, problem.fast)
+        assert classify(problem) == want, problem
+    assert [classify_ref(p.small, p.fast) for p in hand_built] == [f for *_, f in HAND_BUILT]
 
 
 def test_classify_leaves_no_evaluator_state_on_the_programs():

@@ -153,31 +153,27 @@ def test_big_products_cost_digits_squared():
     assert c8 - c7 == 1 + 2 * read + product * product
 
 
-def test_values_past_the_text_conversion_limit_cost_their_digits():
-    # 4401 digits is past Python's default int-to-text limit of 4300.
-    out = evaluate(parse("x"), 10**4400, cfg=EvalConfig(value_bound=10**5000))
-    assert out.ok
-    assert out.cost == 4401
-
-
 def test_big_value_digit_counts_at_powers_of_ten():
+    # 10^20 is the first power of ten above 2^64; past 10^285 a read
+    # overflows.
     read = parse("x")
-    cfg = EvalConfig(value_bound=10**401)
-    for k in range(20, 401):
+    for k in range(20, 286):
         for m in (10**k - 1, 10**k, 10**k + 1):
-            assert evaluate(read, m, cfg=cfg).cost == len(str(m)), m
-            assert evaluate(read, -m, cfg=cfg).cost == len(str(m)), -m
+            for v in (m, -m):
+                out = evaluate(read, v)
+                if m > VALUE_BOUND:
+                    assert out == EvalOutcome(None, 0, ErrorKind.OVERFLOW), v
+                else:
+                    assert out == EvalOutcome(v, len(str(m))), v
 
 
-def test_small_value_digit_counts_below_a_zero_threshold():
-    # With threshold 0 every nonzero value is big, so the digit count
-    # also runs on values below 2^64.
-    read = parse("x")
-    cfg = EvalConfig(big_value_threshold=0)
-    small = [*range(1, 1001), *(10**k + d for k in range(1, 21) for d in (-1, 0, 1))]
-    for m in small + [2**63 - 1, 2**63, 2**64 - 1, 2**64]:
-        assert evaluate(read, m, cfg=cfg).cost == len(str(m)), m
-    assert evaluate(read, 0, cfg=cfg).cost == 1
+def test_values_past_the_text_conversion_limit_overflow():
+    # 4401 digits is past Python's default int-to-text limit of 4300; the
+    # bound is checked before any digit is counted.
+    for v in (10**4400, -(10**4400)):
+        assert evaluate(parse("x"), v) == EvalOutcome(None, 0, ErrorKind.OVERFLOW)
+        assert evaluate(parse("y + 1"), 0, v) == cost_eval(parse("y + 1"), 0, v)
+        assert evaluate(parse("y + 1"), 0, v).error == ErrorKind.OVERFLOW
 
 
 def test_busy_loop_times_out_at_check_limit_only():
@@ -275,68 +271,46 @@ def test_compiled_code_goes_with_the_program():
     assert ref() is None
 
 
-def test_limits_share_one_compilation(monkeypatch):
+def test_configs_with_different_limits_share_one_compilation(monkeypatch):
     compiled = []
 
-    def counting(p, value_bound, threshold):
-        compiled.append((p, value_bound, threshold))
-        return compile_(p, value_bound, threshold)
+    def counting(p):
+        compiled.append(p)
+        return compile_(p)
 
     compile_ = interp._compile
     monkeypatch.setattr(interp, "_compile", counting)
     p = parse("loop(x + y, x, 0)")
-    for cfg in (DEFAULT_CONFIG, VERIFY_CONFIG, DEFAULT_CONFIG):
+    for cfg in (DEFAULT_CONFIG, VERIFY_CONFIG, EvalConfig(per_call_limit=20), DEFAULT_CONFIG):
         assert evaluate(p, 4, cfg=cfg).value == 10
-    assert compiled == [(p, VALUE_BOUND, BIG_VALUE_THRESHOLD)]
-    other = EvalConfig(value_bound=5, big_value_threshold=3)
-    assert evaluate(p, 4, cfg=other).error == ErrorKind.OVERFLOW
-    assert evaluate(p, 1, cfg=other).value == 1
-    assert compiled[1:] == [(p, 5, 3)]
+    assert evaluate(p, 5, cfg=EvalConfig(per_call_limit=20)).error == ErrorKind.TIMEOUT
+    assert len(compiled) == 1 and compiled[0] is p
     # An equal program is a different object and compiles on its own.
     q = parse("loop(x + y, x, 0)")
-    assert evaluate(q, 4).value == 10
-    assert len(compiled) == 3 and compiled[2][0] is q
+    assert evaluate(q, 4, cfg=VERIFY_CONFIG).value == 10
+    assert len(compiled) == 2 and compiled[1] is q
 
 
-@pytest.mark.parametrize("field", ["per_call_limit", "value_bound", "big_value_threshold"])
-def test_negative_config_fields_are_rejected(field):
-    with pytest.raises(ValueError, match=f"^{field} must not be negative$"):
-        EvalConfig(**{field: -1})
-    assert getattr(EvalConfig(**{field: 0}), field) == 0
+def test_a_negative_per_call_limit_is_rejected():
+    for make in (lambda: EvalConfig(-1), lambda: DEFAULT_CONFIG._replace(per_call_limit=-1)):
+        with pytest.raises(ValueError, match="^per_call_limit must not be negative$"):
+            make()
 
 
-def test_zero_limit_and_value_bound_are_allowed():
-    out = evaluate(parse("0"), 0, cfg=EvalConfig(value_bound=0))
-    assert (out.value, out.cost) == (0, 1)
-    assert evaluate(parse("x"), 3, cfg=EvalConfig(per_call_limit=0)).error == ErrorKind.TIMEOUT
-
-
-def test_configs_with_equal_bounds_share_a_code_key():
-    cfg = EvalConfig(per_call_limit=7, value_bound=5, big_value_threshold=3)
-    same = [
-        EvalConfig(value_bound=5, big_value_threshold=3),
-        pickle.loads(pickle.dumps(cfg)),
-        DEFAULT_CONFIG._replace(value_bound=5, big_value_threshold=3),
-    ]
-    assert {c._code_key for c in same} == {cfg._code_key}
-    assert DEFAULT_CONFIG._code_key == VERIFY_CONFIG._code_key
-    others = [
-        DEFAULT_CONFIG,
-        EvalConfig(value_bound=3, big_value_threshold=5),
-        cfg._replace(value_bound=6),
-    ]
-    assert len({c._code_key for c in others + [cfg]}) == 4
-    # A pickle holds the fields only, and a loaded copy shares the
-    # interned key under every protocol.
+def test_a_config_pickles_under_every_protocol():
+    cfg = EvalConfig(per_call_limit=7)
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        data = pickle.dumps(DEFAULT_CONFIG, protocol)
-        assert b"_code_key" not in data
-        copy = pickle.loads(data)
-        assert copy == DEFAULT_CONFIG and copy._code_key is DEFAULT_CONFIG._code_key
-    # Hex spells a bound of any size: str() stops at 4,300 digits.
-    huge = EvalConfig(value_bound=10**5000)
-    copy = pickle.loads(pickle.dumps(huge))
-    assert huge._code_key == copy._code_key != DEFAULT_CONFIG._code_key
+        copy = pickle.loads(pickle.dumps(cfg, protocol))
+        assert copy == cfg and type(copy) is EvalConfig
+        assert copy._replace(per_call_limit=20) == EvalConfig(20)
+        assert evaluate(TRIANGLE, 4, cfg=copy) == evaluate(TRIANGLE, 4, cfg=cfg)
+        assert evaluate(TRIANGLE, 4, cfg=copy).error == ErrorKind.TIMEOUT
+
+
+def test_a_zero_per_call_limit_times_out():
+    cfg = EvalConfig(per_call_limit=0)
+    assert evaluate(parse("0"), 0, cfg=cfg) == EvalOutcome(None, 0, ErrorKind.TIMEOUT)
+    assert generate_seq(parse("x"), 3, cfg) == [EvalOutcome(None, 0, ErrorKind.TIMEOUT)]
 
 
 def test_evaluated_program_pickles_hashes_and_compares_by_syntax():
@@ -345,7 +319,7 @@ def test_evaluated_program_pickles_hashes_and_compares_by_syntax():
     before = hash(p)
     for x in range(6):
         evaluate(p, x)
-        evaluate(p, x, cfg=EvalConfig(value_bound=5, big_value_threshold=3))
+        evaluate(p, x, cfg=EvalConfig(per_call_limit=50))
     fresh = parse(text)
     assert p == fresh and hash(p) == before == hash(fresh)
     assert len({p, fresh}) == 1
@@ -354,16 +328,16 @@ def test_evaluated_program_pickles_hashes_and_compares_by_syntax():
     assert evaluate(copy, 5) == evaluate(fresh, 5) == cost_eval(fresh, 5)
 
 
-def _code(p, cfg=DEFAULT_CONFIG):
+def _code(p):
     """p's compiled code entry: (run, reads x, reads y, stored points),
     the points keyed by the one variable p reads, or by 0 if it reads none."""
-    return p._code[cfg._code_key]
+    return p._code
 
 
-def _memo(p, cfg=DEFAULT_CONFIG, cell="memo"):
+def _memo(p, cell="memo"):
     """A memo cell of p's top-level loop, loop2 or compr: "memo" holds
     the most recent record, and a loop's "older" the record before it."""
-    run = _code(p, cfg)[0]
+    run = _code(p)[0]
     return run.__closure__[run.__code__.co_freevars.index(cell)].cell_contents
 
 
@@ -534,21 +508,29 @@ def _pinned_at(p, x, y):
 # the first stored (off_axis).  A grant is FRESH, the per-call limit;
 # TIGHT, drawn per call from SWEEP_BUDGETS so that replays land on
 # timeouts; or n units on top of what earlier calls left, carried as in
-# generate_seq and acyclic_on.  The small configs bring the value bound and
-# the big-value threshold (each above the other, and a threshold of 9)
-# within reach of tiny programs; their cut per-call limit keeps the
-# walker's timeouts quick.  cost_eval is a pure function of (x, y, cfg,
+# generate_seq and acyclic_on.  The configs differ in their per-call limit
+# only, both cut to keep the walker's timeouts quick: 2,000 units pay for
+# any single big read but for no product past 10^44, and 200 units pay
+# for a 20-digit read but not for a 286-digit one.  The value bound and
+# the big-value threshold are the cost model's own, so the random,
+# looping and off_axis pools take points from EDGES, where the digit
+# charge, its square and the overflow check switch on.  cost_eval is a pure function of (x, y, cfg,
 # starting budget) for a fixed program and leaves the start less the cost
 # (0 on a timeout), so each drawn program's oracle memo, a dict of its own,
 # answers a repeated key from the walk already made.  One dict for all
 # programs would hash each whole tree per call if keyed by the program,
 # and match a collected program whose id was reused if keyed by id().
 
-ORACLE_CONFIGS = [
-    EvalConfig(per_call_limit=2_000),
-    EvalConfig(per_call_limit=2_000, value_bound=5, big_value_threshold=3),
-    EvalConfig(per_call_limit=2_000, value_bound=3, big_value_threshold=5),
-    EvalConfig(per_call_limit=2_000, value_bound=10**6, big_value_threshold=9),
+ORACLE_CONFIGS = [EvalConfig(per_call_limit=2_000), EvalConfig(per_call_limit=200)]
+# 0 and the magnitudes at the edges of the two bounds, either sign: 2^64
+# is the largest small value and 10^285 the largest that does not
+# overflow; powers of ten step the digit count; 2^32 * 2^32 = 2^64 and
+# 10^142 * 10^143 = 10^285 land on the bounds, 10^143 * 10^143 past one.
+EDGES = [0] + [
+    sign * m
+    for m in (2**32, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 10**19, 10**20,
+              10**142, 10**143, 10**285 - 1, 10**285, 10**285 + 1)
+    for sign in (1, -1)
 ]
 FRESH, TIGHT = None, "tight"
 ORACLE_BUDGETS = [FRESH, 7, 50]
@@ -608,16 +590,23 @@ def _off_axis(rng):
     return [p for f in frees for p in _distinct(rng, 15, lambda p: free_vars(p) == f)]
 
 
+def _random_points(rng):
+    """A small point, an edge value for x, for y, and for both."""
+    small, edge = lambda: rng.randint(-6, 6), lambda: rng.choice(EDGES)
+    return [(small(), small()), (edge(), small()), (small(), edge()), (edge(), edge())]
+
+
+OFF_AXIS = [*range(-3, 9), -(2**64), 2**64 + 1, 10**285, -(10**285) - 1]
+
 # name: (seed, programs, points of one program, configs, (order, grant) sweeps)
 POOLS = {
     "random": (
-        2304, lambda rng: _distinct(rng, 1500),
-        lambda rng: [(rng.randint(-6, 6), rng.randint(-6, 6))],
+        2304, lambda rng: _distinct(rng, 1500), _random_points,
         ORACLE_CONFIGS, [("ascending", grant) for grant in ORACLE_BUDGETS],
     ),
     "looping": (
         2305, lambda rng: _distinct(rng, 60, _looping),
-        lambda rng: [(x, y) for x in range(-3, 12) for y in (0, 1, 5)],
+        lambda rng: [(x, y) for x in range(-3, 12) for y in (0, 1, 5)] + [(x, 0) for x in EDGES],
         ORACLE_CONFIGS, [(order, TIGHT) for order in ORDERS],
     ),
     "alternating": (
@@ -627,8 +616,8 @@ POOLS = {
         [(order, grant) for order in ORDERS for grant in (FRESH, TIGHT, 60, 500)],
     ),
     "off_axis": (
-        2307, _off_axis, lambda rng: [(x, y) for x in range(-3, 9) for y in range(-3, 9)],
-        ORACLE_CONFIGS[:3],
+        2307, _off_axis, lambda rng: [(x, y) for x in OFF_AXIS for y in OFF_AXIS],
+        ORACLE_CONFIGS,
         [("shuffled", TIGHT), ("shuffled", TIGHT), ("descending", TIGHT), ("shuffled", 40)],
     ),
 }
@@ -647,37 +636,37 @@ def test_evaluate_matches_cost_oracle_on_drawn_programs(pool):
                 _sweep(p, oracle, orders[order], cfg, grant, rng)
 
 
-# The literals 1 and 2 fall outside the small range only when the value
-# bound or the threshold is below 2, which no drawn config reaches.  A
-# threshold of 1 alone charges the literal 2 one digit, as the small range
-# does, so only a value bound below 2 tells the two charges apart: there a
-# literal beyond it overflows.
+POINTS = st.one_of(st.integers(-6, 6), st.sampled_from(EDGES))
+
+
+# The literals 0, 1 and 2 are always in the small range, so their closure
+# charges one unit and never overflows; an edge x drives the operators
+# around them past the bound.
 LITERAL_PROGRAMS = [
     "1", "2", "0 - 1", "x + 1", "2 - 1", "(1 + 1) * x", "x * 2", "cond(x, 1, 2)",
     "loop(x + 1, x, 1)", "loop(y - 1, x, 0)", "compr(x - 1, x)", "loop2(x, 1, x, 0, 2)",
 ]
 
 
-@pytest.mark.parametrize("value_bound", [1, 0])
-def test_literals_beyond_the_value_bound_match_the_cost_oracle(value_bound):
-    cfg = EvalConfig(per_call_limit=2_000, value_bound=value_bound)
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=lambda cfg: str(cfg.per_call_limit))
+def test_literals_match_the_cost_oracle(cfg):
     errors = set()
     for text in LITERAL_PROGRAMS:
         p = parse(text)
-        for x in range(-2, 4):
+        for x in [*range(-2, 4), *EDGES]:
             for y in (0, 1):
                 want = cost_eval(p, x, y, cfg=cfg)
                 assert evaluate(p, x, y, cfg=cfg) == want, (text, x, y)
                 errors.add(want.error)
-    # Both the small path and the literal's overflow ran.
+    # Both the small path and an operator's overflow ran.
     assert {None, ErrorKind.OVERFLOW} <= errors
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     programs(max_leaves=10),
-    st.integers(-6, 6),
-    st.integers(-6, 6),
+    POINTS,
+    POINTS,
     st.sampled_from(ORACLE_CONFIGS),
     st.sampled_from(ORACLE_BUDGETS),
 )

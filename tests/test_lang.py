@@ -52,6 +52,15 @@ def test_program_rejects_wrong_arity():
         Program(Op.LOOP2, (X, X, X))
     with pytest.raises(ValueError):
         Program(Op.X, (X,))
+    # An operator given by its plain number is named as its Op.
+    with pytest.raises(ValueError, match="^ADD takes 2 arguments, got 0$"):
+        Program(5)
+
+
+@pytest.mark.parametrize("op", [99, -1, "x", None])
+def test_program_rejects_an_operator_outside_op(op):
+    with pytest.raises(ValueError, match=f"^unknown operator {op!r}$"):
+        Program(op)
 
 
 def test_parse_basic_forms():

@@ -27,12 +27,7 @@ X = parse("x")
 # (build a record, its fields in order, a field to change, a new value)
 RECORDS = [
     (lambda: Program(Op.ADD, (X, X)), ("op", "args"), "op", Op.MUL),
-    (
-        lambda: EvalConfig(per_call_limit=7),
-        ("per_call_limit", "value_bound", "big_value_threshold"),
-        "value_bound",
-        5,
-    ),
+    (lambda: EvalConfig(per_call_limit=7), ("per_call_limit",), "per_call_limit", 5),
     (lambda: SequenceRecord("A1", (0, 1)), ("anum", "terms"), "terms", (1,)),
     (lambda: SolutionRecord("A1", X, X), ("anum", "small", "fast"), "fast", parse("x + 0")),
     (
@@ -87,8 +82,8 @@ def test_record_is_immutable_compares_by_fields_and_copies_one_field(make, field
 def test_copies_are_checked_as_new_records():
     with pytest.raises(ValueError, match="ADD takes 2 arguments, got 1"):
         Program(Op.ADD, (X, X))._replace(args=(X,))
-    with pytest.raises(ValueError, match="value_bound must not be negative"):
-        EvalConfig()._replace(value_bound=-1)
+    with pytest.raises(ValueError, match="per_call_limit must not be negative"):
+        EvalConfig()._replace(per_call_limit=-1)
     with pytest.raises(ValueError, match=r"must contain \{file\} exactly once"):
         SolverSpec("z3", "z3 {file}")._replace(command="z3")
     with pytest.raises(ValueError, match="timeout' must be finite and above 0, got -1.0"):
