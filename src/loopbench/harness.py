@@ -23,6 +23,8 @@ from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
+from .interp import _digit_count
+
 DEFAULT_TIMEOUT = 60.0
 # The longest solver timeout a config may give, in seconds; subprocess
 # cannot wait much past 2**31 ms.
@@ -44,14 +46,6 @@ DEFAULT_TOKENS = {
 }
 
 
-def _digits(n: int) -> int:
-    """The decimal digits of n >= 1, counted without str(n), which refuses
-    integers of more than 4,300 digits."""
-    # 2**(bits - 1) <= n has this many digits, and n at most one more.
-    digits = int((n.bit_length() - 1) * math.log10(2)) + 1
-    return digits + (n >= 10**digits)
-
-
 class _SolverFields(NamedTuple):
     name: str
     command: str
@@ -60,6 +54,9 @@ class _SolverFields(NamedTuple):
 
 
 class SolverSpec(_SolverFields):
+    """One solver, each field checked as in a config entry; a bad one
+    raises ValueError naming its config key."""
+
     __slots__ = ()
 
     def __new__(
@@ -67,10 +64,14 @@ class SolverSpec(_SolverFields):
         name: str,
         command: str,
         timeout: float = DEFAULT_TIMEOUT,
-        tokens: dict[str, Verdict] | None = None,
+        tokens: dict[str, Verdict | str] = DEFAULT_TOKENS,
     ) -> SolverSpec:
         # Named by its config field: load_solver_config puts the path and
         # the solver's position in front.
+        for field, value in (("name", name), ("cmd", command)):
+            # Checked before shlex, which reads stdin for None on Python < 3.12.
+            if not isinstance(value, str):
+                raise ValueError(f"field {field!r} must be a string")
         try:
             shlex.split(command)
         except ValueError as exc:
@@ -85,15 +86,19 @@ class SolverSpec(_SolverFields):
         except OverflowError:  # an integer that no float holds
             raise ValueError(
                 f"field 'timeout' must be above 0 and at most {MAX_TIMEOUT} seconds,"
-                f" got an integer of {_digits(abs(timeout))} digits"
+                f" got an integer of {_digit_count(abs(timeout))} digits"
             ) from None
         if not (math.isfinite(timeout) and timeout > 0):
             raise ValueError(f"field 'timeout' must be finite and above 0, got {timeout}")
         if timeout > MAX_TIMEOUT:
             raise ValueError(f"field 'timeout' must be at most {MAX_TIMEOUT} seconds, got {timeout}")
-        # Each spec gets a map of its own.
-        if tokens is None:
-            tokens = dict(DEFAULT_TOKENS)
+        if not isinstance(tokens, dict):
+            raise ValueError("field 'tokens' must map lines to verdicts")
+        # Each spec gets a map of its own, with the verdicts as Verdicts.
+        try:
+            tokens = {line: Verdict(verdict) for line, verdict in tokens.items()}
+        except ValueError as exc:
+            raise ValueError(f"field 'tokens': {exc}") from None
         return tuple.__new__(cls, (name, command, timeout, tokens))
 
     @classmethod
@@ -128,24 +133,14 @@ def load_solver_config(path: str | Path) -> list[SolverSpec]:
         for key in ("name", "cmd"):
             if key not in entry:
                 raise ValueError(f"{where}: missing field {key!r}")
-            if not isinstance(entry[key], str):
-                raise ValueError(f"{where}: field {key!r} must be a string")
-        first = positions.setdefault(entry["name"], i)
-        if first != i:
-            raise ValueError(f"{where}: name {entry['name']!r} repeats solver {first}")
-        raw_tokens = entry.get("tokens", {})
-        if not isinstance(raw_tokens, dict):
-            raise ValueError(f"{where}: field 'tokens' must map lines to verdicts")
+        optional = {key: entry[key] for key in ("timeout", "tokens") if key in entry}
         try:
-            tokens = {token: Verdict(verdict) for token, verdict in raw_tokens.items()}
-        except ValueError as exc:
-            raise ValueError(f"{where}: field 'tokens': {exc}") from None
-        try:
-            spec = SolverSpec(
-                entry["name"], entry["cmd"], entry.get("timeout", DEFAULT_TIMEOUT), tokens or None
-            )
+            spec = SolverSpec(entry["name"], entry["cmd"], **optional)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
+        first = positions.setdefault(spec.name, i)
+        if first != i:
+            raise ValueError(f"{where}: name {spec.name!r} repeats solver {first}")
         specs.append(spec)
     return specs
 

@@ -155,11 +155,11 @@ def _digit_count(m: int) -> int:
 
     m has b = m.bit_length() bits, so 2^(b-1) <= m < 2^b, and with
     k = floor((b-1) * log10 2) it has k+1 or k+2 digits: k+2 exactly when
-    m >= 10^(k+1).  The product is computed in floating point; its error
-    stays far below the distance of (b-1) * log10 2 from the nearest
-    integer for every b up to VALUE_BOUND's 947.  For m = 0, int() rounds
-    -log10 2 toward zero, so k = 0 and the count is 1.  Both bounds are
-    cached per bit length.
+    m >= 10^(k+1).  The product is computed in floating point; its floor
+    matches exact arithmetic for every b below 2,000,000, far past
+    VALUE_BOUND's 947 bits and the oversized timeouts SolverSpec reports.
+    For m = 0, int() rounds -log10 2 toward zero, so k = 0 and the count
+    is 1.  Both bounds are cached per bit length.
     """
     low, power = _digit_range(m.bit_length())
     return low + (m >= power)

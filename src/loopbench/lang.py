@@ -61,8 +61,9 @@ class _Syntax(NamedTuple):
 
 
 class Program(_Syntax):
-    """A term: an operator and its arguments.  An operator outside Op,
-    or the wrong number of arguments for it, raises ValueError.
+    """A term: an operator and a tuple of argument programs (any iterable
+    is taken).  An operator outside Op, the wrong number of arguments for
+    it, or an argument that is not a Program raises ValueError.
 
     Programs compare, hash and pickle by their syntax alone.  The
     evaluator keeps one compiled entry, used under every EvalConfig, in
@@ -77,8 +78,12 @@ class Program(_Syntax):
         arity = ARITY.get(op)
         if arity is None:
             raise ValueError(f"unknown operator {op!r}")
+        args = tuple(args)
         if len(args) != arity:
             raise ValueError(f"{Op(op).name} takes {arity} arguments, got {len(args)}")
+        for a in args:
+            if not isinstance(a, Program):
+                raise ValueError(f"{Op(op).name} arguments must be programs, got {a!r}")
         return tuple.__new__(cls, (op, args))
 
     @classmethod

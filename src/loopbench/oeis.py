@@ -4,7 +4,9 @@ Sequences come in the OEIS "stripped" format: one line per sequence,
 `Axxxxxx ,t1,t2,...,tn,`, with `#` comment lines skipped.  Solutions are
 TSV rows pairing an A-number with a small and a fast program.  Distinct
 A-numbers whose solution pair is structurally identical collapse into a
-single problem.
+single problem.  A problem record checks its own fields, so one built in
+Python holds only what a manifest row may; the manifest reader adds the
+JSON shape and parses the program text.
 """
 
 from __future__ import annotations
@@ -39,6 +41,13 @@ UNVERIFIED, VERIFIED, NONVERIFIED, REFUTED = "unverified", "verified", "nonverif
 STATUSES = (UNVERIFIED, VERIFIED, NONVERIFIED, REFUTED)
 
 
+def _typed(name: str, value, kind: type):
+    """value, if it is an instance of kind; else a ValueError naming the field."""
+    if not isinstance(value, kind):
+        raise ValueError(f"field {name!r} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 class _ProblemFields(NamedTuple):
     id: str
     anums: tuple[str, ...]
@@ -51,6 +60,9 @@ class _ProblemFields(NamedTuple):
 
 
 class ProblemRecord(_ProblemFields):
+    """One equality problem.  Each field is checked as in a manifest row, so
+    a record built in Python reads back; a bad one raises ValueError."""
+
     def __new__(
         cls,
         id: str,
@@ -62,13 +74,28 @@ class ProblemRecord(_ProblemFields):
         syn_pass: bool = False,
         sem_pass: bool = False,
     ) -> ProblemRecord:
+        if not _ID_RE.fullmatch(_typed("id", id, str)):
+            raise ValueError(f"field 'id' must be a plain file name, got {id!r}")
         # Tuples, so that records the stages copy share nothing mutable.
-        fields = (id, tuple(anums), tuple(terms), small, fast, status, syn_pass, sem_pass)
+        anums, terms = tuple(anums), tuple(terms)
+        if not all(isinstance(a, str) for a in anums):
+            raise ValueError(f"field 'anums' must list strings, got {list(anums)!r}")
+        for t in terms:
+            # bool is an int subclass, but true is not a term.
+            if type(t) is not int:
+                raise ValueError(f"field 'terms' has a non-integer term {t!r}")
+        _typed("small", small, Program)
+        _typed("fast", fast, Program)
+        if _typed("status", status, str) not in STATUSES:
+            raise ValueError(f"field 'status' must be one of {', '.join(STATUSES)}, got {status!r}")
+        _typed("syn_pass", syn_pass, bool)
+        _typed("sem_pass", sem_pass, bool)
+        fields = (id, anums, terms, small, fast, status, syn_pass, sem_pass)
         return tuple.__new__(cls, fields)
 
     @classmethod
     def _make(cls, fields) -> ProblemRecord:
-        # _replace builds its copy here: lists become tuples in it too.
+        # _replace builds its copy here: check it as a new record.
         return cls(*fields)
 
     @property
@@ -208,25 +235,6 @@ def problem_to_json(pr: ProblemRecord) -> str:
     )
 
 
-def _field(d: dict, name: str, kind: type, default=None):
-    if name not in d:
-        if default is not None:
-            return default
-        raise ValueError(f"missing field {name!r}")
-    value = d[name]
-    if not isinstance(value, kind):
-        raise ValueError(f"field {name!r} must be a {kind.__name__}, got {value!r}")
-    return value
-
-
-def _program_field(d: dict, name: str, table: dict | None) -> Program:
-    text = _field(d, name, str)
-    try:
-        return parse(text, table)
-    except ParseError as exc:
-        raise ValueError(f"field {name!r}: {exc}") from None
-
-
 def problem_from_json(line: str, table: dict | None = None) -> ProblemRecord:
     """One manifest row; a ValueError names the missing or ill-typed field.
     Its programs share equal subterms with those parsed with the same
@@ -234,30 +242,20 @@ def problem_from_json(line: str, table: dict | None = None) -> ProblemRecord:
     d = json.loads(line)
     if not isinstance(d, dict):
         raise ValueError(f"row must be a JSON object, got {type(d).__name__}")
-    pid = _field(d, "id", str)
-    if not _ID_RE.fullmatch(pid):
-        raise ValueError(f"field 'id' must be a plain file name, got {pid!r}")
-    anums = _field(d, "anums", list)
-    if not all(isinstance(a, str) for a in anums):
-        raise ValueError(f"field 'anums' must list strings, got {anums!r}")
-    terms = _field(d, "terms", list)
-    for t in terms:
-        # bool is an int subclass, but true is not a term.
-        if type(t) is not int:
-            raise ValueError(f"field 'terms' has a non-integer term {t!r}")
-    status = _field(d, "status", str, UNVERIFIED)
-    if status not in STATUSES:
-        raise ValueError(f"field 'status' must be one of {', '.join(STATUSES)}, got {status!r}")
-    return ProblemRecord(
-        id=pid,
-        anums=anums,
-        terms=terms,
-        small=_program_field(d, "small", table),
-        fast=_program_field(d, "fast", table),
-        status=status,
-        syn_pass=_field(d, "syn_pass", bool, False),
-        sem_pass=_field(d, "sem_pass", bool, False),
-    )
+    for name in ("id", "anums", "terms", "small", "fast"):
+        if name not in d:
+            raise ValueError(f"missing field {name!r}")
+    # JSON arrays: the record would take the characters of a string.
+    anums, terms = _typed("anums", d["anums"], list), _typed("terms", d["terms"], list)
+    sides = []
+    for name in ("small", "fast"):
+        try:
+            sides.append(parse(_typed(name, d[name], str), table))
+        except ParseError as exc:
+            raise ValueError(f"field {name!r}: {exc}") from None
+    # An absent status or filter flag takes the record's default.
+    flags = {name: d[name] for name in ("status", "syn_pass", "sem_pass") if name in d}
+    return ProblemRecord(d["id"], anums, terms, *sides, **flags)
 
 
 def save_problems(problems: list[ProblemRecord], path: str | Path) -> None:

@@ -84,6 +84,23 @@ def test_spec_command_splits_into_words_and_timeout_is_a_float():
     assert spec.timeout == 1e6 and type(spec.timeout) is float
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"name": 5}, "field 'name' must be a string"),
+        ({"command": None}, "field 'cmd' must be a string"),
+        ({"tokens": ["unsat"]}, "field 'tokens' must map lines to verdicts"),
+        ({"tokens": None}, "field 'tokens' must map lines to verdicts"),
+        ({"tokens": {"ok": "yes"}}, "field 'tokens': 'yes' is not a valid Verdict"),
+    ],
+)
+def test_spec_names_the_field_it_refuses(fields, message):
+    # A name that is not a string would log a row that resume rejects, and
+    # shlex reads stdin for a command of None on Python 3.10 and 3.11.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SolverSpec(**{"name": "s", "command": "s {file}", **fields})
+
+
 def test_verdict_tokens(tmp_path, smt_file):
     cases = {
         "echo unsat\n": Verdict.PROVED,
@@ -105,8 +122,11 @@ def test_verdict_tokens(tmp_path, smt_file):
 
 def test_custom_tokens(tmp_path, smt_file):
     runner = _script(tmp_path, "prover.sh", "echo Theorem\n")
-    spec = SolverSpec("p", f"{runner} {{file}}", tokens={"Theorem": Verdict.PROVED})
-    assert run_solver(spec, smt_file)[0] == Verdict.PROVED
+    # A verdict is given as a Verdict, or by its name as in a config.
+    for verdict in (Verdict.PROVED, "proved"):
+        spec = SolverSpec("p", f"{runner} {{file}}", tokens={"Theorem": verdict})
+        assert spec.tokens == {"Theorem": Verdict.PROVED}
+        assert run_solver(spec, smt_file)[0] == Verdict.PROVED
 
 
 def test_timeout_kills_the_solver(tmp_path, smt_file):
@@ -156,6 +176,9 @@ def test_load_solver_config(tmp_path):
     assert specs[1].tokens == {"Proof found": Verdict.PROVED}
     config.write_text(json.dumps({"solvers": [{"name": "c", "cmd": "c {file}"}]}))
     assert load_solver_config(config)[0].name == "c"
+    # A map replaces the default table, an empty one too.
+    config.write_text(json.dumps({"solvers": [{"name": "e", "cmd": "e {file}", "tokens": {}}]}))
+    assert load_solver_config(config)[0].tokens == {}
     config.write_text(json.dumps({"solvers": [{"name": "d", "cmd": "d {file}", "timeout": 10**6}]}))
     assert load_solver_config(config)[0].timeout == 1e6
 
@@ -194,6 +217,11 @@ def test_load_solver_config(tmp_path):
         ({"solvers": [{"name": "a", "cmd": "a {file}", "tokens": {"ok": "yes"}}]}, "field 'tokens': 'yes'"),
         ({"provers": []}, 'expected {"solvers": [...]}'),
         ([{"name": "c", "cmd": "c {file}"}], 'expected {"solvers": [...]}'),
+        # A falsy value is not an absent map: none of these means the default table.
+        *(
+            ({"solvers": [{"name": "a", "cmd": "a {file}", "tokens": tokens}]}, "solver 0: field 'tokens' must map lines to verdicts")
+            for tokens in ([], None, False, 0, "")
+        ),
     ],
 )
 def test_malformed_solver_config_names_the_entry_and_field(tmp_path, data, message):

@@ -63,6 +63,15 @@ def test_program_rejects_an_operator_outside_op(op):
         Program(op)
 
 
+def test_program_holds_a_tuple_of_programs():
+    # Arguments given as a list are held as a tuple: the program hashes.
+    listed = Program(Op.ADD, [X, X])
+    assert listed == Program(Op.ADD, (X, X)) and type(listed.args) is tuple
+    assert hash(listed) == hash(Program(Op.ADD, (X, X)))
+    with pytest.raises(ValueError, match="^ADD arguments must be programs, got 1$"):
+        Program(Op.ADD, (1, 2))
+
+
 def test_parse_basic_forms():
     assert parse("0") == ZERO
     assert parse("x") == X

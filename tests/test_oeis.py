@@ -21,6 +21,7 @@ from loopbench.oeis import (
     save_problems,
     short_anum,
 )
+from loopbench.smt import export_all
 from oracles import compound_census
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -230,6 +231,26 @@ def test_load_problems_names_the_line_and_field_of_a_bad_row(tmp_path, row, mess
     assert message in str(info.value)
     with pytest.raises(ValueError, match=re.escape(message)):
         problem_from_json(row)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"id": "../escaped"}, "field 'id' must be a plain file name, got '../escaped'"),
+        ({"anums": [1]}, "field 'anums' must list strings, got [1]"),
+        ({"terms": [True]}, "field 'terms' has a non-integer term True"),
+        ({"small": "x"}, "field 'small' must be a Program, got 'x'"),
+        ({"status": "bogus"}, "field 'status' must be one of unverified, verified, nonverified, refuted, got 'bogus'"),
+        ({"sem_pass": 1}, "field 'sem_pass' must be a bool, got 1"),
+    ],
+)
+def test_problem_record_checks_its_fields_as_a_manifest_row_is(tmp_path, fields, message):
+    # A record built in Python holds only what a manifest may, so a writer
+    # never makes a file that its reader refuses, or one outside its directory.
+    good = {"id": "A1", "anums": ["A000001"], "terms": [0, 1], "small": parse("x"), "fast": parse("x + 0")}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        export_all([ProblemRecord(**{**good, **fields})], tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_problem_record_defaults():

@@ -90,6 +90,10 @@ def test_copies_are_checked_as_new_records():
         SolverSpec("z3", "z3 {file}")._replace(timeout=-1)
     with pytest.raises(ValueError, match="unknown conjecture variant 'c9'"):
         Variant("c2")._replace(kind="c9")
+    with pytest.raises(ValueError, match="^ADD arguments must be programs, got 1$"):
+        Program(Op.ADD, (X, X))._replace(args=(X, 1))
+    with pytest.raises(ValueError, match="^field 'status' must be one of .*, got 'bogus'$"):
+        ProblemRecord("A1", ("A000001",), (0, 1), X, X)._replace(status="bogus")
     problem = ProblemRecord("A1", ("A000001",), (0, 1), X, X)._replace(terms=[2, 3])
     assert type(problem.terms) is tuple
 
