@@ -41,42 +41,9 @@ from .harness import RunResult, SolverSpec, aggregate, run_campaign
 
 __version__ = "0.1.0"
 
+# The names imported above from the package's modules, so that each is
+# written once, and the version.
 __all__ = [
-    "Op",
-    "ParseError",
-    "Program",
-    "depends_on",
-    "parse",
-    "size",
-    "to_text",
-    "Budget",
-    "ErrorKind",
-    "EvalConfig",
-    "EvalOutcome",
-    "evaluate",
-    "generate_seq",
-    "ProblemRecord",
-    "SequenceRecord",
-    "SolutionRecord",
-    "build_problems",
-    "covers",
-    "load_problems",
-    "load_solutions",
-    "load_stripped",
-    "save_problems",
-    "VerifyReport",
-    "verify100",
-    "verify_all",
-    "classify",
-    "classify_all",
-    "select_top_loops",
-    "Variant",
-    "emit",
-    "export_all",
-    "parse_variant",
-    "RunResult",
-    "SolverSpec",
-    "aggregate",
-    "run_campaign",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if getattr(value, "__module__", "").startswith("loopbench.")
+] + ["__version__"]

@@ -9,7 +9,6 @@ so an interrupted campaign resumes where it stopped.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -145,12 +144,46 @@ def load_solver_config(path: str | Path) -> list[SolverSpec]:
     return specs
 
 
-class RunResult(NamedTuple):
+def _check_string(field: str, value) -> None:
+    """Raise ValueError naming a log field whose value is not a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"field {field!r} must be a string, got {value!r}")
+
+
+class _ResultFields(NamedTuple):
     problem_id: str
     solver: str
     variant: str
     verdict: Verdict
     wall_time: float
+
+
+class RunResult(_ResultFields):
+    """One solver run, each field checked as in a log row, so that a
+    result run_campaign logs reads back; a bad one raises ValueError
+    naming its log field.  A verdict may be given by its value."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, problem_id: str, solver: str, variant: str, verdict: Verdict | str, wall_time: float
+    ) -> RunResult:
+        for field, value in (("id", problem_id), ("solver", solver), ("variant", variant)):
+            _check_string(field, value)
+        # bool is an int subclass, but true is not a wall time.
+        if type(wall_time) not in (int, float):
+            raise ValueError(f"field 'wall_time' must be a number, got {wall_time!r}")
+        try:
+            verdict = Verdict(verdict)
+        except ValueError:
+            names = ", ".join(v.value for v in Verdict)
+            raise ValueError(f"field 'verdict' must be one of {names}, got {verdict!r}") from None
+        return tuple.__new__(cls, (problem_id, solver, variant, verdict, wall_time))
+
+    @classmethod
+    def _make(cls, fields) -> RunResult:
+        # _replace builds its copy here: check it as a new result.
+        return cls(*fields)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -172,18 +205,7 @@ def result_from_json(line: str) -> RunResult:
     for name in ("id", "solver", "variant", "verdict", "wall_time"):
         if name not in d:
             raise ValueError(f"missing field {name!r}")
-    for name in ("id", "solver", "variant"):
-        if not isinstance(d[name], str):
-            raise ValueError(f"field {name!r} must be a string, got {d[name]!r}")
-    # bool is an int subclass, but true is not a wall time.
-    if type(d["wall_time"]) not in (int, float):
-        raise ValueError(f"field 'wall_time' must be a number, got {d['wall_time']!r}")
-    try:
-        verdict = Verdict(d["verdict"])
-    except ValueError:
-        names = ", ".join(v.value for v in Verdict)
-        raise ValueError(f"field 'verdict' must be one of {names}, got {d['verdict']!r}") from None
-    return RunResult(d["id"], d["solver"], d["variant"], verdict, d["wall_time"])
+    return RunResult(d["id"], d["solver"], d["variant"], d["verdict"], d["wall_time"])
 
 
 def _read_log(path: Path) -> tuple[list[RunResult], str]:
@@ -259,6 +281,8 @@ def run_campaign(
     only execute solvers; all results funnel through this thread for the
     append.  A missing file or solver program raises ValueError before
     the log is opened: logged as an error row, it would never be retried.
+    So does an id or a variant that is not a string, which the log could
+    not read back.
     """
     # Only a campaign needs the pool, and importing it also loads queue and
     # logging: every other command would pay for them at start-up.
@@ -266,7 +290,9 @@ def run_campaign(
 
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    _check_string("variant", variant)
     for pid, path in files:
+        _check_string("id", pid)
         if not path.is_file():
             raise ValueError(f"{path}: no such file for problem {pid}")
     for spec in solvers:
@@ -336,6 +362,8 @@ class ReportTable(NamedTuple):
         return "\n".join(lines) + "\n"
 
     def render_csv(self) -> str:
+        import csv  # only report --csv needs it: no other command loads it
+
         out = io.StringIO()
         csv.writer(out, lineterminator="\n").writerows(self._grid("row"))
         return out.getvalue()

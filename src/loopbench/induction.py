@@ -85,7 +85,8 @@ def is_acyclic_window(values: list[int]) -> bool:
         raise ValueError(f"window must have {WINDOW} values, got {len(values)}")
     tail = values[CYCLE_SKIP:]
     for period in range(1, MAX_PERIOD + 1):
-        if tail[:-period] == tail[period:]:
+        # The first pair must repeat too, and most periods fail there.
+        if tail[period] == tail[0] and tail[:-period] == tail[period:]:
             return False
     return True
 

@@ -65,13 +65,15 @@ class Program(_Syntax):
     is taken).  An operator outside Op, the wrong number of arguments for
     it, or an argument that is not a Program raises ValueError.
 
-    Programs compare, hash and pickle by their syntax alone.  The
-    evaluator keeps one compiled entry, used under every EvalConfig, in
-    the instance dict, on this object alone.  A parsed program may share
-    one object among its equal subterms, and a load shares it among the
-    records it reads (see parse), so several records can use one
-    object's code; release drops it for all of them, and the next
-    evaluate compiles it again.
+    Programs compare, hash and pickle by their syntax alone.  Each keeps
+    the bits of its free variables (see depends_on) and its depth (a leaf
+    has depth 1) in its instance dict, worked out from its arguments'
+    when it is built.  The evaluator keeps one compiled entry, used under
+    every EvalConfig, in that dict too, on this object alone.  A parsed
+    program may share one object among its equal subterms, and a load
+    shares it among the records it reads (see parse), so several records
+    can use one object's code; release drops it for all of them, and the
+    next evaluate compiles it again.
     """
 
     def __new__(cls, op: Op, args: tuple[Program, ...] = ()) -> Program:
@@ -84,7 +86,7 @@ class Program(_Syntax):
         for a in args:
             if not isinstance(a, Program):
                 raise ValueError(f"{Op(op).name} arguments must be programs, got {a!r}")
-        return tuple.__new__(cls, (op, args))
+        return _program(cls, op, args)
 
     @classmethod
     def _make(cls, fields) -> Program:
@@ -96,6 +98,28 @@ class Program(_Syntax):
 
     def __reduce__(self):
         return Program, (self.op, self.args)
+
+
+# Free-variable bits: 1 << Op.X and 1 << Op.Y.  A variable leaf has its
+# own; any other program has those of its arguments after the body slots,
+# which always come first.
+_OWN_BITS = {Op.X: 1 << Op.X, Op.Y: 1 << Op.Y}
+_FIRST_FREE_SLOT = {op: len(BODY_SLOTS.get(op, ())) for op in Op}
+
+
+def _program(cls: type, op: Op, args: tuple[Program, ...]) -> Program:
+    """A program of checked fields, with its free-variable bits and depth."""
+    p = tuple.__new__(cls, (op, args))
+    free = _OWN_BITS.get(op, 0)
+    for a in args[_FIRST_FREE_SLOT[op]:]:
+        free |= a._free
+    depth = 0
+    for a in args:
+        if a._depth > depth:
+            depth = a._depth
+    p._free = free
+    p._depth = depth + 1
+    return p
 
 
 # The leaves, shared singletons: parse returns these objects.
@@ -114,9 +138,11 @@ def size(p: Program) -> int:
 
 def subprograms(p: Program) -> Iterator[Program]:
     """All subterm occurrences of p in preorder (p itself included)."""
-    yield p
-    for a in p.args:
-        yield from subprograms(a)
+    stack = [p]
+    while stack:
+        p = stack.pop()
+        yield p
+        stack += reversed(p.args)
 
 
 def depends_on(p: Program, var: Op) -> bool:
@@ -125,12 +151,7 @@ def depends_on(p: Program, var: Op) -> bool:
     Occurrences inside the body slots of loop/loop2/compr are bound and
     do not count.
     """
-    if p.op == var:
-        return True
-    body = BODY_SLOTS.get(p.op, ())
-    return any(
-        depends_on(a, var) for i, a in enumerate(p.args) if i not in body
-    )
+    return bool(p._free >> var & 1)
 
 
 # Parsing.
@@ -150,183 +171,150 @@ class ParseError(ValueError):
 
 _LEAVES = {NAMES[p.op]: p for p in (ZERO, ONE, TWO, X, Y)}
 _CALLS = {NAMES[op]: op for op in (Op.COND, *LOOPING_OPS)}
-_SUM_OPS = {NAMES[op]: op for op in (Op.ADD, Op.SUB)}
-_TERM_OPS = {NAMES[op]: op for op in (Op.MUL, Op.DIV, Op.MOD)}
+_BINARY = {NAMES[op]: op for op in BINARY_OPS}
+_TIGHT = {Op.MUL, Op.DIV, Op.MOD}  # bind tighter than + and -
 
-# Symbol tokens: the operators not spelled as words, and the brackets,
-# commas and '<=' of calls and if-expressions.
-_PUNCTUATION = {n for n in NAMES.values() if not n.isalnum()} | {"(", ")", ",", "<="}
-# Leading space, then one token: an integer, a word, '<=' or one other
-# character, which must be a symbol.
-_TOKEN = re.compile(r"(\s*)(\d+|[A-Za-z]\w*|<=|\S)")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Tokens as (kind, text, pos); kind is 'int', 'word' or the symbol."""
-    if not text.isascii():
-        raise ParseError("program text must be ASCII", 0)
-    out: list[tuple[str, str, int]] = []
-    pos = 0
-    for space, tok in _TOKEN.findall(text):
-        pos += len(space)
-        if tok in _PUNCTUATION:
-            out.append((tok, tok, pos))
-        elif tok[0].isalpha():
-            out.append(("word", tok.lower(), pos))
-        elif tok[0].isdigit():
-            out.append(("int", tok, pos))
-        else:
-            raise ParseError(f"unexpected character {tok!r}", pos)
-        pos += len(tok)
-    out.append(("eof", "", len(text)))
-    return out
-
-
-class _Parser:
-    def __init__(self, text: str, table: dict[tuple[int, ...], Program]):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.nesting = 0
-        # Compound nodes built so far, keyed by operator and argument ids.
-        # The nodes keep their arguments alive, so the ids stay valid for
-        # as long as the table lives.
-        self.table = table
-        # Depth of each compound node returned so far; leaves have depth 1.
-        self.depths: dict[int, int] = {}
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, text: str | None = None) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind or (text is not None and tok[1] != text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        return tok
-
-    def enter(self, pos: int) -> None:
-        """Open one level of nesting at pos; leave() closes it."""
-        self.nesting += 1
-        if self.nesting > MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
-
-    def leave(self) -> None:
-        self.nesting -= 1
-
-    def node(self, op: Op, args: tuple[Program, ...], pos: int) -> Program:
-        depths = self.depths
-        deepest = 0
-        parts = [op]  # the table key: op and the ids of the arguments
-        for a in args:
-            i = id(a)
-            parts.append(i)
-            d = depths.get(i, 1)
-            if d > deepest:
-                deepest = d
-        if deepest >= MAX_DEPTH:
-            raise ParseError(f"program deeper than {MAX_DEPTH} levels", pos)
-        key = tuple(parts)
-        p = self.table.get(key)
-        if p is None:
-            p = self.table[key] = Program(op, args)
-        depths[id(p)] = deepest + 1
-        return p
-
-    def parse_expr(self) -> Program:
-        if self.peek()[1] == "if":
-            return self.parse_if()
-        return self.parse_sum()
-
-    def parse_if(self) -> Program:
-        pos = self.next()[2]  # 'if'
-        self.enter(pos)
-        guard = self.parse_sum()
-        self.expect("<=")
-        zero = self.expect("int")
-        if zero[1] != "0":
-            raise ParseError("conditional guard must compare against 0", zero[2])
-        self.expect("word", "then")
-        then_branch = self.parse_expr()
-        self.expect("word", "else")
-        else_branch = self.parse_expr()
-        self.leave()
-        return self.node(Op.COND, (guard, then_branch, else_branch), pos)
-
-    # The two precedence levels stay two methods: a shared helper would
-    # cost one more Python frame per level of nesting.
-
-    def parse_sum(self) -> Program:
-        left = self.parse_term()
-        while self.peek()[1] in _SUM_OPS:
-            _, name, pos = self.next()
-            left = self.node(_SUM_OPS[name], (left, self.parse_term()), pos)
-        return left
-
-    def parse_term(self) -> Program:
-        left = self.parse_atom()
-        while self.peek()[1] in _TERM_OPS:
-            _, name, pos = self.next()
-            left = self.node(_TERM_OPS[name], (left, self.parse_atom()), pos)
-        return left
-
-    def parse_atom(self) -> Program:
-        kind, text, pos = self.next()
-        leaf = _LEAVES.get(text)
-        if leaf is not None:
-            return leaf
-        if kind == "int":
-            raise ParseError(f"integer literal {text} is not one of 0, 1, 2", pos)
-        if kind == "(":
-            self.enter(pos)
-            inner = self.parse_expr()
-            self.expect(")")
-            self.leave()
-            return inner
-        op = _CALLS.get(text)
-        if op is not None:
-            args = self.parse_call_args(text, ARITY[op], pos)
-            return self.node(op, tuple(args), pos)
-        if text == "if":
-            # An if-expression is allowed anywhere an atom is.
-            self.i -= 1
-            return self.parse_if()
-        if kind == "word":
-            raise ParseError(f"unknown identifier {text!r}", pos)
-        raise ParseError(f"unexpected token {text or 'end of input'!r}", pos)
-
-    def parse_call_args(self, name: str, arity: int, pos: int) -> list[Program]:
-        self.expect("(")
-        self.enter(pos)
-        args = [self.parse_expr()]
-        while self.peek()[0] == ",":
-            self.next()
-            args.append(self.parse_expr())
-        self.expect(")")
-        self.leave()
-        if len(args) != arity:
-            raise ParseError(f"{name} takes {arity} arguments, got {len(args)}", pos)
-        return args
+# One token of lowered text: an integer, a word, '<=', or a bracket, a
+# comma or an operator not spelled as a word.  findall skips any other
+# character, which is an error unless it is a space.
+_CHARS = "()," + "".join(n for n in NAMES.values() if not n.isalnum())
+_TOKEN = re.compile(rf"\d+|[a-z]\w*|<=|[{re.escape(_CHARS)}]")
 
 
 def parse(text: str, table: dict[tuple[int, ...], Program] | None = None) -> Program:
     """Parse program text.  Raises ParseError with a position on bad input,
-    which includes nesting deeper than MAX_DEPTH.
+    which includes nesting deeper than MAX_DEPTH.  A character that no
+    token spells is reported before any other error.
 
     Structurally equal compound subterms come back as one object: within
     the text always, and across texts parsed with the same table, which
     a caller keeps for one load and no longer (a Program takes no weak
-    reference, so nothing else drops its entries).
+    reference, so nothing else drops its entries).  The table keys each
+    compound node by its operator and the ids of its arguments, which
+    the node keeps alive for as long as the table lives.
     """
-    parser = _Parser(text, {} if table is None else table)
-    prog = parser.parse_expr()
-    tok = parser.peek()
-    if tok[0] != "eof":
-        raise ParseError(f"trailing input starting with {tok[1]!r}", tok[2])
+    if not text.isascii():
+        raise ParseError("program text must be ASCII", 0)
+    lowered = text.lower()
+    tokens = _TOKEN.findall(lowered)
+    if "".join(tokens) != "".join(lowered.split()):
+        for m in re.finditer(rf"({_TOKEN.pattern})|\S", lowered):
+            if m[1] is None:
+                raise ParseError(f"unexpected character {m[0]!r}", m.start())
+    tokens.append("")  # the end of input
+    table = {} if table is None else table
+    i = nesting = 0  # the next token's index, and the open nesting levels
+
+    def fail(message: str, at: int):
+        # Token positions are worked out only here, for the error.
+        for n, m in enumerate(_TOKEN.finditer(lowered)):
+            if n == at:
+                raise ParseError(message, m.start())
+        raise ParseError(message, len(text))
+
+    def expect(want: str) -> None:
+        nonlocal i
+        if tokens[i] != want:
+            fail(f"expected {want!r}, found {tokens[i] or 'end of input'!r}", i)
+        i += 1
+
+    def enter(at: int) -> None:
+        """Open one level of nesting at token at; the caller closes it."""
+        nonlocal nesting
+        nesting += 1
+        if nesting > MAX_DEPTH:
+            fail(f"nesting deeper than {MAX_DEPTH} levels", at)
+
+    def node(op: Op, args: tuple[Program, ...], at: int) -> Program:
+        key = (op, *map(id, args))
+        p = table.get(key)
+        if p is None:
+            # A node in the table was no deeper than MAX_DEPTH when built.
+            p = _program(Program, op, args)
+            if p._depth > MAX_DEPTH:
+                fail(f"program deeper than {MAX_DEPTH} levels", at)
+            table[key] = p
+        return p
+
+    def expr() -> Program:
+        """A sum of products: both precedence levels share this loop, so
+        that a level of nesting costs two Python frames, expr and atom."""
+        nonlocal i
+        # The sum and the product so far, each with its pending operator
+        # and that operator's token.
+        total = term = sum_op = term_op = sum_at = term_at = None
+        while True:
+            operand = _LEAVES.get(tokens[i])
+            if operand is None:
+                operand = atom()
+            else:
+                i += 1
+            term = operand if term_op is None else node(term_op, (term, operand), term_at)
+            op = _BINARY.get(tokens[i])
+            if op in _TIGHT:
+                term_op, term_at = op, i
+            else:
+                term_op = None
+                total = term if sum_op is None else node(sum_op, (total, term), sum_at)
+                if op is None:
+                    return total
+                sum_op, sum_at = op, i
+            i += 1
+
+    def atom() -> Program:
+        """An operand that is not a leaf.  An if-expression is one, and its
+        else branch takes every binary operator that follows it."""
+        nonlocal i, nesting
+        tok = tokens[i]
+        at = i
+        i += 1
+        if tok == "(":
+            enter(at)
+            inner = expr()
+            expect(")")
+            nesting -= 1
+            return inner
+        if tok == "if":
+            enter(at)
+            guard = expr()
+            expect("<=")
+            if not tokens[i].isdigit():
+                fail(f"expected 'int', found {tokens[i] or 'end of input'!r}", i)
+            if tokens[i] != "0":
+                fail("conditional guard must compare against 0", i)
+            i += 1
+            expect("then")
+            then_branch = expr()
+            expect("else")
+            op, args = Op.COND, (guard, then_branch, expr())
+        else:
+            op = _CALLS.get(tok)
+            if op is None:
+                if tok.isdigit():
+                    fail(f"integer literal {tok} is not one of 0, 1, 2", at)
+                if tok[:1].isalpha():
+                    fail(f"unknown identifier {tok!r}", at)
+                fail(f"unexpected token {tok or 'end of input'!r}", at)
+            expect("(")
+            enter(at)
+            args = [expr()]
+            while tokens[i] == ",":
+                i += 1
+                args.append(expr())
+            expect(")")
+            if len(args) != ARITY[op]:
+                fail(f"{tok} takes {ARITY[op]} arguments, got {len(args)}", at)
+        nesting -= 1
+        return node(op, tuple(args), at)
+
+    try:
+        prog = expr()
+        if tokens[i]:
+            fail(f"trailing input starting with {tokens[i]!r}", i)
+    finally:
+        # expr and atom refer to each other: drop one, so that both, and
+        # the table they hold, go without a garbage collection.
+        atom = None
     return prog
 
 

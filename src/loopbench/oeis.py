@@ -135,7 +135,7 @@ def load_stripped(path: str | Path) -> dict[str, SequenceRecord]:
         if not parts:
             raise ValueError(f"{path}:{lineno}: no terms for {anum}")
         try:
-            terms = tuple(int(t) for t in parts)
+            terms = tuple(map(int, parts))
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-integer term in {anum}")
         first = first_lines.setdefault(anum, lineno)
@@ -159,7 +159,7 @@ def load_solutions(path: str | Path) -> list[SolutionRecord]:
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        cells = line.rstrip("\n").split("\t")
+        cells = line.split("\t")
         if len(cells) != 3:
             raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
         anum, small_text, fast_text = cells
@@ -258,7 +258,19 @@ def problem_from_json(line: str, table: dict | None = None) -> ProblemRecord:
     return ProblemRecord(d["id"], anums, terms, *sides, **flags)
 
 
+def _refuse_repeated_ids(problems: list[ProblemRecord]) -> None:
+    """Raise ValueError naming the first id that two problems share: a
+    manifest or an export directory holds one problem per id."""
+    seen = set()
+    for p in problems:
+        if p.id in seen:
+            raise ValueError(f"repeated id {p.id!r}")
+        seen.add(p.id)
+
+
 def save_problems(problems: list[ProblemRecord], path: str | Path) -> None:
+    """Write a manifest; repeated ids raise ValueError and write nothing."""
+    _refuse_repeated_ids(problems)
     Path(path).write_text("".join(problem_to_json(p) + "\n" for p in problems))
 
 

@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import NamedTuple, Union
 
 from .lang import BINARY_OPS, BODY_SLOTS, NAMES, Op, Program, depends_on, to_text
-from .oeis import ProblemRecord
+from .oeis import ProblemRecord, _refuse_repeated_ids
 
 Sexp = Union[str, tuple]
 
@@ -57,9 +57,9 @@ HEADER_TERMS = 20
 
 
 def render(s: Sexp) -> str:
-    if isinstance(s, str):
+    if type(s) is str:
         return s
-    return "(" + " ".join(render(x) for x in s) + ")"
+    return "(" + " ".join([x if type(x) is str else render(x) for x in s]) + ")"
 
 
 class LoweredDef(NamedTuple):
@@ -323,9 +323,10 @@ def export_all(
 
     Returns the (id, filename) index.  Output is deterministic: problems
     are sorted by id and the emitter is pure.  Every script is built
-    before any file is written, so a problem that does not lower leaves
-    nothing behind.
+    before any file is written, so a problem that does not lower, or an
+    id two problems share, leaves nothing behind.
     """
+    _refuse_repeated_ids(problems)
     scripts = [
         (problem.id, emit(problem, variant))
         for problem in sorted(problems, key=lambda p: p.id)

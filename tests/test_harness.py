@@ -20,6 +20,7 @@ from loopbench.harness import (
     run_campaign,
     run_solver,
 )
+from loopbench.smt import Variant
 
 
 def _script(tmp_path, name, body):
@@ -344,6 +345,44 @@ def test_run_campaign_rejects_fewer_than_one_job(tmp_path, jobs):
     solvers = [SolverSpec("yes", "echo unsat {file}")]
     with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
         run_campaign(solvers, _mk_files(tmp_path, ["A1"]), "base", log, jobs=jobs)
+    assert not log.exists()
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((5, "s", "base", Verdict.PROVED, 0.5), "field 'id' must be a string, got 5"),
+        (("A1", None, "base", Verdict.PROVED, 0.5), "field 'solver' must be a string, got None"),
+        (("A1", "s", ["c3"], Verdict.PROVED, 0.5), "field 'variant' must be a string, got ['c3']"),
+        (("A1", "s", "base", "solved", 0.5), "field 'verdict' must be one of proved,"),
+        (("A1", "s", "base", Verdict.PROVED, True), "field 'wall_time' must be a number, got True"),
+        (("A1", "s", "base", Verdict.PROVED, "0.5"), "field 'wall_time' must be a number, got '0.5'"),
+    ],
+)
+def test_result_names_the_field_it_refuses(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunResult(*fields)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunResult("A1", "s", "base", Verdict.PROVED, 0.5)._replace(
+            **dict(zip(RunResult._fields, fields))
+        )
+    # A verdict given by its value is held as the Verdict.
+    assert RunResult("A1", "s", "base", "proved", 1).verdict is Verdict.PROVED
+
+
+@pytest.mark.parametrize(
+    "pid, variant, message",
+    [
+        (5, "base", "field 'id' must be a string, got 5"),
+        ("A1", Variant("c3"), "field 'variant' must be a string, got Variant(kind='c3')"),
+    ],
+)
+def test_run_campaign_refuses_what_its_log_could_not_read_back(tmp_path, pid, variant, message):
+    path = tmp_path / "A1.smt2"
+    path.write_text("(check-sat)\n")
+    log = tmp_path / "results.jsonl"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_campaign([SolverSpec("yes", "echo unsat {file}")], [(pid, path)], variant, log)
     assert not log.exists()
 
 

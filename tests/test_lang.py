@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import subprocess
 import sys
@@ -127,6 +128,24 @@ def test_parse_rejects(bad, message, pos):
     assert info.value.pos == pos
 
 
+@pytest.mark.parametrize(
+    "bad, message, pos",
+    [
+        # A character no token spells is found before any grammar error.
+        ("x + ) ^", "unexpected character '^'", 6),
+        ("(" * (MAX_DEPTH + 1) + "=", "unexpected character '='", MAX_DEPTH + 1),
+        # Positions count the text as given, spaces and capitals included.
+        ("LOOP(X,\tX)  FOO", "loop takes 3 arguments, got 2", 0),
+        ("  Loop(x, x, 0)\n  Foo", "trailing input starting with 'foo'", 18),
+        ("x +\n\n  ", "unexpected token 'end of input'", 7),
+    ],
+)
+def test_parse_error_precedence_and_positions(bad, message, pos):
+    with pytest.raises(ParseError) as info:
+        parse(bad)
+    assert str(info.value) == f"{message} (at position {pos})"
+
+
 def test_parse_rejects_non_ascii():
     with pytest.raises(ParseError):
         parse("x − y")
@@ -238,6 +257,13 @@ def test_text_round_trip(p):
 @given(programs(), st.sampled_from([Op.X, Op.Y]))
 def test_depends_on_matches_free_variables(p, var):
     assert depends_on(p, var) == (var in free_vars(p))
+
+
+@settings(max_examples=100)
+@given(programs(), st.sampled_from([Op.X, Op.Y]))
+def test_copies_know_their_free_variables(p, var):
+    for copy in (p._replace(), pickle.loads(pickle.dumps(p)), Program(p.op, list(p.args))):
+        assert copy is not p and depends_on(copy, var) == (var in free_vars(p))
 
 
 @settings(max_examples=100)

@@ -196,6 +196,14 @@ def test_save_and_load_problems(tmp_path, problems):
     assert load_problems(path) == problems
 
 
+def test_save_problems_refuses_a_repeated_id_and_writes_nothing(tmp_path, problems):
+    path = tmp_path / "problems.jsonl"
+    twice = [problems[0], problems[1], problems[0]._replace(status="verified")]
+    with pytest.raises(ValueError, match=f"^repeated id {problems[0].id!r}$"):
+        save_problems(twice, path)
+    assert not path.exists()
+
+
 GOOD_ROW = '{"id": "A1", "anums": ["A000001"], "terms": [0, 1], "small": "x", "fast": "x + 0"}'
 
 

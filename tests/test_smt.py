@@ -289,6 +289,14 @@ def test_export_all_skips_refuted_and_writes_index(problems, tmp_path):
     assert (tmp_path / "variant").read_text() == "base\n"
 
 
+def test_export_all_refuses_a_repeated_id_and_writes_nothing(problems, tmp_path):
+    # A refuted record repeats the id too: its manifest would not read back.
+    twice = [problems[0], *problems[1:], problems[0]._replace(status="refuted")]
+    with pytest.raises(ValueError, match=f"^repeated id {problems[0].id!r}$"):
+        export_all(twice, tmp_path / "out", BASE)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "row, message",
     [

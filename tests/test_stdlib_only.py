@@ -23,8 +23,9 @@ print(" ".join(sorted(sys.modules)))
 """
 
 # Slow to import, and what dataclasses loads: a start-up of any loopbench
-# command pays for them if one slips back in.
-COLD_START_FREE = {"dataclasses", "inspect", "ast", "dis"}
+# command pays for them if one slips back in.  csv is loaded by
+# ReportTable.render_csv alone, since only `report --csv` writes CSV.
+COLD_START_FREE = {"dataclasses", "inspect", "ast", "dis", "csv"}
 # The solver campaign's thread pool and what it loads: only run_campaign
 # imports them, so that no other command pays for them.
 CAMPAIGN_ONLY = {"concurrent.futures", "queue", "logging"}
