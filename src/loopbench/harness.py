@@ -13,8 +13,6 @@ import io
 import json
 import math
 import shlex
-import shutil
-import subprocess
 import sys
 import time
 from enum import Enum
@@ -23,6 +21,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .interp import _digit_count
+from .lang import Checked
 
 DEFAULT_TIMEOUT = 60.0
 # The longest solver timeout a config may give, in seconds; subprocess
@@ -52,7 +51,7 @@ class _SolverFields(NamedTuple):
     tokens: dict[str, Verdict]
 
 
-class SolverSpec(_SolverFields):
+class SolverSpec(Checked, _SolverFields):
     """One solver, each field checked as in a config entry; a bad one
     raises ValueError naming its config key."""
 
@@ -99,11 +98,6 @@ class SolverSpec(_SolverFields):
         except ValueError as exc:
             raise ValueError(f"field 'tokens': {exc}") from None
         return tuple.__new__(cls, (name, command, timeout, tokens))
-
-    @classmethod
-    def _make(cls, fields) -> SolverSpec:
-        # _replace builds its copy here: check it as a new spec.
-        return cls(*fields)
 
 
 def load_solver_config(path: str | Path) -> list[SolverSpec]:
@@ -158,7 +152,7 @@ class _ResultFields(NamedTuple):
     wall_time: float
 
 
-class RunResult(_ResultFields):
+class RunResult(Checked, _ResultFields):
     """One solver run, each field checked as in a log row, so that a
     result run_campaign logs reads back; a bad one raises ValueError
     naming its log field.  A verdict may be given by its value."""
@@ -179,11 +173,6 @@ class RunResult(_ResultFields):
             names = ", ".join(v.value for v in Verdict)
             raise ValueError(f"field 'verdict' must be one of {names}, got {verdict!r}") from None
         return tuple.__new__(cls, (problem_id, solver, variant, verdict, wall_time))
-
-    @classmethod
-    def _make(cls, fields) -> RunResult:
-        # _replace builds its copy here: check it as a new result.
-        return cls(*fields)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -245,6 +234,9 @@ def load_results(path: str | Path) -> list[RunResult]:
 
 def run_solver(spec: SolverSpec, file: Path) -> tuple[Verdict, float]:
     """One solver invocation; the process is killed at the timeout."""
+    # Only a solver run needs subprocess: no other command loads it.
+    import subprocess
+
     argv = [
         arg.replace("{file}", str(file)) for arg in shlex.split(spec.command)
     ]
@@ -284,8 +276,10 @@ def run_campaign(
     So does an id or a variant that is not a string, which the log could
     not read back.
     """
-    # Only a campaign needs the pool, and importing it also loads queue and
-    # logging: every other command would pay for them at start-up.
+    # Only a campaign needs shutil and the pool, and importing the pool also
+    # loads queue and logging: every other command would pay for them at
+    # start-up.
+    import shutil
     from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
     if jobs < 1:

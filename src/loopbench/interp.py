@@ -49,15 +49,15 @@ smaller budget it can only time out; and a timeout leaves the budget at
 published as one tuple, so threads sharing a program never see half of
 one.
 
-At compilation, evaluate also notes whether p reads x and y outside its
-loop bodies.  A call at a point where a variable p does not read is
-nonzero runs exactly as the call with that variable set to 0, so such a
-call replays the stored outcome of that point: if its cost fits the
-budget, it charges the cost and returns that same outcome, and otherwise
-it times out with the whole budget, for the reasons above.  Only
-successes at such points are stored, so a sequence or a verify sweep,
-which keeps y = 0, stores nothing, while the filter's windows along x at
-y = 1..9 are run once for a program that ignores y.
+The compiled entry of a program that does not read y outside its loop
+bodies also holds a dict of stored points, keyed by x.  A call at a
+nonzero y on such a program runs exactly as the call at (x, 0), so it
+replays the stored outcome of its x: if its cost fits the budget, it
+charges the cost and returns that same outcome, and otherwise it times
+out with the whole budget, for the reasons above.  Only successes at a
+nonzero y are stored, so a sequence or a verify sweep, which keeps
+y = 0, stores nothing, while the filter's windows along x at y = 1..9
+are run once for a program that ignores y.
 
 The compiled code, its loop records and the stored points live as long
 as the program, or until release drops them from a program and its
@@ -75,7 +75,7 @@ from enum import Enum
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .lang import Op, Program, depends_on, subprograms
+from .lang import Checked, Op, Program, depends_on, subprograms
 
 CHECK_LIMIT = 100_000
 VERIFY_LIMIT = 1_000_000
@@ -93,16 +93,11 @@ class _Limits(NamedTuple):
     per_call_limit: int
 
 
-class EvalConfig(_Limits):
+class EvalConfig(Checked, _Limits):
     def __new__(cls, per_call_limit: int = CHECK_LIMIT) -> EvalConfig:
         if per_call_limit < 0:
             raise ValueError("per_call_limit must not be negative")
         return tuple.__new__(cls, (per_call_limit,))
-
-    @classmethod
-    def _make(cls, fields) -> EvalConfig:
-        # _replace builds its copy here: check it as a new config.
-        return cls(*fields)
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -491,20 +486,19 @@ def evaluate(
     if budget is None:
         budget = Budget(cfg.per_call_limit)
     try:
-        run, reads_x, reads_y, points = p._code
+        run, points = p._code
     except AttributeError:
         # First use of p.  Threads compiling p at once all keep the first
         # entry stored.
-        entry = (_compile(p), depends_on(p, Op.X), depends_on(p, Op.Y), {})
-        run, reads_x, reads_y, points = p.__dict__.setdefault("_code", entry)
+        entry = (_compile(p), None if depends_on(p, Op.Y) else {})
+        run, points = p.__dict__.setdefault("_code", entry)
     start = budget.remaining
-    point = None
-    if (y and not reads_y) or (x and not reads_x):
-        # p does not read a nonzero variable, so it runs as at the point
-        # with that variable set to 0: replay that point if it succeeded.
-        # Points are keyed by the variable p reads, or by 0 if none.
-        point = x if reads_x else y if reads_y else 0
-        known = points.get(point)
+    if not y:
+        points = None  # a point at y = 0 is neither stored nor replayed
+    elif points is not None:
+        # p does not read y, so it runs as at (x, 0): replay x if it
+        # succeeded.
+        known = points.get(x)
         if known is not None:
             if known.cost > start:
                 budget.remaining = 0
@@ -516,8 +510,8 @@ def evaluate(
     except _Fail as failure:
         return _outcome(EvalOutcome, (None, start - budget.remaining, failure.kind))
     outcome = _outcome(EvalOutcome, (value, start - budget.remaining, None))
-    if point is not None:
-        points[point] = outcome
+    if points is not None:
+        points[x] = outcome
     return outcome
 
 

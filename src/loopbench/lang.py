@@ -55,25 +55,38 @@ LOOPING_OPS = (Op.LOOP, Op.LOOP2, Op.COMPR)
 BODY_SLOTS = {Op.LOOP: (0,), Op.LOOP2: (0, 1), Op.COMPR: (0,)}
 
 
+class Checked:
+    """Base of a named tuple whose __new__ checks its fields: _replace
+    builds its copy with _make, which then checks it as a new record."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
 class _Syntax(NamedTuple):
     op: Op
     args: tuple[Program, ...]
 
 
-class Program(_Syntax):
+class Program(Checked, _Syntax):
     """A term: an operator and a tuple of argument programs (any iterable
     is taken).  An operator outside Op, the wrong number of arguments for
-    it, or an argument that is not a Program raises ValueError.
+    it, an argument that is not a Program, or a program deeper than
+    MAX_DEPTH raises ValueError.
 
     Programs compare, hash and pickle by their syntax alone.  Each keeps
     the bits of its free variables (see depends_on) and its depth (a leaf
     has depth 1) in its instance dict, worked out from its arguments'
     when it is built.  The evaluator keeps one compiled entry, used under
-    every EvalConfig, in that dict too, on this object alone.  A parsed
-    program may share one object among its equal subterms, and a load
-    shares it among the records it reads (see parse), so several records
-    can use one object's code; release drops it for all of them, and the
-    next evaluate compiles it again.
+    every EvalConfig, in that dict too, on this object alone: the code,
+    and the points stored at a nonzero y if the program does not read y.
+    A parsed program may share one object among its equal subterms, and
+    a load shares it among the records it reads (see parse), so several
+    records can use one object's code; release drops it for all of them,
+    and the next evaluate compiles it again.
     """
 
     def __new__(cls, op: Op, args: tuple[Program, ...] = ()) -> Program:
@@ -88,11 +101,6 @@ class Program(_Syntax):
                 raise ValueError(f"{Op(op).name} arguments must be programs, got {a!r}")
         return _program(cls, op, args)
 
-    @classmethod
-    def _make(cls, fields) -> Program:
-        # _replace builds its copy here: check it as a new program.
-        return cls(*fields)
-
     def __repr__(self) -> str:
         return f"<{to_text(self)}>"
 
@@ -106,10 +114,16 @@ class Program(_Syntax):
 _OWN_BITS = {Op.X: 1 << Op.X, Op.Y: 1 << Op.Y}
 _FIRST_FREE_SLOT = {op: len(BODY_SLOTS.get(op, ())) for op in Op}
 
+# Deepest program (a leaf is depth 1), however it is built.  parse also
+# counts open parentheses, calls and if-expressions in the text against
+# it.  It keeps every recursive routine over programs well inside
+# Python's recursion limit.
+MAX_DEPTH = 100
+
 
 def _program(cls: type, op: Op, args: tuple[Program, ...]) -> Program:
-    """A program of checked fields, with its free-variable bits and depth."""
-    p = tuple.__new__(cls, (op, args))
+    """A program of checked fields, with its free-variable bits and depth;
+    one deeper than MAX_DEPTH raises ValueError."""
     free = _OWN_BITS.get(op, 0)
     for a in args[_FIRST_FREE_SLOT[op]:]:
         free |= a._free
@@ -117,6 +131,9 @@ def _program(cls: type, op: Op, args: tuple[Program, ...]) -> Program:
     for a in args:
         if a._depth > depth:
             depth = a._depth
+    if depth >= MAX_DEPTH:
+        raise ValueError(f"program deeper than {MAX_DEPTH} levels")
+    p = tuple.__new__(cls, (op, args))
     p._free = free
     p._depth = depth + 1
     return p
@@ -155,12 +172,6 @@ def depends_on(p: Program, var: Op) -> bool:
 
 
 # Parsing.
-
-# Deepest nesting parse accepts, counting both the syntax tree's depth (a
-# leaf is depth 1) and open parentheses, calls and if-expressions in the
-# text.  It keeps every recursive routine over parsed programs well
-# inside Python's recursion limit.
-MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -229,10 +240,10 @@ def parse(text: str, table: dict[tuple[int, ...], Program] | None = None) -> Pro
         key = (op, *map(id, args))
         p = table.get(key)
         if p is None:
-            # A node in the table was no deeper than MAX_DEPTH when built.
-            p = _program(Program, op, args)
-            if p._depth > MAX_DEPTH:
-                fail(f"program deeper than {MAX_DEPTH} levels", at)
+            try:
+                p = _program(Program, op, args)
+            except ValueError as exc:  # deeper than MAX_DEPTH
+                fail(str(exc), at)
             table[key] = p
         return p
 

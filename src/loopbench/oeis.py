@@ -18,9 +18,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .interp import EvalConfig, DEFAULT_CONFIG, generate_seq
-from .lang import ParseError, Program, parse, to_text, Op, depends_on
+from .lang import Checked, ParseError, Program, parse, to_text, Op, depends_on
 
-_ANUM_RE = re.compile(r"^A\d+$")
+_ANUM_RE = re.compile(r"A[0-9]+")
 # A problem id names its exported script, so it must be a plain file name.
 _ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
@@ -59,7 +59,7 @@ class _ProblemFields(NamedTuple):
     sem_pass: bool
 
 
-class ProblemRecord(_ProblemFields):
+class ProblemRecord(Checked, _ProblemFields):
     """One equality problem.  Each field is checked as in a manifest row, so
     a record built in Python reads back; a bad one raises ValueError."""
 
@@ -93,11 +93,6 @@ class ProblemRecord(_ProblemFields):
         fields = (id, anums, terms, small, fast, status, syn_pass, sem_pass)
         return tuple.__new__(cls, fields)
 
-    @classmethod
-    def _make(cls, fields) -> ProblemRecord:
-        # _replace builds its copy here: check it as a new record.
-        return cls(*fields)
-
     @property
     def released(self) -> bool:
         """Refuted problems are not part of the released benchmark."""
@@ -115,9 +110,10 @@ def _anum_value(anum: str) -> int:
 
 def load_stripped(path: str | Path) -> dict[str, SequenceRecord]:
     """Read an OEIS stripped-format file into anum -> record; a bad line
-    or a repeated A-number raises ValueError naming path:line."""
+    or a repeated A-number (by its value: A45 repeats A000045) raises
+    ValueError naming path:line."""
     records: dict[str, SequenceRecord] = {}
-    first_lines: dict[str, int] = {}
+    first_lines: dict[str, int] = {}  # keyed by digits without leading zeros
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -126,19 +122,21 @@ def load_stripped(path: str | Path) -> dict[str, SequenceRecord]:
             anum, body = line.split(" ", 1)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed line {line!r}")
-        if not _ANUM_RE.match(anum):
+        if not _ANUM_RE.fullmatch(anum):
             raise ValueError(f"{path}:{lineno}: bad A-number {anum!r}")
         body = body.strip()
         if not (body.startswith(",") and body.endswith(",")):
             raise ValueError(f"{path}:{lineno}: terms must be comma-wrapped")
-        parts = [t for t in body.split(",") if t]
-        if not parts:
+        parts = body[1:-1].split(",")
+        if parts == [""]:
             raise ValueError(f"{path}:{lineno}: no terms for {anum}")
+        if "" in parts:
+            raise ValueError(f"{path}:{lineno}: empty term in {anum}")
         try:
             terms = tuple(map(int, parts))
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-integer term in {anum}")
-        first = first_lines.setdefault(anum, lineno)
+        first = first_lines.setdefault(anum[1:].lstrip("0"), lineno)
         if first != lineno:
             raise ValueError(f"{path}:{lineno}: repeated A-number {anum!r} (first on line {first})")
         records[anum] = SequenceRecord(anum, terms)
@@ -150,12 +148,13 @@ def load_solutions(path: str | Path) -> list[SolutionRecord]:
 
     Rows whose programs depend on y are skipped with a warning (one input
     is the sequence index; the other must be unused at top level).  A bad
-    row or a repeated A-number raises ValueError naming path:line.  Equal
-    subterms of the file's programs are one object (see lang.parse).
+    row or a repeated A-number (by its value, as in load_stripped) raises
+    ValueError naming path:line.  Equal subterms of the file's programs
+    are one object (see lang.parse).
     """
     solutions = []
     table: dict = {}
-    first_lines: dict[str, int] = {}
+    first_lines: dict[str, int] = {}  # as in load_stripped
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -163,9 +162,9 @@ def load_solutions(path: str | Path) -> list[SolutionRecord]:
         if len(cells) != 3:
             raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
         anum, small_text, fast_text = cells
-        if not _ANUM_RE.match(anum):
+        if not _ANUM_RE.fullmatch(anum):
             raise ValueError(f"{path}:{lineno}: bad A-number {anum!r}")
-        first = first_lines.setdefault(anum, lineno)
+        first = first_lines.setdefault(anum[1:].lstrip("0"), lineno)
         if first != lineno:
             raise ValueError(f"{path}:{lineno}: repeated A-number {anum!r} (first on line {first})")
         try:

@@ -45,8 +45,8 @@ from functools import cache
 from pathlib import Path
 from typing import NamedTuple, Union
 
-from .lang import BINARY_OPS, BODY_SLOTS, NAMES, Op, Program, depends_on, to_text
-from .oeis import ProblemRecord, _refuse_repeated_ids
+from .lang import BINARY_OPS, BODY_SLOTS, NAMES, Checked, Op, Program, depends_on, to_text
+from .oeis import _ID_RE, ProblemRecord, _refuse_repeated_ids
 
 Sexp = Union[str, tuple]
 
@@ -75,7 +75,7 @@ class _VariantFields(NamedTuple):
     kind: str  # one of VARIANTS
 
 
-class Variant(_VariantFields):
+class Variant(Checked, _VariantFields):
     """A conjecture shape, by its name in VARIANTS."""
 
     __slots__ = ()
@@ -84,11 +84,6 @@ class Variant(_VariantFields):
         if kind not in VARIANTS:
             raise ValueError(f"unknown conjecture variant {kind!r}")
         return tuple.__new__(cls, (kind,))
-
-    @classmethod
-    def _make(cls, fields) -> Variant:
-        # _replace builds its copy here: the copy's name is checked too.
-        return cls(*fields)
 
     def label(self) -> str:
         return self.kind
@@ -356,8 +351,9 @@ def read_variant(directory: str | Path) -> Variant:
 
 
 def read_index(path: str | Path) -> list[tuple[str, str]]:
-    """The (id, filename) rows of an index.tsv; a bad row or a repeated id
-    raises ValueError naming path:line."""
+    """The (id, filename) rows of an index.tsv, each cell a plain file name
+    as a problem id is, so that a script is read from the export directory
+    alone; a bad row or a repeated id raises ValueError naming path:line."""
     rows = []
     first_lines: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -366,6 +362,9 @@ def read_index(path: str | Path) -> list[tuple[str, str]]:
         cells = tuple(line.split("\t"))
         if len(cells) != 2 or not all(cells):
             raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields")
+        for name, cell in zip(("id", "filename"), cells):
+            if not _ID_RE.fullmatch(cell):
+                raise ValueError(f"{path}:{lineno}: {name} must be a plain file name, got {cell!r}")
         first = first_lines.setdefault(cells[0], lineno)
         if first != lineno:
             raise ValueError(f"{path}:{lineno}: repeated id {cells[0]!r} (first on line {first})")

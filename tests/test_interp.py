@@ -329,8 +329,8 @@ def test_evaluated_program_pickles_hashes_and_compares_by_syntax():
 
 
 def _code(p):
-    """p's compiled code entry: (run, reads x, reads y, stored points),
-    the points keyed by the one variable p reads, or by 0 if it reads none."""
+    """p's compiled code entry: (run, stored points), the points a dict
+    keyed by x if p does not read y, and None if it does."""
     return p._code
 
 
@@ -441,27 +441,29 @@ def test_alternating_initial_values_keep_a_record_each():
     assert (_memo(p)[:2], _memo(p, cell="older")[:2]) == ((0, 3), (2, 2))
 
 
-# A point where p ignores a nonzero variable replays the stored run of the
-# point with that variable set to 0.
+# A point at a nonzero y, on a program that does not read y, replays the
+# stored run of its x.
 
 
 def test_points_off_the_read_variables_replay_their_zero_point():
     p = parse("loop(x + y, x, 0)")
     assert _pinned_at(p, 6, 3) == EvalOutcome(21, 26)
-    assert _code(p)[1:] == (True, False, {6: EvalOutcome(21, 26)})
-    stored = _code(p)[3][6]
+    assert _code(p)[1] == {6: EvalOutcome(21, 26)}
+    stored = _code(p)[1][6]
     assert _pinned_at(p, 6, 0 - 4) is stored
+    # A program that reads y keeps no points.
     q = parse("loop(x + 1, y, 2)")
     assert _pinned_at(q, 5, 3) == EvalOutcome(5, 14)
-    assert _code(q)[1:] == (False, True, {3: EvalOutcome(5, 14)})
+    assert _code(q)[1] is None
+    # One that reads neither variable keeps its points by x too.
     r = parse("loop(x + y, 2 + 2, 1)")
     for x, y in [(1, 0), (0, 1), (2, 3)]:
         assert _pinned_at(r, x, y) == EvalOutcome(11, 20)
-    assert _code(r)[1:] == (False, False, {0: EvalOutcome(11, 20)})
-    # Points where every variable p ignores is 0 store nothing, so
-    # sequences and verify's sweeps keep no points.
+    assert _code(r)[1] == {0: EvalOutcome(11, 20), 2: EvalOutcome(11, 20)}
+    # Points at y = 0 store nothing, so sequences and verify's sweeps
+    # keep no points.
     generate_seq(p, 20)
-    assert _code(p)[3] == {6: stored}
+    assert _code(p)[1] == {6: stored}
 
 
 def test_point_replay_past_the_budget_times_out():
@@ -475,7 +477,7 @@ def test_point_replay_past_the_budget_times_out():
             assert evaluate(q, 6, 2, budget) == want
             assert budget.remaining == 0
     assert evaluate(p, 6, 2, Budget(26)) is stored
-    assert _code(p)[3] == {6: EvalOutcome(21, 26)}
+    assert _code(p)[1] == {6: EvalOutcome(21, 26)}
 
 
 def test_failed_points_are_not_stored():
@@ -485,9 +487,9 @@ def test_failed_points_are_not_stored():
         budget = Budget(8)
         assert evaluate(p, 3, y, budget) == EvalOutcome(None, 8, ErrorKind.TIMEOUT)
         assert budget.remaining == 0
-    assert _code(p)[3] == {}
+    assert _code(p)[1] == {}
     assert _pinned_at(p, 3, 1) == EvalOutcome(1, 9)
-    assert _code(p)[3] == {3: EvalOutcome(1, 9)}
+    assert _code(p)[1] == {3: EvalOutcome(1, 9)}
 
 
 def _pinned_at(p, x, y):

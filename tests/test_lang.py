@@ -73,6 +73,18 @@ def test_program_holds_a_tuple_of_programs():
         Program(Op.ADD, (1, 2))
 
 
+def test_a_program_built_in_python_keeps_the_depth_bound():
+    # As deep as parse allows, then one level more, built node by node.
+    p = X
+    for _ in range(MAX_DEPTH - 1):
+        p = Program(Op.ADD, (p, ONE))
+    assert parse(to_text(p)) == p and evaluate(p, 0).value == MAX_DEPTH - 1
+    with pytest.raises(ValueError, match=f"^program deeper than {MAX_DEPTH} levels$"):
+        Program(Op.ADD, (p, ONE))
+    with pytest.raises(ValueError, match=f"^program deeper than {MAX_DEPTH} levels$"):
+        Program(Op.ADD, (X, ONE))._replace(args=(ONE, p))
+
+
 def test_parse_basic_forms():
     assert parse("0") == ZERO
     assert parse("x") == X

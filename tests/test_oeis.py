@@ -115,6 +115,42 @@ def test_load_solutions_skips_blank_lines(tmp_path):
     assert len(load_solutions(plain)) == 3
 
 
+# Arabic-Indic digits, which int() would read as 12.
+@pytest.mark.parametrize(
+    "load, text", [(load_stripped, "A١٢ ,1,2,\n"), (load_solutions, "A١٢\tx\tx + 0\n")]
+)
+def test_an_anum_has_ascii_digits_only(tmp_path, load, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: bad A-number 'A١٢'$"):
+        load(path)
+
+
+# Both would be problem A45: the second row's solution or terms would be lost.
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (load_stripped, "A000045 ,0,1,1,\nA45 ,0,1,1,\n"),
+        (load_solutions, "A000045\tx\tx + 0\nA45\tx\tx * 1\n"),
+    ],
+)
+def test_an_anum_repeats_by_its_value(tmp_path, load, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == f"{path}:2: repeated A-number 'A45' (first on line 1)"
+
+
+@pytest.mark.parametrize("body", [",1,,2,", ",,1,2,", ",1,2,,", ",,,"])
+def test_load_stripped_rejects_an_empty_term(tmp_path, body):
+    path = tmp_path / "stripped"
+    path.write_text(f"A000001 ,0,\nA000002 {body}\n")
+    with pytest.raises(ValueError) as info:
+        load_stripped(path)
+    assert str(info.value) == f"{path}:2: empty term in A000002"
+
+
 def test_a_loaded_file_keeps_one_object_per_distinct_subterm():
     # The bench corpus's 180 rows repeat their subterms: 2,648 compound
     # node occurrences, 690 of them distinct (2,336 in the manifest).

@@ -315,6 +315,23 @@ def test_read_index_names_the_line_of_a_bad_row(tmp_path, row, message):
         smt.read_index(path)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        # run would hand the solver a file outside the export directory.
+        ("A1\t/etc/hostname", "filename must be a plain file name, got '/etc/hostname'"),
+        ("A1\t../A1.smt2", "filename must be a plain file name, got '../A1.smt2'"),
+        ("../A1\tA1.smt2", "id must be a plain file name, got '../A1'"),
+        ("A1 \tA1.smt2", "id must be a plain file name, got 'A1 '"),
+    ],
+)
+def test_read_index_takes_only_plain_file_names(tmp_path, row, message):
+    path = tmp_path / "index.tsv"
+    path.write_text(f"A0\tA0.smt2\n{row}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+        smt.read_index(path)
+
+
 # Each record is lowered and rendered once, each variant's conjecture
 # rendered once; what is kept must give the same bytes as a fresh start.
 

@@ -26,9 +26,10 @@ print(" ".join(sorted(sys.modules)))
 # command pays for them if one slips back in.  csv is loaded by
 # ReportTable.render_csv alone, since only `report --csv` writes CSV.
 COLD_START_FREE = {"dataclasses", "inspect", "ast", "dis", "csv"}
-# The solver campaign's thread pool and what it loads: only run_campaign
-# imports them, so that no other command pays for them.
-CAMPAIGN_ONLY = {"concurrent.futures", "queue", "logging"}
+# The solver campaign's thread pool and what it loads, with shutil and
+# subprocess: only run_campaign and run_solver import them, so that no
+# other command pays for them.
+CAMPAIGN_ONLY = {"concurrent.futures", "queue", "logging", "shutil", "subprocess"}
 
 # A two-job campaign over two stub solvers, under -S, printing its
 # verdicts and whether the pool was loaded before and after the call.
