@@ -23,9 +23,9 @@ value bound before it charges, raises division by zero before it
 charges, and a timeout leaves the budget at 0, so the outcome of a run,
 its cost included, does not depend on how the program is executed.  The
 compiled closures are kept on the program object itself, in one entry
-stored on first use and shared by every EvalConfig.  The entry is not
-part of the program's value: programs compare, hash and pickle by their
-syntax alone.
+stored on first use, in an instance dict made for it, and shared by
+every EvalConfig.  The entry is not part of the program's value:
+programs compare, hash and pickle by their syntax alone.
 
 Each call returns an EvalOutcome, a named tuple of the value (None on an
 error), the cost charged and the error kind (None on success).
@@ -517,10 +517,12 @@ def evaluate(
 
 def release(*programs: Program) -> None:
     """Drop the evaluator state kept on these programs and on every
-    subprogram of theirs: compiled code, loop memos and stored points."""
+    subprogram of theirs: compiled code, loop memos and stored points.
+    A program that holds none is left without an instance dict."""
     for p in programs:
         for q in subprograms(p):
-            q.__dict__.pop("_code", None)
+            if hasattr(q, "_code"):
+                q.__dict__.pop("_code", None)
 
 
 def generate_seq(p: Program, n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> list[EvalOutcome]:

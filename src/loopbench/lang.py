@@ -79,12 +79,14 @@ class Program(Checked, _Syntax):
 
     Programs compare, hash and pickle by their syntax alone.  Each keeps
     the bits of its free variables (see depends_on) and its depth (a leaf
-    has depth 1) in its instance dict, worked out from its arguments'
-    when it is built.  The evaluator keeps one compiled entry, used under
-    every EvalConfig, in that dict too, on this object alone: the code,
-    and the points stored at a nonzero y if the program does not read y.
-    A parsed program may share one object among its equal subterms, and
-    a load shares it among the records it reads (see parse), so several
+    has depth 1) in two tuple positions after op and args, which _fields
+    does not list; both are worked out from its arguments' when it is
+    built, so equal syntax has equal positions.  A program has no
+    instance dict until the evaluator stores its one compiled entry,
+    used under every EvalConfig, on this object alone: the code, and the
+    points stored at a nonzero y if the program does not read y.  A
+    parsed program may share one object among its equal subterms, and a
+    load shares it among the records it reads (see parse), so several
     records can use one object's code; release drops it for all of them,
     and the next evaluate compiles it again.
     """
@@ -122,21 +124,19 @@ MAX_DEPTH = 100
 
 
 def _program(cls: type, op: Op, args: tuple[Program, ...]) -> Program:
-    """A program of checked fields, with its free-variable bits and depth;
-    one deeper than MAX_DEPTH raises ValueError."""
+    """A program of checked fields, with its free-variable bits (position
+    2) and depth (position 3); one deeper than MAX_DEPTH raises
+    ValueError."""
     free = _OWN_BITS.get(op, 0)
     for a in args[_FIRST_FREE_SLOT[op]:]:
-        free |= a._free
+        free |= a[2]
     depth = 0
     for a in args:
-        if a._depth > depth:
-            depth = a._depth
+        if a[3] > depth:
+            depth = a[3]
     if depth >= MAX_DEPTH:
         raise ValueError(f"program deeper than {MAX_DEPTH} levels")
-    p = tuple.__new__(cls, (op, args))
-    p._free = free
-    p._depth = depth + 1
-    return p
+    return tuple.__new__(cls, (op, args, free, depth + 1))
 
 
 # The leaves, shared singletons: parse returns these objects.
@@ -168,7 +168,7 @@ def depends_on(p: Program, var: Op) -> bool:
     Occurrences inside the body slots of loop/loop2/compr are bound and
     do not count.
     """
-    return bool(p._free >> var & 1)
+    return bool(p[2] >> var & 1)
 
 
 # Parsing.

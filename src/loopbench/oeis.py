@@ -21,6 +21,8 @@ from .interp import EvalConfig, DEFAULT_CONFIG, generate_seq
 from .lang import Checked, ParseError, Program, parse, to_text, Op, depends_on
 
 _ANUM_RE = re.compile(r"A[0-9]+")
+# A stripped-format line's terms: comma-wrapped ASCII decimal integers.
+_TERMS_RE = re.compile(r",(?:-?[0-9]+,)+")
 # A problem id names its exported script, so it must be a plain file name.
 _ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
@@ -101,11 +103,19 @@ class ProblemRecord(Checked, _ProblemFields):
 
 def short_anum(anum: str) -> str:
     """Canonical A-number: leading zeros stripped (A000045 -> A45)."""
-    return f"A{_anum_value(anum)}"
+    return f"A{_anum_digits(anum) or 0}"
 
 
-def _anum_value(anum: str) -> int:
-    return int(anum[1:])
+def _anum_digits(anum: str) -> str:
+    """The digits of an A-number without its leading zeros: equal for the
+    A-numbers of one value, of any length."""
+    return anum[1:].lstrip("0")
+
+
+def _anum_order(anum: str) -> tuple[int, str]:
+    """Sort key of A-numbers by value: fewer digits first, then the digits."""
+    digits = _anum_digits(anum)
+    return len(digits), digits
 
 
 def load_stripped(path: str | Path) -> dict[str, SequenceRecord]:
@@ -132,11 +142,13 @@ def load_stripped(path: str | Path) -> dict[str, SequenceRecord]:
             raise ValueError(f"{path}:{lineno}: no terms for {anum}")
         if "" in parts:
             raise ValueError(f"{path}:{lineno}: empty term in {anum}")
+        if not _TERMS_RE.fullmatch(body):
+            raise ValueError(f"{path}:{lineno}: non-integer term in {anum}")
         try:
             terms = tuple(map(int, parts))
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-integer term in {anum}")
-        first = first_lines.setdefault(anum[1:].lstrip("0"), lineno)
+        except ValueError as exc:  # more digits than int() converts
+            raise ValueError(f"{path}:{lineno}: term of {anum}: {exc}") from None
+        first = first_lines.setdefault(_anum_digits(anum), lineno)
         if first != lineno:
             raise ValueError(f"{path}:{lineno}: repeated A-number {anum!r} (first on line {first})")
         records[anum] = SequenceRecord(anum, terms)
@@ -164,7 +176,7 @@ def load_solutions(path: str | Path) -> list[SolutionRecord]:
         anum, small_text, fast_text = cells
         if not _ANUM_RE.fullmatch(anum):
             raise ValueError(f"{path}:{lineno}: bad A-number {anum!r}")
-        first = first_lines.setdefault(anum[1:].lstrip("0"), lineno)
+        first = first_lines.setdefault(_anum_digits(anum), lineno)
         if first != lineno:
             raise ValueError(f"{path}:{lineno}: repeated A-number {anum!r} (first on line {first})")
         try:
@@ -208,7 +220,7 @@ def build_problems(
 
     problems = []
     for (small, fast), members in groups.items():
-        anums = sorted((m.anum for m in members), key=_anum_value)
+        anums = sorted((m.anum for m in members), key=_anum_order)
         pid = "-".join(short_anum(a) for a in anums)
         terms = max((sequences[a].terms for a in anums), key=len)
         problems.append(ProblemRecord(pid, anums, terms, small, fast))

@@ -412,6 +412,32 @@ def test_build(capsys, corpus):
     assert len(manifest.read_text().splitlines()) == 7
 
 
+def test_build_takes_anums_of_any_length(capsys, corpus):
+    # int() converts at most 4,300 digits.  An A-number is only shortened
+    # and sorted (by value: fewer digits first), so its length is no limit.
+    nines, power = "A" + "9" * 5000, "A0001" + "0" * 5000
+    row = (FIXTURES / "solutions.tsv").read_text().splitlines()[3]
+    assert row.startswith("A000217\t")
+    with open(corpus / "stripped", "a") as f:
+        f.write(f"{power} ,0,1,3,\n{nines} ,0,1,3,\n")
+    with open(corpus / "solutions.tsv", "a") as f:
+        f.write(f"{row.replace('A000217', power)}\n{row.replace('A000217', nines)}\n")
+    manifest = corpus / "problems.jsonl"
+    code, out, err = run(
+        capsys,
+        "build",
+        "--stripped", str(corpus / "stripped"),
+        "--solutions", str(corpus / "solutions.tsv"),
+        "--out", str(manifest),
+    )
+    assert (code, err) == (0, "")
+    assert "7 problems from 10 solutions" in out
+    merged = [p for p in oeis.load_problems(manifest) if nines in p.anums]
+    assert [(p.id, p.anums) for p in merged] == [
+        (f"A217-{nines}-A1{'0' * 5000}", ("A000217", nines, power))
+    ]
+
+
 def test_verify_and_filter(capsys, corpus):
     manifest = _built(capsys, corpus)
     code, out, _ = run(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopbench import interp
+from loopbench import interp, oeis
 from loopbench.interp import (
     BIG_VALUE_THRESHOLD,
     CHECK_LIMIT,
@@ -23,8 +23,9 @@ from loopbench.interp import (
     EvalOutcome,
     evaluate,
     generate_seq,
+    release,
 )
-from conftest import carried_budgets, record_evaluate
+from conftest import FIXTURES, carried_budgets, record_evaluate
 from loopbench.lang import LOOPING_OPS, TWO, X, Op, Program, parse, subprograms
 from oracles import (
     RefDivZero,
@@ -269,6 +270,26 @@ def test_compiled_code_goes_with_the_program():
     del p
     gc.collect()
     assert ref() is None
+
+
+def _has_dict(p: Program) -> bool:
+    """Whether p has an instance dict, found without making one, as vars
+    would."""
+    return any(type(r) is dict for r in gc.get_referents(p))
+
+
+def test_a_program_has_an_instance_dict_only_while_it_holds_compiled_code():
+    p = parse("loop(x + y, x, 0) + compr(x mod 2, x)")
+    solutions = oeis.load_solutions(FIXTURES / "solutions.tsv")
+    loaded = [side for r in solutions for side in (r.small, r.fast)]
+    # The leaves are shared singletons, which any test may evaluate.
+    nodes = [q for root in (p, *loaded) for q in subprograms(root) if q.args]
+    assert not any(map(_has_dict, nodes))
+    assert evaluate(p, 4).ok
+    assert [q for q in nodes if _has_dict(q)] == [p] and list(vars(p)) == ["_code"]
+    release(p, *loaded)
+    assert vars(p) == {}
+    assert [q for q in nodes if _has_dict(q)] == [p]
 
 
 def test_configs_with_different_limits_share_one_compilation(monkeypatch):

@@ -59,6 +59,25 @@ def test_load_stripped_rejects_malformed_lines(tmp_path, line):
     assert ":1:" in str(info.value)
 
 
+# Each would read as an int() term: Arabic-Indic digits, an underscore
+# between digits, a sign or spaces around a term.
+@pytest.mark.parametrize(
+    "body", [",١,1_0, +3,", ",١٢,", ",1_0,", ",+3,", ", 3,", ",3 ,4,", ",1,\u00a02,"]
+)
+def test_load_stripped_takes_ascii_decimal_terms_only(tmp_path, body):
+    path = tmp_path / "stripped"
+    path.write_text(f"A1 {body}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: non-integer term in A1$"):
+        load_stripped(path)
+
+
+def test_load_stripped_names_the_line_of_a_term_too_long_to_convert(tmp_path):
+    path = tmp_path / "stripped"
+    path.write_text(f"A1 ,1,\nA2 ,{'7' * 5000},\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: term of A2: "):
+        load_stripped(path)
+
+
 def test_load_stripped_rejects_a_repeated_anum(tmp_path):
     path = tmp_path / "stripped"
     path.write_text("A000001 ,1,2,3,\n# note\nA000002 ,1,\nA000001 ,4,5,6,\n")
