@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 from .interp import _digit_count
 from .lang import Checked
+from .oeis import read_text
 
 DEFAULT_TIMEOUT = 60.0
 # The longest solver timeout a config may give, in seconds; subprocess
@@ -205,10 +206,7 @@ def _read_log(path: Path) -> tuple[list[RunResult], str]:
     else raises a ValueError naming path:line, and a log that is not
     UTF-8 one naming the path.
     """
-    try:
-        text = path.read_bytes().decode() if path.exists() else ""
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    text = read_text(path) if path.exists() else ""
     tail = text.rpartition("\n")[2]
     if tail.strip():
         try:

@@ -15,9 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from pathlib import Path
 
-from .interp import Budget, EvalConfig, DEFAULT_CONFIG, evaluate, release
+from .interp import Budget, EvalConfig, DEFAULT_CONFIG, evaluate
 from .lang import LOOPING_OPS, Op, Program, depends_on, subprograms
-from .oeis import ProblemRecord
+from .oeis import ProblemRecord, read_text
 
 WINDOW = 40
 CYCLE_SKIP = 9  # indices before this are ignored by the cycle test
@@ -103,10 +103,12 @@ def acyclic_on(
     40 points along the axis with carried-over budgets, like sequence
     generation.  Any execution error fails the check.  map_negatives
     clamps sampled values at 0 first; it is used for bound subprograms,
-    whose negative values a loop treats as 0.
+    whose negative values a loop treats as 0.  It evaluates a copy of p,
+    so the evaluator state of its runs goes when it returns.
     """
     if axis not in (Op.X, Op.Y):
         raise ValueError("axis must be Op.X or Op.Y")
+    p = p._replace()
     along_x = axis == Op.X
     limit = cfg.per_call_limit
     budget = Budget(0)
@@ -142,14 +144,10 @@ def semantic_test(p: Program, cfg: EvalConfig = DEFAULT_CONFIG) -> bool:
 def classify(problem: ProblemRecord, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[bool, bool]:
     """(syn_pass, sem_pass) for a problem: syn_pass when a top loop passes
     the syntactic test, sem_pass when one of those loops also passes the
-    semantic test.  The evaluator state of both sides is released on
-    return.
+    semantic test.
     """
-    try:
-        syn_loops = [p for p in select_top_loops(problem.small, problem.fast) if syntactic_test(p)]
-        return bool(syn_loops), any(semantic_test(p, cfg) for p in syn_loops)
-    finally:
-        release(problem.small, problem.fast)
+    syn_loops = [p for p in select_top_loops(problem.small, problem.fast) if syntactic_test(p)]
+    return bool(syn_loops), any(semantic_test(p, cfg) for p in syn_loops)
 
 
 def classify_all(
@@ -157,9 +155,9 @@ def classify_all(
 ) -> list[ProblemRecord]:
     """Classify a manifest: copies of the problems with their syn_pass
     and sem_pass flags set, in manifest order; the given records are
-    left as they are, and this call leaves no evaluator state on their
-    programs.  Refuted problems are not part of the released
-    benchmark and come back as given, stale flags included."""
+    left as they are, their programs' evaluator state included.
+    Refuted problems are not part of the released benchmark and come
+    back as given, stale flags included."""
     classified = []
     for problem in problems:
         if problem.released:
@@ -174,4 +172,4 @@ def write_manifest(ids: list[str], path: str | Path) -> None:
 
 
 def read_manifest(path: str | Path) -> list[str]:
-    return [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
+    return [line.strip() for line in read_text(path).splitlines() if line.strip()]

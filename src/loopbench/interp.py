@@ -60,12 +60,9 @@ y = 0, stores nothing, while the filter's windows along x at y = 1..9
 are run once for a program that ignores y.
 
 The compiled code, its loop records and the stored points live as long
-as the program, or until release drops them from a program and its
-subprograms.  verify100 and classify release the two programs of the
-problem they check before they return, so a manifest keeps the code of
-one problem at a time.  A released program compiles again when it is
-next evaluated, and since every replay is exact, no outcome depends on
-what was released.
+as the program object.  verify100 and acyclic_on evaluate a copy of each
+program they check, made with _replace, so what they compile goes when
+they return, and no caller's program gains any of it.
 """
 
 from __future__ import annotations
@@ -75,7 +72,7 @@ from enum import Enum
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .lang import Checked, Op, Program, depends_on, subprograms
+from .lang import Checked, Op, Program, depends_on
 
 CHECK_LIMIT = 100_000
 VERIFY_LIMIT = 1_000_000
@@ -513,16 +510,6 @@ def evaluate(
     if points is not None:
         points[x] = outcome
     return outcome
-
-
-def release(*programs: Program) -> None:
-    """Drop the evaluator state kept on these programs and on every
-    subprogram of theirs: compiled code, loop memos and stored points.
-    A program that holds none is left without an instance dict."""
-    for p in programs:
-        for q in subprograms(p):
-            if hasattr(q, "_code"):
-                q.__dict__.pop("_code", None)
 
 
 def generate_seq(p: Program, n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> list[EvalOutcome]:

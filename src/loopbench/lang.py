@@ -87,8 +87,7 @@ class Program(Checked, _Syntax):
     points stored at a nonzero y if the program does not read y.  A
     parsed program may share one object among its equal subterms, and a
     load shares it among the records it reads (see parse), so several
-    records can use one object's code; release drops it for all of them,
-    and the next evaluate compiles it again.
+    records can use one object's code.
     """
 
     def __new__(cls, op: Op, args: tuple[Program, ...] = ()) -> Program:

@@ -118,13 +118,21 @@ def _anum_order(anum: str) -> tuple[int, str]:
     return len(digits), digits
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text; a file that is not UTF-8 raises ValueError naming it."""
+    try:
+        return Path(path).read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_stripped(path: str | Path) -> dict[str, SequenceRecord]:
     """Read an OEIS stripped-format file into anum -> record; a bad line
     or a repeated A-number (by its value: A45 repeats A000045) raises
     ValueError naming path:line."""
     records: dict[str, SequenceRecord] = {}
     first_lines: dict[str, int] = {}  # keyed by digits without leading zeros
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -167,7 +175,7 @@ def load_solutions(path: str | Path) -> list[SolutionRecord]:
     solutions = []
     table: dict = {}
     first_lines: dict[str, int] = {}  # as in load_stripped
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         cells = line.split("\t")
@@ -291,7 +299,7 @@ def load_problems(path: str | Path) -> list[ProblemRecord]:
     problems = []
     table: dict = {}
     first_lines: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

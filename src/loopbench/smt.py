@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import NamedTuple, Union
 
 from .lang import BINARY_OPS, BODY_SLOTS, NAMES, Checked, Op, Program, depends_on, to_text
-from .oeis import _ID_RE, ProblemRecord, _refuse_repeated_ids
+from .oeis import _ID_RE, ProblemRecord, _refuse_repeated_ids, read_text
 
 Sexp = Union[str, tuple]
 
@@ -317,23 +317,22 @@ def export_all(
     """Write one .smt2 per non-refuted problem, index.tsv and a variant file.
 
     Returns the (id, filename) index.  Output is deterministic: problems
-    are sorted by id and the emitter is pure.  Every script is built
-    before any file is written, so a problem that does not lower, or an
-    id two problems share, leaves nothing behind.
+    are sorted by id and the emitter is pure.  Nothing is written before
+    every id is checked and every script built, so a problem that does
+    not lower, an id two problems share or one too long for a file name
+    leaves nothing behind.
     """
     _refuse_repeated_ids(problems)
-    scripts = [
-        (problem.id, emit(problem, variant))
-        for problem in sorted(problems, key=lambda p: p.id)
-        if problem.released
-    ]
+    released = sorted((p for p in problems if p.released), key=lambda p: p.id)
+    index = [(p.id, f"{p.id}.smt2") for p in released]
+    for pid, filename in index:
+        if len(filename) > 255:  # the bytes a file name may hold; ids are ASCII
+            raise ValueError(f"id {pid!r}: its script name is over 255 bytes")
+    scripts = [emit(p, variant) for p in released]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    index: list[tuple[str, str]] = []
-    for pid, script in scripts:
-        filename = f"{pid}.smt2"
+    for (_, filename), script in zip(index, scripts):
         (outdir / filename).write_text(script)
-        index.append((pid, filename))
     (outdir / "index.tsv").write_text(
         "".join(f"{pid}\t{fname}\n" for pid, fname in index)
     )
@@ -356,7 +355,7 @@ def read_index(path: str | Path) -> list[tuple[str, str]]:
     alone; a bad row or a repeated id raises ValueError naming path:line."""
     rows = []
     first_lines: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         cells = tuple(line.split("\t"))

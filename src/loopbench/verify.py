@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .induction import write_manifest
-from .interp import Budget, EvalConfig, VERIFY_CONFIG, evaluate, release
+from .interp import Budget, EvalConfig, VERIFY_CONFIG, evaluate
 from .oeis import NONVERIFIED, REFUTED, VERIFIED, ProblemRecord
 
 
@@ -27,28 +27,26 @@ def verify100(problem: ProblemRecord, cfg: EvalConfig = VERIFY_CONFIG) -> Verify
     against a fresh budget, however many terms the problem's sequence
     lists.  The first value mismatch refutes the problem; an execution
     error before any mismatch leaves it non-verified (the errored index
-    counts as unchecked).  The evaluator state of both sides is released
-    on return.
+    counts as unchecked).  It evaluates copies of both sides, so the
+    evaluator state of their runs goes when it returns.
     """
+    small, fast = problem.small._replace(), problem.fast._replace()
     limit = cfg.per_call_limit
     budget = Budget(0)
-    try:
-        for i in range(100):
-            budget.remaining = limit
-            small_out = evaluate(problem.small, i, 0, budget, cfg)
-            if small_out.error is not None:
-                return VerifyReport(problem.id, NONVERIFIED, i, (i, small_out.error.value))
-            budget.remaining = limit
-            fast_out = evaluate(problem.fast, i, 0, budget, cfg)
-            if fast_out.error is not None:
-                return VerifyReport(problem.id, NONVERIFIED, i, (i, fast_out.error.value))
-            if small_out.value != fast_out.value:
-                return VerifyReport(
-                    problem.id, REFUTED, i, (i, f"{small_out.value} != {fast_out.value}")
-                )
-        return VerifyReport(problem.id, VERIFIED, 100)
-    finally:
-        release(problem.small, problem.fast)
+    for i in range(100):
+        budget.remaining = limit
+        small_out = evaluate(small, i, 0, budget, cfg)
+        if small_out.error is not None:
+            return VerifyReport(problem.id, NONVERIFIED, i, (i, small_out.error.value))
+        budget.remaining = limit
+        fast_out = evaluate(fast, i, 0, budget, cfg)
+        if fast_out.error is not None:
+            return VerifyReport(problem.id, NONVERIFIED, i, (i, fast_out.error.value))
+        if small_out.value != fast_out.value:
+            return VerifyReport(
+                problem.id, REFUTED, i, (i, f"{small_out.value} != {fast_out.value}")
+            )
+    return VerifyReport(problem.id, VERIFIED, 100)
 
 
 def verify_all(
@@ -56,8 +54,8 @@ def verify_all(
 ) -> tuple[list[ProblemRecord], list[VerifyReport]]:
     """verify100 over a manifest: copies of the problems carrying their
     new status, and the reports, both in manifest order.  The given
-    records are left as they are, and no evaluator state is left on
-    their programs."""
+    records are left as they are, their programs' evaluator state
+    included."""
     reports = [verify100(problem, cfg) for problem in problems]
     verified = [p._replace(status=r.status) for p, r in zip(problems, reports)]
     return verified, reports

@@ -76,12 +76,14 @@ def warm(records) -> None:
                     evaluate(q, x, 3)
 
 
-def kept_code(records) -> list:
-    """The subprograms of the records' programs that hold evaluator state."""
-    return [
-        q
+def kept_state(records) -> set[tuple[int, int]]:
+    """(id of the subprogram, id of its compiled entry) for each subprogram
+    of the records' programs that holds evaluator state.  The shared leaves
+    may hold state that another test left, so compare before and after."""
+    return {
+        (id(q), id(q._code))
         for r in records
         for side in (r.small, r.fast)
         for q in subprograms(side)
-        if "_code" in vars(q)
-    ]
+        if hasattr(q, "_code")
+    }

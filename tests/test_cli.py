@@ -972,3 +972,30 @@ def test_results_log_that_is_not_utf8_is_an_error_naming_it(capsys, tmp_path, co
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {log}: 'utf-8' codec can't decode byte 0xff in position 0")
     assert log.read_bytes() == b"\xff\n"
+
+
+# argv of a command that reads the file {bad} with the reader named.
+_UTF8_READERS = {
+    "load_stripped": ["cover", "x", "--anum", "A1", "--stripped", "{bad}"],
+    "load_solutions": ["build", "--stripped", "{stripped}", "--solutions", "{bad}",
+                       "--out", "{tmp}/problems.jsonl"],
+    "load_problems": ["verify", "--problems", "{bad}"],
+    "read_index": ["report", "--results", "{empty}", "--index", "{bad}",
+                   "--syn", "{empty}", "--sem", "{empty}", "--nonverified", "{empty}"],
+    "read_manifest": ["report", "--results", "{empty}", "--index", "{empty}",
+                      "--syn", "{empty}", "--sem", "{empty}", "--nonverified", "{bad}"],
+    "load_results": ["report", "--results", "{bad}", "--index", "{empty}",
+                     "--syn", "{empty}", "--sem", "{empty}", "--nonverified", "{empty}"],
+}
+
+
+@pytest.mark.parametrize("reader", list(_UTF8_READERS))
+def test_a_file_that_is_not_utf8_is_an_error_naming_it(capsys, tmp_path, reader):
+    bad, empty = tmp_path / "bad", tmp_path / "empty"
+    bad.write_bytes(b"A1\t\xff\n")
+    empty.write_text("")
+    names = {"bad": bad, "empty": empty, "stripped": FIXTURES / "stripped", "tmp": tmp_path}
+    code, out, err = run(capsys, *(arg.format(**names) for arg in _UTF8_READERS[reader]))
+    assert (code, out) == (1, "")
+    assert err == f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 3: invalid start byte\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad", "empty"]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import carried_budgets, fresh_problems, kept_code, record_evaluate, warm
+from conftest import carried_budgets, fresh_problems, kept_state, record_evaluate, warm
 from loopbench import induction
 from loopbench.induction import (
     CYCLE_SKIP,
@@ -383,16 +383,24 @@ def test_classify_matches_the_filter_oracle(problems):
 
 
 def test_classify_leaves_no_evaluator_state_on_the_programs():
+    # Programs that hold no state gain none ...
     problems = fresh_problems()
-    warm(problems)
+    before = kept_state(problems)
     for problem in problems:
         classify(problem)
-        assert kept_code([problem]) == []
-    warm(problems)
+        assert kept_state(problems) == before
     verified, _ = verify_all(problems)
-    warm(p for p in verified if p.released)
     classified = classify_all(verified)
-    assert kept_code(problems) == kept_code(verified) == kept_code(classified) == []
+    assert kept_state(problems) == kept_state(classified) == before
+    # ... and warmed ones keep the state they hold, and only that.
+    warm(problems)
+    warmed = kept_state(problems)
+    assert len(warmed) > len(before)
+    for problem in problems:
+        classify(problem)
+        assert kept_state(problems) == warmed
+    assert classify_all(verified) == classified
+    assert kept_state(problems) == kept_state(classified) == warmed
 
 
 def test_classify_all_flags_do_not_depend_on_kept_state(monkeypatch):
@@ -407,11 +415,14 @@ def test_classify_all_flags_do_not_depend_on_kept_state(monkeypatch):
     warmed = [p._replace(status=s) for p, s in zip(fresh_problems(), statuses)]
     warm(warmed)
     assert flags(warmed) == FIXTURE_FLAGS
-    # Nor when every problem's state is kept for the next one.
-    monkeypatch.setattr(induction, "release", lambda *programs: None)
-    warm(warmed)
+    # Nor when the state of each program the filter evaluates is kept for
+    # the next call and the next problem: every copy runs on the first
+    # equal one, with the compiled code, loop records and points it holds.
+    kept = {}
+    real = induction.evaluate
+    monkeypatch.setattr(induction, "evaluate", lambda p, *args: real(kept.setdefault(p, p), *args))
     assert flags(warmed) == flags(warmed) == FIXTURE_FLAGS
-    assert kept_code(warmed)
+    assert kept and all(hasattr(p, "_code") for p in kept)
 
 
 def test_manifest_round_trip(tmp_path):

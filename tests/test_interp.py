@@ -23,10 +23,11 @@ from loopbench.interp import (
     EvalOutcome,
     evaluate,
     generate_seq,
-    release,
 )
 from conftest import FIXTURES, carried_budgets, record_evaluate
+from loopbench.induction import classify_all
 from loopbench.lang import LOOPING_OPS, TWO, X, Op, Program, parse, subprograms
+from loopbench.verify import verify_all
 from oracles import (
     RefDivZero,
     RefLimit,
@@ -287,8 +288,12 @@ def test_a_program_has_an_instance_dict_only_while_it_holds_compiled_code():
     assert not any(map(_has_dict, nodes))
     assert evaluate(p, 4).ok
     assert [q for q in nodes if _has_dict(q)] == [p] and list(vars(p)) == ["_code"]
-    release(p, *loaded)
-    assert vars(p) == {}
+    # A copy holds an entry of its own, and the stages evaluate copies, so
+    # no other node gains a dict.
+    copy = p._replace()
+    assert evaluate(copy, 4) == evaluate(p, 4) and list(vars(copy)) == ["_code"]
+    problems = oeis.build_problems(solutions, oeis.load_stripped(FIXTURES / "stripped"))
+    classify_all(verify_all(problems)[0])
     assert [q for q in nodes if _has_dict(q)] == [p]
 
 

@@ -297,6 +297,19 @@ def test_export_all_refuses_a_repeated_id_and_writes_nothing(problems, tmp_path)
     assert not (tmp_path / "out").exists()
 
 
+def test_export_all_refuses_an_id_too_long_for_a_file_name_and_writes_nothing(problems, tmp_path):
+    # A script name holds at most 255 bytes, ".smt2" included.
+    longest = problems[0]._replace(id="A" + "1" * 249)
+    assert [pid for pid, _ in export_all([longest], tmp_path / "ok", BASE)] == [longest.id]
+    too_long = problems[0]._replace(id=longest.id + "1")
+    with pytest.raises(ValueError, match=f"^id {too_long.id!r}: its script name is over 255 bytes$"):
+        export_all([*problems, too_long], tmp_path / "out", BASE)
+    assert not (tmp_path / "out").exists()
+    # A refuted problem is not exported, so its id is not a script name.
+    refuted = too_long._replace(status="refuted")
+    assert len(export_all([*problems, refuted], tmp_path / "out", BASE)) == len(problems)
+
+
 @pytest.mark.parametrize(
     "row, message",
     [

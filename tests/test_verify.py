@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import fresh_problems, kept_code, record_evaluate, warm
+from conftest import fresh_problems, kept_state, record_evaluate, warm
 from loopbench import verify
 from loopbench.interp import EvalConfig
 from loopbench.lang import parse
@@ -105,18 +105,23 @@ def test_verify100_calls_evaluate_once_per_side_and_point(monkeypatch, small, fa
 
 
 def test_verify_leaves_no_evaluator_state_on_the_programs():
+    # Programs that hold no state gain none ...
     problems = fresh_problems()
-    warm(problems)
-    assert kept_code(problems)
+    before = kept_state(problems)
     for problem in problems[:3]:
         verify100(problem)
-        assert kept_code([problem]) == []
+        assert kept_state(problems) == before
     verified, reports = verify_all(problems)
-    assert kept_code(problems) == kept_code(verified) == []
-    # Records that held no state when they were given come out alike.
-    fresh = fresh_problems()
-    assert verify_all(fresh) == (verified, reports)
-    assert kept_code(fresh) == []
+    assert kept_state(problems) == kept_state(verified) == before
+    # ... and warmed ones keep the state they hold, and only that.
+    warm(problems)
+    warmed = kept_state(problems)
+    assert len(warmed) > len(before)
+    for problem in problems[:3]:
+        verify100(problem)
+        assert kept_state(problems) == warmed
+    assert verify_all(problems) == (verified, reports)
+    assert kept_state(problems) == kept_state(verified) == warmed
 
 
 def test_emit_nonverified(tmp_path, problems):
