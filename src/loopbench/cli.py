@@ -209,6 +209,7 @@ def _cmd_pipeline(args) -> int:
     problems, reports = verify_mod.verify_all(problems)
     problems = induction.classify_all(problems)
     syn_ids, sem_ids = _filter_ids(problems)
+    exported = smt.exported(problems)  # refuses before anything is printed or written
 
     statuses = Counter(p.status for p in problems)
     counts = [
@@ -217,7 +218,7 @@ def _cmd_pipeline(args) -> int:
         *((s, statuses[s]) for s in oeis.STATUSES[1:]),
         ("aind_syn", len(syn_ids)),
         ("aind_sem", len(sem_ids)),
-        ("exported", sum(p.released for p in problems)),
+        ("exported", len(exported)),
     ]
     for name, value in counts:
         print(f"{name}: {value}")

@@ -17,11 +17,18 @@ the value bound of 10^285 aborts the run instead.  The two bounds are
 constants of the cost model, VALUE_BOUND and BIG_VALUE_THRESHOLD; an
 EvalConfig holds only the per-call limit.
 
-A program is compiled on first use into nested closures, one per
-operator node, each called as run(x, y, budget).  A closure checks the
-value bound before it charges, raises division by zero before it
-charges, and a timeout leaves the budget at 0, so the outcome of a run,
-its cost included, does not depend on how the program is executed.  The
+A program is compiled on first use into nested closures, each called as
+run(x, y, budget).  A closure checks the value bound before it charges,
+raises division by zero before it charges, and a timeout leaves the
+budget at 0, so the outcome of a run, its cost included, does not depend
+on how the program is executed.  So a closed compound subterm, one that
+reads neither x nor y (the language spells every constant past 2 that
+way), is run once at compile time within CHECK_LIMIT units, and if that
+run succeeds it compiles to one closure that returns its value and
+charges its cost at once.  The fold is exact: every run of the subterm
+gives that value at that cost, a successful run can only time out under
+a smaller budget, and a timeout leaves the budget at 0 however its cost
+is charged.  A subterm whose run fails is compiled as any other.  The
 compiled closures are kept on the program object itself, in one entry
 stored on first use, in an instance dict made for it, and shared by
 every EvalConfig.  The entry is not part of the program's value:
@@ -188,6 +195,19 @@ def _charge_big(value: int, quadratic: bool, budget: Budget) -> None:
 # rather than calling a helper for it: it runs once per operator node.
 
 
+def _constant(c: int, cost: int) -> _Run:
+    """Closure for a closed term: it returns c and charges cost at once."""
+
+    def run(x: int, y: int, budget: Budget) -> int:
+        r = budget.remaining - cost
+        if r < 0:
+            _timeout(budget)
+        budget.remaining = r
+        return c
+
+    return run
+
+
 def _leaves() -> dict[Op, _Run]:
     """Closures for the five leaves, shared by every compiled program."""
     # small and neg are closure cells: a cell reads faster than a global.
@@ -214,21 +234,11 @@ def _leaves() -> dict[Op, _Run]:
             _charge_big(y, False, budget)
         return y
 
-    def constant(c: int) -> _Run:
-        # The literals 0, 1 and 2 are always small.
-        def run(x: int, y: int, budget: Budget) -> int:
-            r = budget.remaining - 1
-            if r < 0:
-                _timeout(budget)
-            budget.remaining = r
-            return c
-
-        return run
-
+    # The literals 0, 1 and 2 are always small.
     return {
-        Op.ZERO: constant(0),
-        Op.ONE: constant(1),
-        Op.TWO: constant(2),
+        Op.ZERO: _constant(0, 1),
+        Op.ONE: _constant(1, 1),
+        Op.TWO: _constant(2, 1),
         Op.X: read_x,
         Op.Y: read_y,
     }
@@ -242,10 +252,13 @@ def _compile(p: Program) -> _Run:
 
     Operands run left to right, each node checks and charges its own
     result after its operands, and loop steps charge one unit before
-    their body runs.
+    their body runs.  Closed subterms fold innermost first.  One with a
+    closed operand that did not fold does not fold either, and is not
+    run: its run would fail again unless a cond skips that operand.
     """
     small = BIG_VALUE_THRESHOLD  # closure cells, as in _leaves
     neg = -small
+    unfolded = set()  # closures of the closed subterms that did not fold
 
     def build(q: Program) -> _Run:
         op = q.op
@@ -467,6 +480,16 @@ def _compile(p: Program) -> _Run:
 
         else:
             raise AssertionError(f"unhandled operator {op}")
+        if q[2]:  # the free-variable bits: q reads x or y
+            return run
+        if not unfolded.intersection(args):
+            budget = Budget(CHECK_LIMIT)
+            try:
+                value = run(0, 0, budget)
+                return _constant(value, CHECK_LIMIT - budget.remaining)
+            except _Fail:
+                pass
+        unfolded.add(run)
         return run
 
     return build(p)

@@ -309,6 +309,18 @@ def emit(problem: ProblemRecord, variant: Variant = BASE) -> str:
     return _lowered(problem) + _conjecture_line(variant)
 
 
+def exported(problems: list[ProblemRecord]) -> list[ProblemRecord]:
+    """The problems export_all writes a script for: the released ones,
+    sorted by id.  An id two problems share, or one too long for a file
+    name, raises ValueError."""
+    _refuse_repeated_ids(problems)
+    released = sorted((p for p in problems if p.released), key=lambda p: p.id)
+    for p in released:
+        if len(p.id) + len(".smt2") > 255:  # the bytes a file name may hold; ids are ASCII
+            raise ValueError(f"id {p.id!r}: its script name is over 255 bytes")
+    return released
+
+
 def export_all(
     problems: list[ProblemRecord],
     outdir: str | Path,
@@ -322,12 +334,8 @@ def export_all(
     not lower, an id two problems share or one too long for a file name
     leaves nothing behind.
     """
-    _refuse_repeated_ids(problems)
-    released = sorted((p for p in problems if p.released), key=lambda p: p.id)
+    released = exported(problems)
     index = [(p.id, f"{p.id}.smt2") for p in released]
-    for pid, filename in index:
-        if len(filename) > 255:  # the bytes a file name may hold; ids are ASCII
-            raise ValueError(f"id {pid!r}: its script name is over 255 bytes")
     scripts = [emit(p, variant) for p in released]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

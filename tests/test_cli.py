@@ -596,6 +596,33 @@ def test_pipeline_writes_all_stage_outputs(capsys, corpus):
     assert "A999999.smt2" not in smt_files
 
 
+@pytest.mark.parametrize("mode", [[], ["--dry-run"]], ids=["write", "dry-run"])
+def test_pipeline_refuses_an_id_too_long_for_a_file_name_before_any_output(
+    capsys, corpus, mode
+):
+    # A second solution for A000217's pair merges into its problem, whose
+    # id then spells a 300-digit A-number.
+    anum = "A" + "9" * 300
+    row = (FIXTURES / "solutions.tsv").read_text().splitlines()[3]
+    assert row.startswith("A000217\t")
+    with open(corpus / "stripped", "a") as f:
+        f.write(f"{anum} ,0,1,3,\n")
+    with open(corpus / "solutions.tsv", "a") as f:
+        f.write(row.replace("A000217", anum) + "\n")
+    outdir = corpus / "out"
+    code, out, err = run(
+        capsys,
+        "pipeline",
+        "--stripped", str(corpus / "stripped"),
+        "--solutions", str(corpus / "solutions.tsv"),
+        "--outdir", str(outdir),
+        *mode,
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: id 'A217-{anum}': its script name is over 255 bytes\n"
+    assert not outdir.exists()
+
+
 def _tree(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 

@@ -690,6 +690,89 @@ def test_literals_match_the_cost_oracle(cfg):
     assert {None, ErrorKind.OVERFLOW} <= errors
 
 
+def _closure_calls(call):
+    """call()'s result, and how many interp closures it ran, counted with
+    sys.setprofile."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_filename == interp.__file__ and code.co_name in (
+            "run", "read_x", "read_y"
+        ):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        out = call()
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
+def _compiled_run(p, x):
+    """evaluate(p, x) on p compiled beforehand, and the closures it ran."""
+    evaluate(p, x, 0, Budget(0))  # compiles p, and stores no run
+    return _closure_calls(lambda: evaluate(p, x))
+
+
+def test_a_closed_subterm_runs_as_one_closure():
+    # x + 14, with 14 spelled in 0, 1 and 2: nine nodes fold into one.
+    p = parse("x + (2 * ((2 * (2 + 1)) + 1))")
+    assert _compiled_run(p, 3) == (EvalOutcome(17, 11), 3)
+
+
+def test_a_closed_subterm_over_an_operand_that_did_not_fold_is_not_run():
+    # The innermost loop takes 65,536 steps, past the fold budget, and each
+    # loop around it would run it again.
+    text = "loop(x + 1, loop(x + x, 2 * (2 * (2 * 2)), 1), 0)"
+    alone = _closure_calls(lambda: interp._compile(parse(text)))[1]
+    for _ in range(5):
+        text = f"loop(x, {text}, 0)"
+    assert _closure_calls(lambda: interp._compile(parse(text)))[1] == alone
+
+
+# Closed subterms, each with whether the whole term folds into one closure.
+BIG = "loop(x * x, (2 * (2 + 1)) + 1, 2)"  # 2^128, past 2^64
+SPELLED_2048 = "((2 + 2) * (2 * (2 + 2))) * ((2 * (2 + 2)) * (2 * (2 + 2)))"
+CLOSED_CASES = {
+    "(2 * 2) + 1": True,
+    BIG: True,
+    "loop(x * x, (2 * (2 + 2)) + 2, 2)": False,  # 2^1024 overflows
+    "1 div 0": False,
+    "x mod (2 - 2)": False,  # 2 - 2 folds, the mod reads x
+    "loop(x + y, 2 + 2, 1)": True,
+    # About 165,000 units, past the CHECK_LIMIT a fold may spend.
+    f"loop(x + y, {SPELLED_2048}, {BIG})": False,
+}
+# The closed subterm at top level and inside a loop, loop2 and compr body.
+CLOSED_SITES = ["{}", "loop(x + {}, 2, 0)", "loop2(y + {}, x, 2, 0, 1)", "compr(x - {}, 2)"]
+
+
+def _budgets(cost):
+    """Every budget from 0 to cost + 1, or for a long run the first 200,
+    ten across the middle and cost - 9 to cost + 1."""
+    if cost <= 5_000:
+        return range(cost + 2)
+    return [*range(200), *range(200, cost - 9, cost // 10), *range(cost - 9, cost + 2)]
+
+
+@pytest.mark.parametrize("site", CLOSED_SITES)
+@pytest.mark.parametrize("closed", CLOSED_CASES)
+def test_a_folded_closed_subterm_matches_the_cost_oracle_at_every_budget(closed, site):
+    p = parse(site.format(closed))
+    if site == "{}":  # folded, p runs as a single closure
+        assert (_compiled_run(p, 3)[1] == 1) == CLOSED_CASES[closed]
+    full = cost_eval(p, 3, 0, Budget(VERIFY_LIMIT))
+    assert full.error != ErrorKind.TIMEOUT
+    for start in _budgets(full.cost):
+        budget, oracle_budget = Budget(start), Budget(start)
+        want = cost_eval(p, 3, 0, oracle_budget)
+        assert evaluate(p, 3, 0, budget) == want, start
+        assert budget.remaining == oracle_budget.remaining == start - want.cost, start
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     programs(max_leaves=10),
