@@ -21,18 +21,19 @@ A program is compiled on first use into nested closures, each called as
 run(x, y, budget).  A closure checks the value bound before it charges,
 raises division by zero before it charges, and a timeout leaves the
 budget at 0, so the outcome of a run, its cost included, does not depend
-on how the program is executed.  So a closed compound subterm, one that
-reads neither x nor y (the language spells every constant past 2 that
-way), is run once at compile time within CHECK_LIMIT units, and if that
-run succeeds it compiles to one closure that returns its value and
-charges its cost at once.  The fold is exact: every run of the subterm
-gives that value at that cost, a successful run can only time out under
-a smaller budget, and a timeout leaves the budget at 0 however its cost
-is charged.  A subterm whose run fails is compiled as any other.  The
-compiled closures are kept on the program object itself, in one entry
-stored on first use, in an instance dict made for it, and shared by
-every EvalConfig.  The entry is not part of the program's value:
-programs compare, hash and pickle by their syntax alone.
+on how the program is executed.  So constants fold: an operator other
+than loop, loop2 and compr whose operands are all constants (0, 1, 2 or
+earlier folds; the language spells every constant past 2 that way) is
+applied once at compile time, and if that succeeds it compiles to one
+closure that returns its value and charges its cost at once.  The fold
+is exact: every run gives that value at that cost, a successful run can
+only time out under a smaller budget, and a timeout leaves the budget at
+0 however its cost is charged.  Any other node, a closed loop included,
+compiles as it is, so no compile runs a loop.  The compiled closures are
+kept on the program object itself, in one entry stored on first use, in
+an instance dict made for it, and shared by every EvalConfig.  The entry
+is not part of the program's value: programs compare, hash and pickle by
+their syntax alone.
 
 Each call returns an EvalOutcome, a named tuple of the value (None on an
 error), the cost charged and the error kind (None on success).
@@ -252,13 +253,12 @@ def _compile(p: Program) -> _Run:
 
     Operands run left to right, each node checks and charges its own
     result after its operands, and loop steps charge one unit before
-    their body runs.  Closed subterms fold innermost first.  One with a
-    closed operand that did not fold does not fold either, and is not
-    run: its run would fail again unless a cond skips that operand.
+    their body runs.  An operator over constants alone, loops aside, runs
+    once here and folds into one constant if that run succeeds.
     """
     small = BIG_VALUE_THRESHOLD  # closure cells, as in _leaves
     neg = -small
-    unfolded = set()  # closures of the closed subterms that did not fold
+    constants = {_LEAVES[Op.ZERO], _LEAVES[Op.ONE], _LEAVES[Op.TWO]}  # and each fold
 
     def build(q: Program) -> _Run:
         op = q.op
@@ -480,16 +480,15 @@ def _compile(p: Program) -> _Run:
 
         else:
             raise AssertionError(f"unhandled operator {op}")
-        if q[2]:  # the free-variable bits: q reads x or y
+        if op in (Op.LOOP, Op.LOOP2, Op.COMPR) or not constants.issuperset(args):
             return run
-        if not unfolded.intersection(args):
-            budget = Budget(CHECK_LIMIT)
-            try:
-                value = run(0, 0, budget)
-                return _constant(value, CHECK_LIMIT - budget.remaining)
-            except _Fail:
-                pass
-        unfolded.add(run)
+        budget = Budget(CHECK_LIMIT)
+        try:
+            value = run(0, 0, budget)
+        except _Fail:
+            return run
+        run = _constant(value, CHECK_LIMIT - budget.remaining)
+        constants.add(run)
         return run
 
     return build(p)

@@ -733,17 +733,18 @@ def test_a_closed_subterm_over_an_operand_that_did_not_fold_is_not_run():
     assert _closure_calls(lambda: interp._compile(parse(text)))[1] == alone
 
 
-# Closed subterms, each with whether the whole term folds into one closure.
+# Closed subterms, each with whether the whole term folds into one closure:
+# an operator over constants does, a loop does not.
 BIG = "loop(x * x, (2 * (2 + 1)) + 1, 2)"  # 2^128, past 2^64
 SPELLED_2048 = "((2 + 2) * (2 * (2 + 2))) * ((2 * (2 + 2)) * (2 * (2 + 2)))"
 CLOSED_CASES = {
     "(2 * 2) + 1": True,
-    BIG: True,
+    BIG: False,
     "loop(x * x, (2 * (2 + 2)) + 2, 2)": False,  # 2^1024 overflows
     "1 div 0": False,
     "x mod (2 - 2)": False,  # 2 - 2 folds, the mod reads x
-    "loop(x + y, 2 + 2, 1)": True,
-    # About 165,000 units, past the CHECK_LIMIT a fold may spend.
+    "loop(x + y, 2 + 2, 1)": False,
+    # About 165,000 units, past CHECK_LIMIT.
     f"loop(x + y, {SPELLED_2048}, {BIG})": False,
 }
 # The closed subterm at top level and inside a loop, loop2 and compr body.
@@ -771,6 +772,16 @@ def test_a_folded_closed_subterm_matches_the_cost_oracle_at_every_budget(closed,
         want = cost_eval(p, 3, 0, oracle_budget)
         assert evaluate(p, 3, 0, budget) == want, start
         assert budget.remaining == oracle_budget.remaining == start - want.cost, start
+
+
+def test_a_compile_runs_no_closed_loop():
+    # The loop takes 2,048 steps in a branch that x = 0 does not take.  The
+    # compile runs each of the ten operators spelling 2,048 once, with its
+    # two constant operands, and the run calls cond, x and 1.
+    p = parse(f"cond(x, 1, loop(x + y, {SPELLED_2048}, 1))")
+    out, calls = _closure_calls(lambda: evaluate(p, 0))
+    assert out == EvalOutcome(1, 3)
+    assert calls <= 10 * 3 + 3
 
 
 @settings(max_examples=300, deadline=None)
