@@ -13,6 +13,8 @@ value bound and the big-value threshold are constants of the cost model.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -20,6 +22,14 @@ from pathlib import Path
 from . import harness, induction, oeis, smt, verify as verify_mod
 from .interp import evaluate, generate_seq
 from .lang import parse, to_text
+
+
+def _number(text: str) -> int:
+    """A number operand: an optional '-' and ASCII digits, as a --stripped term."""
+    if re.fullmatch(r"-?[0-9]+", text):
+        with contextlib.suppress(ValueError):  # more digits than int() converts
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,12 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("eval", help="evaluate a program at (x, y)")
     p.add_argument("program")
-    p.add_argument("x", type=int)
-    p.add_argument("y", type=int)
+    p.add_argument("x", type=_number)
+    p.add_argument("y", type=_number)
 
     p = subs.add_parser("seq", help="print the first n values of a program")
     p.add_argument("program")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_number)
 
     p = subs.add_parser("cover", help="check that a program generates a sequence's terms")
     p.add_argument("program")
@@ -72,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--dir", required=True, type=Path, help="export: scripts, index.tsv, variant")
     p.add_argument("--log", required=True, type=Path)
-    p.add_argument("--jobs", type=int, default=1, help="solver runs at a time")
+    p.add_argument("--jobs", type=_number, default=1, help="solver runs at a time")
 
     p = subs.add_parser("report", help="aggregate solver results into a table")
     p.add_argument("--results", required=True, type=Path)

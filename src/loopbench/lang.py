@@ -216,7 +216,8 @@ def parse(text: str, table: dict[tuple[int, ...], Program] | None = None) -> Pro
     i = nesting = 0  # the next token's index, and the open nesting levels
 
     def fail(message: str, at: int):
-        # Token positions are worked out only here, for the error.
+        # Token positions are worked out only here; a long literal is cut.
+        message = re.sub(r"\d{21,}", lambda m: f"{m[0][:20]}... ({len(m[0])} digits)", message)
         for n, m in enumerate(_TOKEN.finditer(lowered)):
             if n == at:
                 raise ParseError(message, m.start())

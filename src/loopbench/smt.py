@@ -330,20 +330,19 @@ def export_all(
 
     Returns the (id, filename) index.  Output is deterministic: problems
     are sorted by id and the emitter is pure.  Nothing is written before
-    every id is checked and every script built, so a problem that does
-    not lower, an id two problems share or one too long for a file name
-    leaves nothing behind.
+    every id is checked (see exported) and every script built: a refusal
+    leaves nothing behind.  A stale variant file goes before the first
+    script and the new one comes last: `run` refuses an export cut short.
     """
     released = exported(problems)
     index = [(p.id, f"{p.id}.smt2") for p in released]
     scripts = [emit(p, variant) for p in released]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "variant").unlink(missing_ok=True)
     for (_, filename), script in zip(index, scripts):
         (outdir / filename).write_text(script)
-    (outdir / "index.tsv").write_text(
-        "".join(f"{pid}\t{fname}\n" for pid, fname in index)
-    )
+    (outdir / "index.tsv").write_text("".join(f"{pid}\t{fname}\n" for pid, fname in index))
     (outdir / "variant").write_text(variant.label() + "\n")
     return index
 

@@ -87,3 +87,14 @@ def kept_state(records) -> set[tuple[int, int]]:
         for q in subprograms(side)
         if hasattr(q, "_code")
     }
+
+
+def nested_texts(levels: int) -> list[str]:
+    """Texts whose syntax tree depth or nesting is `levels`."""
+    return [
+        "x" + " + 1" * (levels - 1),
+        "1 * " * (levels - 1) + "x",
+        "(" * levels + "x" + ")" * levels,
+        "loop(" * (levels - 1) + "x" + ", x, 0)" * (levels - 1),
+        "if x <= 0 then 1 else " * (levels - 1) + "2",
+    ]

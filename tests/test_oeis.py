@@ -40,52 +40,6 @@ def test_load_stripped_fixture(sequences):
     assert sequences["A999999"].terms == (0, 1, 2)
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "A000001 1,2,3,",
-        "A000001 ,1,2,3",
-        "A1x ,1,2,",
-        "A000001 ,,",
-        "A000001 ,1,two,3,",
-        "justonefield",
-    ],
-)
-def test_load_stripped_rejects_malformed_lines(tmp_path, line):
-    path = tmp_path / "stripped"
-    path.write_text(line + "\n")
-    with pytest.raises(ValueError) as info:
-        load_stripped(path)
-    assert ":1:" in str(info.value)
-
-
-# Each would read as an int() term: Arabic-Indic digits, an underscore
-# between digits, a sign or spaces around a term.
-@pytest.mark.parametrize(
-    "body", [",١,1_0, +3,", ",١٢,", ",1_0,", ",+3,", ", 3,", ",3 ,4,", ",1,\u00a02,"]
-)
-def test_load_stripped_takes_ascii_decimal_terms_only(tmp_path, body):
-    path = tmp_path / "stripped"
-    path.write_text(f"A1 {body}\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: non-integer term in A1$"):
-        load_stripped(path)
-
-
-def test_load_stripped_names_the_line_of_a_term_too_long_to_convert(tmp_path):
-    path = tmp_path / "stripped"
-    path.write_text(f"A1 ,1,\nA2 ,{'7' * 5000},\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: term of A2: "):
-        load_stripped(path)
-
-
-def test_load_stripped_rejects_a_repeated_anum(tmp_path):
-    path = tmp_path / "stripped"
-    path.write_text("A000001 ,1,2,3,\n# note\nA000002 ,1,\nA000001 ,4,5,6,\n")
-    with pytest.raises(ValueError) as info:
-        load_stripped(path)
-    assert str(info.value) == f"{path}:4: repeated A-number 'A000001' (first on line 1)"
-
-
 def test_load_stripped_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "stripped"
     path.write_text("# header\n\nA000001 ,1,-2,3,\n")
@@ -108,21 +62,15 @@ def test_load_solutions_skips_y_dependent_rows(tmp_path, capsys):
     assert capsys.readouterr().err == f"{path}:1: A000001 solution depends on y, skipped\n"
 
 
-def test_load_solutions_rejects_bad_rows(tmp_path):
+def test_a_repeated_row_is_an_error_even_where_the_first_is_skipped(tmp_path, capsys):
+    # The first row depends on y and the second does not parse: the repeat
+    # is found first, after the skip's warning.
     path = tmp_path / "solutions.tsv"
-    for text, message in [
-        ("A000001\tx\n", "1: expected 3 tab-separated fields"),
-        ("A000001\tx\tnotaprogram(\n", "1: unknown identifier 'notaprogram' (at position 0)"),
-        ("A000001\tx\tx\n\nB1\tx\tx + 1\n", "3: bad A-number 'B1'"),
-        # A repeated row is an error even where the first is skipped (it
-        # depends on y) or the second does not parse.
-        ("A1\tx\tx\nA2\tx\tx\nA1\tx\tx + 1\n", "3: repeated A-number 'A1' (first on line 1)"),
-        ("A1\ty\tx\nA1\tx\tnotaprogram(\n", "2: repeated A-number 'A1' (first on line 1)"),
-    ]:
-        path.write_text(text)
-        with pytest.raises(ValueError) as info:
-            load_solutions(path)
-        assert str(info.value) == f"{path}:{message}"
+    path.write_text("A1\ty\tx\nA1\tx\tnotaprogram(\n")
+    with pytest.raises(ValueError) as info:
+        load_solutions(path)
+    assert str(info.value) == f"{path}:2: repeated A-number 'A1' (first on line 1)"
+    assert capsys.readouterr().err == f"{path}:1: A1 solution depends on y, skipped\n"
 
 
 def test_load_solutions_skips_blank_lines(tmp_path):
@@ -132,42 +80,6 @@ def test_load_solutions_skips_blank_lines(tmp_path):
     blank.write_text("\n" + "\n  \n".join(rows) + "\n\n")
     assert load_solutions(blank) == load_solutions(plain)
     assert len(load_solutions(plain)) == 3
-
-
-# Arabic-Indic digits, which int() would read as 12.
-@pytest.mark.parametrize(
-    "load, text", [(load_stripped, "A١٢ ,1,2,\n"), (load_solutions, "A١٢\tx\tx + 0\n")]
-)
-def test_an_anum_has_ascii_digits_only(tmp_path, load, text):
-    path = tmp_path / "input"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: bad A-number 'A١٢'$"):
-        load(path)
-
-
-# Both would be problem A45: the second row's solution or terms would be lost.
-@pytest.mark.parametrize(
-    "load, text",
-    [
-        (load_stripped, "A000045 ,0,1,1,\nA45 ,0,1,1,\n"),
-        (load_solutions, "A000045\tx\tx + 0\nA45\tx\tx * 1\n"),
-    ],
-)
-def test_an_anum_repeats_by_its_value(tmp_path, load, text):
-    path = tmp_path / "input"
-    path.write_text(text)
-    with pytest.raises(ValueError) as info:
-        load(path)
-    assert str(info.value) == f"{path}:2: repeated A-number 'A45' (first on line 1)"
-
-
-@pytest.mark.parametrize("body", [",1,,2,", ",,1,2,", ",1,2,,", ",,,"])
-def test_load_stripped_rejects_an_empty_term(tmp_path, body):
-    path = tmp_path / "stripped"
-    path.write_text(f"A000001 ,0,\nA000002 {body}\n")
-    with pytest.raises(ValueError) as info:
-        load_stripped(path)
-    assert str(info.value) == f"{path}:2: empty term in A000002"
 
 
 def test_a_loaded_file_keeps_one_object_per_distinct_subterm():
@@ -204,12 +116,6 @@ def test_build_problems_fixture(problems, problems_by_id):
 def test_build_problems_drops_identical_pairs(sequences):
     same = SolutionRecord("A000045", parse("x"), parse("x"))
     assert build_problems([same], sequences) == []
-
-
-def test_build_problems_requires_sequence_data(sequences):
-    rec = SolutionRecord("A123456", parse("x"), parse("x + 0"))
-    with pytest.raises(ValueError):
-        build_problems([rec], sequences)
 
 
 def test_build_problems_order_is_input_invariant(solutions, sequences):
@@ -257,43 +163,6 @@ def test_save_problems_refuses_a_repeated_id_and_writes_nothing(tmp_path, proble
     with pytest.raises(ValueError, match=f"^repeated id {problems[0].id!r}$"):
         save_problems(twice, path)
     assert not path.exists()
-
-
-GOOD_ROW = '{"id": "A1", "anums": ["A000001"], "terms": [0, 1], "small": "x", "fast": "x + 0"}'
-
-
-@pytest.mark.parametrize(
-    "row, message",
-    [
-        ("{}", "missing field 'id'"),
-        ('{"id": "A1", "anum": "A1"}', "missing field 'anums'"),
-        (GOOD_ROW.replace(', "fast": "x + 0"', ""), "missing field 'fast'"),
-        ("[1, 2]", "row must be a JSON object, got list"),
-        ('"A1"', "row must be a JSON object, got str"),
-        (GOOD_ROW.replace("[0, 1]", '[0, "one"]'), "non-integer term 'one'"),
-        (GOOD_ROW.replace("[0, 1]", "[0, 1.5]"), "non-integer term 1.5"),
-        (GOOD_ROW.replace("[0, 1]", "[0, true]"), "non-integer term True"),
-        (GOOD_ROW.replace("[0, 1]", "7"), "field 'terms' must be a list, got 7"),
-        (GOOD_ROW.replace('["A000001"]', "[1]"), "field 'anums' must list strings"),
-        (GOOD_ROW.replace('"id": "A1"', '"id": 1'), "field 'id' must be a str, got 1"),
-        (GOOD_ROW.replace('"x + 0"', "3"), "field 'fast' must be a str, got 3"),
-        (GOOD_ROW.replace('"x + 0"', '"x +"'), "field 'fast': unexpected token"),
-        (GOOD_ROW[:-1] + ', "status": "verifyed"}', "field 'status' must be one of"),
-        (GOOD_ROW[:-1] + ', "status": null}', "field 'status' must be a str, got None"),
-        (GOOD_ROW[:-1] + ', "syn_pass": "false"}', "field 'syn_pass' must be a bool"),
-        (GOOD_ROW[:-1] + ', "sem_pass": 1}', "field 'sem_pass' must be a bool, got 1"),
-        ("{not json", "Expecting property name"),
-    ],
-)
-def test_load_problems_names_the_line_and_field_of_a_bad_row(tmp_path, row, message):
-    path = tmp_path / "problems.jsonl"
-    path.write_text(GOOD_ROW + "\n\n" + row + "\n" + GOOD_ROW + "\n")
-    with pytest.raises(ValueError) as info:
-        load_problems(path)
-    assert str(info.value).startswith(f"{path}:3: ")
-    assert message in str(info.value)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        problem_from_json(row)
 
 
 @pytest.mark.parametrize(

@@ -173,10 +173,6 @@ def test_conjecture_shapes():
 def test_parse_variant():
     assert parse_variant is Variant
     assert len(smt.VARIANTS) == 12 and parse_variant("base") == BASE
-    for bad in ("c0", "c9", "c08", "c2y", "succ", "twox", "C1", " c1", "c2x-Appendix", ""):
-        message = f"unknown conjecture variant {bad!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            parse_variant(bad)
 
 
 def test_each_variant_has_one_label_that_parses_back_to_it():
@@ -308,41 +304,6 @@ def test_export_all_refuses_an_id_too_long_for_a_file_name_and_writes_nothing(pr
     # A refuted problem is not exported, so its id is not a script name.
     refuted = too_long._replace(status="refuted")
     assert len(export_all([*problems, refuted], tmp_path / "out", BASE)) == len(problems)
-
-
-@pytest.mark.parametrize(
-    "row, message",
-    [
-        ("A1", "expected 2 tab-separated fields"),
-        ("A1\tA1.smt2\textra", "expected 2 tab-separated fields"),
-        ("A1\t", "expected 2 tab-separated fields"),
-        ("\tA1.smt2", "expected 2 tab-separated fields"),
-        # run would log two results under one (problem, solver, variant) key.
-        ("A0\tother.smt2", "repeated id 'A0' (first on line 1)"),
-    ],
-)
-def test_read_index_names_the_line_of_a_bad_row(tmp_path, row, message):
-    path = tmp_path / "index.tsv"
-    path.write_text(f"A0\tA0.smt2\n\n{row}\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
-        smt.read_index(path)
-
-
-@pytest.mark.parametrize(
-    "row, message",
-    [
-        # run would hand the solver a file outside the export directory.
-        ("A1\t/etc/hostname", "filename must be a plain file name, got '/etc/hostname'"),
-        ("A1\t../A1.smt2", "filename must be a plain file name, got '../A1.smt2'"),
-        ("../A1\tA1.smt2", "id must be a plain file name, got '../A1'"),
-        ("A1 \tA1.smt2", "id must be a plain file name, got 'A1 '"),
-    ],
-)
-def test_read_index_takes_only_plain_file_names(tmp_path, row, message):
-    path = tmp_path / "index.tsv"
-    path.write_text(f"A0\tA0.smt2\n{row}\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
-        smt.read_index(path)
 
 
 # Each record is lowered and rendered once, each variant's conjecture
