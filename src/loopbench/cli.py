@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import harness, induction, oeis, smt, verify as verify_mod
 from .interp import evaluate, generate_seq
-from .lang import parse, to_text
+from .lang import cut, parse, to_text
 
 
 def _number(text: str) -> int:
@@ -29,7 +29,7 @@ def _number(text: str) -> int:
     if re.fullmatch(r"-?[0-9]+", text):
         with contextlib.suppress(ValueError):  # more digits than int() converts
             return int(text)
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise argparse.ArgumentTypeError(f"invalid int value: {cut(text)!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,7 +206,7 @@ def _cmd_report(args) -> int:
     )
     print(table.render_text(), end="")
     if args.csv:
-        args.csv.write_text(table.render_csv())
+        oeis.write_text(args.csv, table.render_csv())
     return 0
 
 

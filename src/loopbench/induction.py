@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .interp import Budget, EvalConfig, DEFAULT_CONFIG, evaluate
 from .lang import LOOPING_OPS, Op, Program, depends_on, subprograms
-from .oeis import ProblemRecord, read_text
+from .oeis import ProblemRecord, read_text, write_text
 
 WINDOW = 40
 CYCLE_SKIP = 9  # indices before this are ignored by the cycle test
@@ -168,7 +168,7 @@ def classify_all(
 
 
 def write_manifest(ids: list[str], path: str | Path) -> None:
-    Path(path).write_text("".join(i + "\n" for i in sorted(ids)))
+    write_text(path, "".join(i + "\n" for i in sorted(ids)))
 
 
 def read_manifest(path: str | Path) -> list[str]:

@@ -191,6 +191,12 @@ _CHARS = "()," + "".join(n for n in NAMES.values() if not n.isalnum())
 _TOKEN = re.compile(rf"\d+|[a-z]\w*|<=|[{re.escape(_CHARS)}]")
 
 
+def cut(run: str) -> str:
+    """run, or if longer than 20 characters, its first 20, '...' and its length."""
+    unit = "digits" if run.isdigit() else "characters"
+    return run if len(run) <= 20 else f"{run[:20]}... ({len(run)} {unit})"
+
+
 def parse(text: str, table: dict[tuple[int, ...], Program] | None = None) -> Program:
     """Parse program text.  Raises ParseError with a position on bad input,
     which includes nesting deeper than MAX_DEPTH.  A character that no
@@ -216,8 +222,8 @@ def parse(text: str, table: dict[tuple[int, ...], Program] | None = None) -> Pro
     i = nesting = 0  # the next token's index, and the open nesting levels
 
     def fail(message: str, at: int):
-        # Token positions are worked out only here; a long literal is cut.
-        message = re.sub(r"\d{21,}", lambda m: f"{m[0][:20]}... ({len(m[0])} digits)", message)
+        # Token positions are worked out only here; a long token is cut.
+        message = re.sub(r"\w{21,}", lambda m: cut(m[0]), message)
         for n, m in enumerate(_TOKEN.finditer(lowered)):
             if n == at:
                 raise ParseError(message, m.start())

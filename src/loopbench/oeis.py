@@ -12,6 +12,7 @@ JSON shape and parses the program text.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -126,6 +127,20 @@ def read_text(path: str | Path) -> str:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write a UTF-8 file whole or not at all, through a temporary file beside
+    it that any exception, Ctrl-C included, removes; an OSError names path."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(text.encode())
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
+
+
 def load_stripped(path: str | Path) -> dict[str, SequenceRecord]:
     """Read an OEIS stripped-format file into anum -> record; a bad line
     or a repeated A-number (by its value: A45 repeats A000045) raises
@@ -172,7 +187,7 @@ def load_solutions(path: str | Path) -> list[SolutionRecord]:
     ValueError naming path:line.  Equal subterms of the file's programs
     are one object (see lang.parse).
     """
-    solutions = []
+    solutions, skipped = [], []  # the skip warnings, printed once the whole file has loaded
     table: dict = {}
     first_lines: dict[str, int] = {}  # as in load_stripped
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
@@ -193,9 +208,11 @@ def load_solutions(path: str | Path) -> list[SolutionRecord]:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}")
         if depends_on(small, Op.Y) or depends_on(fast, Op.Y):
-            print(f"{path}:{lineno}: {anum} solution depends on y, skipped", file=sys.stderr)
+            skipped.append(f"{path}:{lineno}: {anum} solution depends on y, skipped")
             continue
         solutions.append(SolutionRecord(anum, small, fast))
+    for warning in skipped:
+        print(warning, file=sys.stderr)
     return solutions
 
 
@@ -290,7 +307,7 @@ def _refuse_repeated_ids(problems: list[ProblemRecord]) -> None:
 def save_problems(problems: list[ProblemRecord], path: str | Path) -> None:
     """Write a manifest; repeated ids raise ValueError and write nothing."""
     _refuse_repeated_ids(problems)
-    Path(path).write_text("".join(problem_to_json(p) + "\n" for p in problems))
+    write_text(path, "".join(problem_to_json(p) + "\n" for p in problems))
 
 
 def load_problems(path: str | Path) -> list[ProblemRecord]:

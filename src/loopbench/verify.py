@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 from .induction import write_manifest
 from .interp import Budget, EvalConfig, VERIFY_CONFIG, evaluate
-from .oeis import NONVERIFIED, REFUTED, VERIFIED, ProblemRecord
+from .oeis import NONVERIFIED, REFUTED, VERIFIED, ProblemRecord, write_text
 
 
 class VerifyReport(NamedTuple):
@@ -81,4 +81,4 @@ def report_to_json(report: VerifyReport) -> str:
 
 
 def save_reports(reports: list[VerifyReport], path: str | Path) -> None:
-    Path(path).write_text("".join(report_to_json(r) + "\n" for r in reports))
+    write_text(path, "".join(report_to_json(r) + "\n" for r in reports))

@@ -114,6 +114,9 @@ PARSE_ERRORS = [
      "integer literal 99999999999999999999... (5000 digits) is not one of 0, 1, 2 (at position 4)"),
     (f"(x {LITERAL})", "expected ')', found '99999999999999999999... (5000 digits)' (at position 3)"),
     (f"x {LITERAL}", "trailing input starting with '99999999999999999999... (5000 digits)' (at position 2)"),
+    # So is a word, by its first 20 letters and its length.
+    ("x + " + "a" * 21, "unknown identifier 'aaaaaaaaaaaaaaaaaaaa... (21 characters)' (at position 4)"),
+    ("x + " + "a" * 5_000, "unknown identifier 'aaaaaaaaaaaaaaaaaaaa... (5000 characters)' (at position 4)"),
 ]
 
 # Stripped files, each with the line it is refused with.
@@ -145,6 +148,8 @@ SOLUTIONS_LINES = [
     ("A1\tx\tx\nA2\tx\tx\nA1\tx\tx + 1\n", "solutions.tsv:3: repeated A-number 'A1' (first on line 1)"),
     ("A000045\tx\tx + 0\nA45\tx\tx * 1\n", "solutions.tsv:2: repeated A-number 'A45' (first on line 1)"),
     ("A١٢\tx\tx + 0\n", "solutions.tsv:1: bad A-number 'A١٢'"),
+    # A row skipped for depending on y prints its warning only once the file has loaded.
+    ("A1\ty\tx\nA2\tx\tfoo(\n", "solutions.tsv:2: unknown identifier 'foo' (at position 0)"),
 ]
 # Rows of a manifest, each on its line 3, after a good row and a blank line.
 MANIFEST_ROWS = [
@@ -291,7 +296,10 @@ ROWS = [
           ("eval x ٢ 1_0", "argument x: invalid int value: '٢'"),
           ("eval x 0 1_0", "argument y: invalid int value: '1_0'"),
           ("eval x +3 0", "argument x: invalid int value: '+3'"),
-          (f"eval x {LITERAL} 0", f"argument x: invalid int value: '{LITERAL}'"),
+          # A long operand is quoted by its first 20 characters and its length.
+          (f"eval x {LITERAL} 0", "argument x: invalid int value: '99999999999999999999... (5000 digits)'"),
+          (f"eval x 0 -{LITERAL}", "argument y: invalid int value: '-9999999999999999999... (5001 characters)'"),
+          (f"seq x {'a' * 5_000}", "argument n: invalid int value: 'aaaaaaaaaaaaaaaaaaaa... (5000 characters)'"),
           ("seq x ' 3 '", "argument n: invalid int value: ' 3 '"),
           (f"{RUN} --jobs ٢", "argument --jobs: invalid int value: '٢'"),
           (f"{RUN} --jobs ' 3 '", "argument --jobs: invalid int value: ' 3 '"),
@@ -317,6 +325,12 @@ ROWS = [
           f"error: solutions.tsv:{len(SOLUTIONS.splitlines()) + 1}: repeated A-number 'A000045' (first on line 1)",
           {**CORPUS, "solutions.tsv": SOLUTIONS + "A000045\tx\tx + 0\n"})
       for cmd, argv in SOLUTIONS_READERS.items()),
+    # An output that cannot be written is named as given, not by the
+    # temporary file a whole-file write goes through.
+    row("build-out-no-directory", BUILD.replace("out.jsonl", "nodir/out.jsonl"),
+        "error: [Errno 2] No such file or directory: 'nodir/out.jsonl'", CORPUS),
+    row("build-out-directory", BUILD.replace("out.jsonl", "sub"),
+        "error: [Errno 21] Is a directory: 'sub'", {**CORPUS, "sub/kept": ""}),
     row("cover-no-sequence", "cover x --anum A000000 --stripped stripped",
         "error: no sequence A000000 in stripped", CORPUS),
     row("build-no-sequence-data", BUILD, "error: no sequence data for A123456",
@@ -467,3 +481,23 @@ def test_run_refuses_a_re_export_cut_short(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(Path, "write_text", write_text)
     assert capsys.readouterr().err.endswith("error: interrupted\n")
     _refused(capsys, tmp_path, RUN.split(), 1, "error: [Errno 2] No such file or directory: 'smt2/variant'")
+
+
+def test_verify_cut_short_in_its_manifest_write_leaves_the_manifest(capsys, monkeypatch, tmp_path):
+    # verify rewrites the manifest it reads; Ctrl-C just after the file it
+    # writes is opened must leave the old manifest, and no other file.
+    (tmp_path / "problems.jsonl").write_text(MANIFEST)
+    monkeypatch.chdir(tmp_path)
+    before, open_ = _tree(tmp_path), Path.open
+
+    def interrupt_writes(path, mode="r", *args, **kwargs):
+        f = open_(path, mode, *args, **kwargs)
+        if "w" in mode:
+            f.close()
+            raise KeyboardInterrupt
+        return f
+
+    monkeypatch.setattr(Path, "open", interrupt_writes)
+    assert main(shlex.split(MANIFEST_READERS["verify"])) == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+    assert _tree(tmp_path) == before

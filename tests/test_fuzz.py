@@ -23,11 +23,11 @@ SEEDS = [
     "cond(x - 2, loop(x * y, x, 2), y)",
 ]
 # Tokens a mutation inserts or swaps in: the language's own, some it does
-# not have, non-ASCII digits and literals too long for int().
+# not have, non-ASCII digits, literals too long for int() and a long word.
 TOKENS = [
     "x", "y", "0", "1", "2", "3", "+", "-", "*", "div", "mod", "(", ")", ",", "<=",
     "cond", "loop", "loop2", "compr", "if", "then", "else", "z", "#",
-    "١", "２", "\U0001d7da", "9" * 5_000, "1" + "0" * 300,
+    "١", "２", "\U0001d7da", "9" * 5_000, "1" + "0" * 300, "a" * 5_000,
 ]
 # Tokens an edit swaps for another of the same kind, so that the text often
 # still parses and the command goes on to evaluate it.
@@ -84,7 +84,7 @@ def test_mutated_program_text_gives_an_error_line_or_a_result(capsys, command):
         if code == 1 and (out, err) != ("false\n", ""):  # cover's "no" is no error
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
-            assert len(lines[0].encode()) < 1_000, argv  # a long literal is quoted in part
+            assert len(lines[0].encode()) < 1_000, argv  # a long token is quoted in part
         codes.add(code)
     # The trials reach both a result and an error.
     assert {0, 1} <= codes
